@@ -8,8 +8,8 @@ The simulator keeps two implementations of every hot costing routine:
   figure was originally validated against;
 - a **fast path** that computes the same result in bulk: LRU sweeps are
   replayed with set arithmetic instead of per-key method calls, page
-  walks come from a per-VMA translation cache, and counters are updated
-  once per phase instead of once per element.
+  walks are read from the page table's run arrays, and counters are
+  updated once per phase instead of once per element.
 
 Both paths are required to be *equivalent*: identical reported ticks,
 identical counter values, identical model state afterwards (TLB/cache/

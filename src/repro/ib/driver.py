@@ -46,8 +46,15 @@ class OpenIBDriver:
         """
         if not pages:
             raise ValueError("registration covers no pages")
-        all_huge = all(p.page_size == PAGE_2M for p in pages)
-        if self.hugepage_aware and all_huge:
-            return PAGE_2M, len(pages)
-        n_entries = sum(p.page_size // PAGE_4K for p in pages)
-        return PAGE_4K, n_entries
+        page_size = pages[0].page_size
+        if all(p.page_size == page_size for p in pages):
+            return self.plan_uniform(page_size, len(pages))
+        return PAGE_4K, sum(p.page_size // PAGE_4K for p in pages)
+
+    def plan_uniform(self, page_size: int, n_pages: int) -> Tuple[int, int]:
+        """:meth:`plan_entries` for *n_pages* pages all of *page_size*."""
+        if n_pages <= 0:
+            raise ValueError("registration covers no pages")
+        if self.hugepage_aware and page_size == PAGE_2M:
+            return PAGE_2M, n_pages
+        return PAGE_4K, n_pages * (page_size // PAGE_4K)

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro import fastpath, sanitize
 from repro.analysis.counters import CounterSet
@@ -36,7 +38,6 @@ from repro.ib.att import ATTCache
 from repro.ib.driver import OpenIBDriver
 from repro.ib.verbs import IBVerbsError, MemoryRegion, ProtectionDomain
 from repro.mem.address_space import AddressSpace
-from repro.mem.paging import PageTableEntry
 from repro.mem.physical import PAGE_2M, PAGE_4K
 
 _keys = itertools.count(0x1000)
@@ -109,25 +110,40 @@ class RegistrationEngine:
                     f"registration of [{vaddr:#x}+{length}] failed transiently "
                     "(driver resource shortage; retry may succeed)"
                 )
-        pages = self._pages_for(aspace, vaddr, length)
         ns = self.costs.base_ns
-        # step 1: pin + step 2: translate, per real kernel page
-        if pages and pages[0].page_size == pages[-1].page_size:
-            # one VMA's pages share a size: hoist the cost lookup
-            per_page = (
-                self.costs.pin_ns(pages[0].page_size)
-                + self.costs.per_page_translate_ns
-            )
-            for page in pages:
-                page.pin_count += 1
-            ns += len(pages) * per_page
+        run = aspace.translation_run(vaddr, length) if fastpath.enabled() else None
+        if run is not None:
+            # one page run: pin the whole span with one slice operation
+            pages, first, last = run
+            page_size = pages.page_size
+            n_pages = last - first + 1
+            pages.pins[first:last + 1] += 1
+            ns += n_pages * (self.costs.pin_ns(page_size)
+                             + self.costs.per_page_translate_ns)
+            entry_page_size, n_entries = self.driver.plan_uniform(
+                page_size, n_pages)
+            base = pages.start + first * page_size
         else:
-            for page in pages:
-                page.pin_count += 1
-                ns += self.costs.pin_ns(page.page_size)
-                ns += self.costs.per_page_translate_ns
+            entries = list(aspace.page_table.pages_in_range(vaddr, length))
+            n_pages = len(entries)
+            # step 1: pin + step 2: translate, per real kernel page
+            if entries[0].page_size == entries[-1].page_size:
+                # one VMA's pages share a size: hoist the cost lookup
+                per_page = (
+                    self.costs.pin_ns(entries[0].page_size)
+                    + self.costs.per_page_translate_ns
+                )
+                for page in entries:
+                    page.pin_count += 1
+                ns += n_pages * per_page
+            else:
+                for page in entries:
+                    page.pin_count += 1
+                    ns += self.costs.pin_ns(page.page_size)
+                    ns += self.costs.per_page_translate_ns
+            entry_page_size, n_entries = self.driver.plan_entries(entries)
+            base = entries[0].vaddr
         # step 3: upload translations at the driver's chosen granularity
-        entry_page_size, n_entries = self.driver.plan_entries(pages)
         ns += n_entries * self.costs.per_entry_upload_ns
         mr = MemoryRegion(
             mr_id=next(_keys),
@@ -136,13 +152,13 @@ class RegistrationEngine:
             length=length,
             entry_page_size=entry_page_size,
             n_entries=n_entries,
-            base=pages[0].vaddr,
+            base=base,
             lkey=next(_keys),
             rkey=next(_keys),
         )
         self.counters.add("reg.register")
         self.counters.add("reg.entries_uploaded", n_entries)
-        self.counters.add("reg.pages_pinned", len(pages))
+        self.counters.add("reg.pages_pinned", n_pages)
         san = sanitize._active
         if san is not None and san.mr:
             san.on_register(mr, aspace)
@@ -153,12 +169,28 @@ class RegistrationEngine:
         if not mr.registered:
             raise IBVerbsError(f"MR {mr.mr_id} already deregistered")
         ns = self.costs.dereg_base_ns + mr.n_entries * self.costs.per_entry_dereg_ns
-        for page in self._pages_for(aspace, mr.vaddr, mr.length):
-            if page.pin_count <= 0:
+        run = (aspace.translation_run(mr.vaddr, mr.length)
+               if fastpath.enabled() else None)
+        if run is not None:
+            pages, first, last = run
+            pins = pages.pins[first:last + 1]
+            unpinned = pins < 1
+            if unpinned.any():
+                i = first + int(np.argmax(unpinned))
                 raise IBVerbsError(
-                    f"unpin of page {page.vaddr:#x} that is not pinned"
+                    f"unpin of page {pages.start + i * pages.page_size:#x} "
+                    "that is not pinned"
                 )
-            page.pin_count -= 1
+            pins -= 1
+        else:
+            entries = list(aspace.page_table.pages_in_range(mr.vaddr, mr.length))
+            for page in entries:
+                if page.pin_count <= 0:
+                    raise IBVerbsError(
+                        f"unpin of page {page.vaddr:#x} that is not pinned"
+                    )
+            for page in entries:
+                page.pin_count -= 1
         self.att.invalidate_region(mr.mr_id)
         mr.registered = False
         self.counters.add("reg.deregister")
@@ -166,15 +198,3 @@ class RegistrationEngine:
         if san is not None and san.mr:
             san.on_deregister(mr)
         return ns
-
-    @staticmethod
-    def _pages_for(aspace: AddressSpace, vaddr: int,
-               length: int) -> List[PageTableEntry]:
-        """Leaf entries covering the buffer: from the address space's
-        VMA translation cache when possible, else a page-table walk."""
-        if fastpath.enabled():
-            run = aspace.translation_run(vaddr, length)
-            if run is not None:
-                xlate, first, last = run
-                return xlate.entries[first : last + 1]
-        return list(aspace.page_table.pages_in_range(vaddr, length))

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import fastpath, sanitize, trace
 from repro.analysis.counters import CounterSet
 from repro.engine.clock import TickClock
@@ -146,7 +148,7 @@ class MemoryAccessEngine:
 
         Exactly equivalent to the reference loop (same ticks, counters
         and model state); returns None when the range is not covered by
-        one cached VMA and the caller must walk page by page.
+        one page run and the caller must walk page by page.
         """
         line = self.cache.config.line_size
         start = align_down(vaddr, line)
@@ -154,28 +156,30 @@ class MemoryAccessEngine:
         run = self.address_space.translation_run(start, end - start)
         if run is None:
             return None
-        xlate, first_idx, last_idx = run
-        ps = xlate.page_size
-        entries = xlate.entries
+        pages, first_idx, last_idx = run
+        ps = pages.page_size
         cost = AccessCost()
         cost.tlb_hits, cost.tlb_misses, ns = self.tlb.sweep(
-            entries[first_idx].vaddr, last_idx - first_idx + 1, ps
+            pages.start + first_idx * ps, last_idx - first_idx + 1, ps
         )
+        # physically adjacent pages form one consecutive run of cache
+        # keys: a span ends at each page after which the break count rises
+        span_ends = (
+            np.flatnonzero(np.diff(pages.break_prefix()[first_idx:last_idx + 1]))
+            + first_idx
+        ).tolist()
+        span_ends.append(last_idx)
+        paddr = pages.paddr
         sweep = self.cache.sweep
         cursor = start
         i = first_idx
-        while cursor < end:
-            # extend across physically adjacent pages: their lines form
-            # one consecutive run of cache keys
-            j = i
-            while j < last_idx and entries[j + 1].paddr == entries[j].paddr + ps:
-                j += 1
-            entry = entries[i]
-            run_vend = entries[j].vaddr + ps
+        for j in span_ends:
+            page_vaddr = pages.start + i * ps
+            run_vend = pages.start + (j + 1) * ps
             seg_end = run_vend if run_vend < end else end
             n_lines = (seg_end - cursor + line - 1) // line
             hits, misses, seg_ns = sweep(
-                (entry.paddr + (cursor - entry.vaddr)) // line, n_lines, write
+                (int(paddr[i]) + (cursor - page_vaddr)) // line, n_lines, write
             )
             cost.cache_hits += hits
             cost.cache_misses += misses
@@ -228,22 +232,22 @@ class MemoryAccessEngine:
 
     def _stream_fast(self, vaddr: int, nbytes: int) -> Optional[AccessCost]:
         """Batched :meth:`stream`: one TLB sweep, restarts read from the
-        VMA's precomputed physical-adjacency prefix.
+        page run's physical-adjacency prefix.
 
         Exactly equivalent to the reference loop; returns None when the
-        range is not covered by one cached VMA.
+        range is not covered by one page run.
         """
         run = self.address_space.translation_run(vaddr, nbytes)
         if run is None:
             return None
-        xlate, first_idx, last_idx = run
+        pages, first_idx, last_idx = run
         cost = AccessCost()
         cost.tlb_hits, cost.tlb_misses, walk_ns = self.tlb.sweep(
-            xlate.entries[first_idx].vaddr,
+            pages.start + first_idx * pages.page_size,
             last_idx - first_idx + 1,
-            xlate.page_size,
+            pages.page_size,
         )
-        restarts = xlate.restarts(first_idx, last_idx)
+        restarts = pages.restarts(first_idx, last_idx)
         n_lines = self.prefetcher.lines_for(nbytes)
         cost.ns = walk_ns + self.prefetcher.stream_cost_ns(n_lines, restarts)
         restart_lines = min(n_lines, restarts * self.cache.config.stream_restart_lines)

@@ -33,6 +33,8 @@ PAGE_2M = 2 * 1024 * 1024
 FRAMES_PER_HUGEPAGE = PAGE_2M // PAGE_4K
 #: frames per lazy shuffle window
 _WINDOW_FRAMES = 4096
+#: an exhausted shuffle window
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class OutOfMemoryError(MemoryError):
@@ -103,8 +105,14 @@ class PhysicalMemory:
         # lazy 4 KB pool below it
         self._total_small = self._huge_base // PAGE_4K
         self._cursor = 0  # next never-touched frame index
-        self._window: List[int] = []  # current shuffle window (pop from end)
-        self._returned: List[int] = []  # freed frames (reused first)
+        # current shuffle window in hand-out order; frames before
+        # _window_pos are already handed out
+        self._window = _EMPTY
+        self._window_pos = 0
+        # freed frames (reused first, last freed first): a stack held in
+        # the first _n_returned slots of a growable array
+        self._returned = np.empty(_WINDOW_FRAMES, dtype=np.int64)
+        self._n_returned = 0
         self._rng = np.random.default_rng(seed)
         # CoW sharing: refcounts > 1 for frames mapped by several address
         # spaces after a fork; freeing a shared frame just drops a ref
@@ -116,8 +124,8 @@ class PhysicalMemory:
         """Number of free 4 KB frames."""
         return (
             (self._total_small - self._cursor)
-            + len(self._window)
-            + len(self._returned)
+            + (len(self._window) - self._window_pos)
+            + self._n_returned
         )
 
     def _refill_window(self) -> None:
@@ -131,49 +139,51 @@ class PhysicalMemory:
             if n_shuffle > 1:
                 idx = self._rng.choice(n, size=n_shuffle, replace=False)
                 order[np.sort(idx)] = order[self._rng.permutation(np.sort(idx))]
-        # hand out in index order: pop() takes from the end, so reverse
-        self._window = [int(i) * PAGE_4K for i in order[::-1]]
+        self._window = order * PAGE_4K
+        self._window_pos = 0
 
     def alloc_frame(self) -> int:
         """Allocate one 4 KB frame; returns its physical address."""
-        if self._returned:
-            return self._returned.pop()
-        if not self._window:
+        if self._n_returned:
+            self._n_returned -= 1
+            return int(self._returned[self._n_returned])
+        if self._window_pos == len(self._window):
             self._refill_window()
-        return self._window.pop()
+        self._window_pos += 1
+        return int(self._window[self._window_pos - 1])
 
-    def alloc_frames(self, n: int) -> List[int]:
-        """Allocate *n* 4 KB frames in one call.
+    def alloc_frames(self, n: int) -> np.ndarray:
+        """Allocate *n* 4 KB frames in one call, as an int64 array.
 
         Returns exactly the frames ``n`` consecutive :meth:`alloc_frame`
         calls would return, in the same order (freed frames first, then
         shuffle-window frames) — allocation order feeds the prefetcher
         model, so the bulk path must not perturb it.  On exhaustion the
-        partial allocation is returned to the pool (mirroring the
-        allocate-then-rollback idiom of the per-frame callers) and
+        partial allocation is returned to the pool and
         :class:`OutOfMemoryError` propagates.
         """
         if n <= 0:
             raise ValueError(f"frame count must be positive, got {n}")
-        frames: List[int] = []
+        take = min(n, self._n_returned)
+        top = self._n_returned
+        # the stack pops from the top: reversed slice of the top *take*
+        parts = [self._returned[top - take:top][::-1].copy()] if take else []
+        self._n_returned = top - take
+        remaining = n - take
         try:
-            returned = self._returned
-            while returned and len(frames) < n:
-                frames.append(returned.pop())
-            remaining = n - len(frames)
             while remaining:
-                if not self._window:
+                if self._window_pos == len(self._window):
                     self._refill_window()
-                window = self._window
-                take = remaining if remaining < len(window) else len(window)
-                frames += window[: -take - 1 : -1]
-                del window[-take:]
-                remaining -= take
+                pos = self._window_pos
+                step = min(remaining, len(self._window) - pos)
+                parts.append(self._window[pos:pos + step])
+                self._window_pos = pos + step
+                remaining -= step
         except OutOfMemoryError:
-            for paddr in frames:
-                self.free_frame(paddr)
+            if parts:
+                self.free_frames(np.concatenate(parts))
             raise
-        return frames
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def free_frame(self, paddr: int) -> None:
         """Return a 4 KB frame to the pool (or drop a CoW reference)."""
@@ -181,7 +191,35 @@ class PhysicalMemory:
             raise ValueError(f"bad 4 KB frame address {paddr:#x}")
         if self._drop_share(paddr):
             return
-        self._returned.append(paddr)
+        self._push_returned(np.array([paddr], dtype=np.int64))
+
+    def free_frames(self, paddrs) -> None:
+        """Return many 4 KB frames (a sequence or int64 array), exactly as
+        :meth:`free_frame` would one by one in order: the last frame is
+        the first reused."""
+        frames = np.asarray(paddrs, dtype=np.int64)
+        if not len(frames):
+            return
+        bad = (frames % PAGE_4K != 0) | (frames >= self._huge_base)
+        if bad.any():
+            paddr = int(frames[int(np.argmax(bad))])
+            raise ValueError(f"bad 4 KB frame address {paddr:#x}")
+        if self._shared:
+            frames = np.array(
+                [p for p in frames.tolist() if not self._drop_share(p)],
+                dtype=np.int64,
+            )
+        self._push_returned(frames)
+
+    def _push_returned(self, frames: np.ndarray) -> None:
+        top = self._n_returned
+        need = top + len(frames)
+        if need > len(self._returned):
+            grown = np.empty(max(need, 2 * len(self._returned)), dtype=np.int64)
+            grown[:top] = self._returned[:top]
+            self._returned = grown
+        self._returned[top:need] = frames
+        self._n_returned = need
 
     # -- CoW sharing --------------------------------------------------------
     def share_frame(self, paddr: int) -> None:
@@ -239,8 +277,9 @@ class PhysicalMemory:
         not stored here)."""
         return {
             "cursor": self._cursor,
-            "window": list(self._window),
-            "returned": list(self._returned),
+            # snapshot format: the remaining window in reverse hand-out order
+            "window": self._window[self._window_pos:][::-1].tolist(),
+            "returned": self._returned[:self._n_returned].tolist(),
             "free_huge": list(self._free_huge),
             "shared": dict(self._shared),
             "rng_state": self._rng.bit_generator.state,
@@ -249,8 +288,10 @@ class PhysicalMemory:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`dump_state` snapshot onto identical geometry."""
         self._cursor = state["cursor"]
-        self._window = list(state["window"])
-        self._returned = list(state["returned"])
+        self._window = np.array(state["window"][::-1], dtype=np.int64)
+        self._window_pos = 0
+        self._returned = np.array(state["returned"], dtype=np.int64)
+        self._n_returned = len(self._returned)
         self._free_huge = list(state["free_huge"])
         self._shared = dict(state["shared"])
         self._rng.bit_generator.state = state["rng_state"]

@@ -62,11 +62,12 @@ REGRESSION_TOLERANCE = 0.8
 SCHED_SCHEMA = "repro-sched/1"
 
 #: ``--scheduler-sweep`` fails when either scheduler is more than this
-#: fraction slower than the other.  The known steady-state gap is ~1.25x
-#: on the sparse-queue train (C-implemented heapq beats a pure-Python
-#: calendar at ~30 pending events) and ~0.92x on fig5 (the calendar wins
-#: once queues are deep) — 0.35 leaves headroom over the honest gap
-#: while still failing on any real regression in either scheduler.
+#: fraction slower than the other.  The recorded calendar/heap ratios in
+#: BENCH_PR9.json are 1.186 (full) and 1.158 (quick) on the sparse-queue
+#: train (C-implemented heapq beats a pure-Python calendar at ~30 pending
+#: events) and 1.067 / 1.025 on fig5 — 0.35 leaves headroom over the
+#: honest gap while still failing on any real regression in either
+#: scheduler.
 SCHED_TOLERANCE = 0.35
 
 

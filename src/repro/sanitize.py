@@ -41,8 +41,8 @@ with freed ranges quarantined until the allocator reuses them:
 
 ``tlb`` — page-table/TLB consistency at each translated access:
 
-- ``tlb.stale-translation`` — a cached VMA translation holds an entry
-  object that is no longer the live leaf PTE.
+- ``tlb.stale-translation`` — the page run the fast path reads
+  disagrees with the page-table walk (vaddr, frame or page size).
 - ``tlb.unbacked-frame`` — a PTE's frame is misaligned or outside
   physical memory.
 - ``tlb.dangling-entry`` — the TLB holds a virtual page with no PTE.
@@ -442,19 +442,23 @@ class Sanitizer:
                 f"address {fault_vaddr:#x}",
                 address=fault_vaddr, size=nbytes, op=op,
             )
-        # the cached VMA translations (the fast path's view) must agree
-        # with the live page table entry-for-entry
+        # the page run the fast path reads must agree with the page
+        # walk, page for page
         run = aspace.translation_run(vaddr, nbytes)
         if run is not None:
-            xlate, first, last = run
-            leaf = table.leaf_table(xlate.page_size)
-            for entry in xlate.entries[first:last + 1]:
-                if leaf.get(entry.vaddr) is not entry:
+            pages, first, last = run
+            ps = pages.page_size
+            for i, paddr in enumerate(pages.paddr[first:last + 1].tolist(),
+                                      start=first):
+                page_vaddr = pages.start + i * ps
+                entry = table.try_lookup(page_vaddr)
+                if entry is None or (entry.vaddr, entry.paddr,
+                                     entry.page_size) != (page_vaddr, paddr, ps):
                     self._violate(
                         "tlb.stale-translation",
-                        f"cached translation for {entry.vaddr:#x} is not "
-                        f"the live page-table entry",
-                        address=entry.vaddr, op=op,
+                        f"fast-path translation for {page_vaddr:#x} "
+                        f"disagrees with the page-table walk",
+                        address=page_vaddr, op=op,
                     )
 
     def check_access(self, engine: Any, vaddr: int, nbytes: int,

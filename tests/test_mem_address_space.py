@@ -162,3 +162,61 @@ class TestLifecycle:
         vma = aspace.mmap(PAGE_4K)
         assert aspace.find_vma(vma.start) is vma
         assert aspace.find_vma(vma.start + PAGE_4K) is not vma
+
+
+class TestAtomicity:
+    """A refused map or unmap leaves the address space and the frame
+    pools exactly as they were."""
+
+    def test_refused_mmap_returns_its_frames(self, aspace, machine_mem):
+        pm, _ = machine_mem
+        # squat on the page the next anonymous mapping will end with
+        squat = aspace._mmap_cursor - PAGE_4K
+        aspace.page_table.map(squat, pm.alloc_frame(), PAGE_4K)
+        before = pm.free_small_frames
+        with pytest.raises(ValueError, match="already mapped"):
+            aspace.mmap(4 * PAGE_4K)
+        assert pm.free_small_frames == before
+        assert aspace.page_table.n_small == 1
+        assert aspace.vmas == []
+
+    def test_refused_huge_mmap_returns_its_frames(self, aspace, machine_mem):
+        pm, fs = machine_mem
+        aspace.page_table.map(aspace._huge_cursor + PAGE_4K,
+                              pm.alloc_frame(), PAGE_4K)
+        before = pm.free_hugepages
+        with pytest.raises(ValueError, match="overlaps"):
+            aspace.mmap(PAGE_2M, page_size=PAGE_2M)
+        assert pm.free_hugepages == before
+        assert fs.acquired_pages == 0
+        assert aspace.page_table.n_huge == 0
+
+    def test_munmap_with_pinned_page_changes_nothing(self, aspace, machine_mem):
+        pm, _ = machine_mem
+        vma = aspace.mmap(8 * PAGE_4K)
+        aspace.page_table.lookup(vma.start + 5 * PAGE_4K).pin_count += 1
+        before = pm.free_small_frames
+        with pytest.raises(ValueError, match="pinned"):
+            aspace.munmap(vma.start)
+        assert pm.free_small_frames == before
+        assert aspace.page_table.n_small == 8
+        assert aspace.vmas == [vma]
+        for off in range(0, vma.length, PAGE_4K):
+            assert aspace.page_table.is_mapped(vma.start + off)
+
+    def test_sbrk_shrink_over_pinned_page_changes_nothing(self, aspace, machine_mem):
+        pm, _ = machine_mem
+        aspace.sbrk(8 * PAGE_4K)
+        aspace.page_table.lookup(BRK_BASE + 6 * PAGE_4K).pin_count += 1
+        before = pm.free_small_frames
+        with pytest.raises(ValueError, match="pinned"):
+            aspace.sbrk(-4 * PAGE_4K)
+        assert pm.free_small_frames == before
+        assert aspace.page_table.n_small == 8
+        for off in range(0, 8 * PAGE_4K, PAGE_4K):
+            assert aspace.page_table.is_mapped(BRK_BASE + off)
+
+    def test_heap_growth_stays_one_run(self, aspace):
+        for _ in range(5):
+            aspace.sbrk(3 * PAGE_4K + 100)
+        assert aspace.translation_run(BRK_BASE, aspace.brk - BRK_BASE) is not None

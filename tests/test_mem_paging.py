@@ -118,3 +118,59 @@ class TestRangeIteration:
         pt.map(0x1000, 0x2000, PAGE_4K)
         with pytest.raises(ValueError):
             list(pt.pages_in_range(0x1000, 0))
+
+
+class TestBulkMap:
+    def test_refused_bulk_map_installs_nothing(self, pt):
+        pt.map(0x2000, 0x9000, PAGE_4K)
+        with pytest.raises(ValueError, match="0x2000 is already mapped"):
+            pt.bulk_map(0, [0x10000, 0x11000, 0x12000, 0x13000], PAGE_4K)
+        assert pt.n_small == 1
+        assert [e.vaddr for e in pt.entries()] == [0x2000]
+        assert not pt.is_mapped(0) and not pt.is_mapped(0x1000)
+
+    def test_first_unaligned_frame_reported(self, pt):
+        with pytest.raises(ValueError, match="0x1000 -> 0x11001"):
+            pt.bulk_map(0, [0x10000, 0x11001], PAGE_4K)
+        assert pt.n_small == 0
+
+    def test_adjacent_runs_merge(self, pt):
+        pt.bulk_map(0, [0x10000, 0x11000], PAGE_4K)
+        pt.bulk_map(0x2000, [0x12000], PAGE_4K)
+        run, first, last = pt.run_for(0, 3 * PAGE_4K)
+        assert (first, last) == (0, 2)
+        assert run.restarts(first, last) == 1
+
+    def test_unmap_range_splits_run(self, pt):
+        pt.bulk_map(0, [0x10000, 0x30000, 0x11000, 0x12000], PAGE_4K)
+        freed = pt.unmap_range(0x1000, 2 * PAGE_4K, PAGE_4K)
+        assert freed.tolist() == [0x30000, 0x11000]
+        assert [(e.vaddr, e.paddr) for e in pt.entries()] == [
+            (0, 0x10000), (0x3000, 0x12000)]
+        assert pt.n_small == 2
+
+    def test_unmap_range_with_hole_faults_atomically(self, pt):
+        pt.bulk_map(0, [0x10000, 0x11000], PAGE_4K)
+        with pytest.raises(TranslationFault):
+            pt.unmap_range(0, 3 * PAGE_4K, PAGE_4K)
+        assert pt.n_small == 2
+
+
+class TestDumpLoad:
+    def test_round_trip(self, pt):
+        pt.bulk_map(0, [0x10000, 0x11000], PAGE_4K)
+        pt.bulk_map(0x4000, [0x20000], PAGE_4K)
+        pt.map(0x400000, 0x800000, PAGE_2M)
+        pt.lookup(0x1000).pin_count = 2
+        pt.lookup(0x400000).cow = True
+        state = pt.dump_state()
+        assert state == {
+            "small": [(0, 0x10000, 0, False), (0x1000, 0x11000, 2, False),
+                      (0x4000, 0x20000, 0, False)],
+            "huge": [(0x400000, 0x800000, 0, True)],
+        }
+        assert all(type(v) is int for t in state["small"] for v in t[:3])
+        other = PageTable()
+        other.load_state(state)
+        assert other.dump_state() == state
+        assert list(other.entries()) == list(pt.entries())

@@ -2,7 +2,6 @@
 healthy runs, and every seeded corruption class is caught *at the
 faulting operation* with the exact rule id and faulting address/key."""
 
-import copy
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from repro import sanitize
 from repro.analysis.counters import CounterSet
 from repro.engine import SimKernel
 from repro.ib.verbs import ProtectionDomain
-from repro.mem.paging import PAGE_4K
+from repro.mem.paging import PAGE_4K, PageRun
 from repro.systems import Cluster, Machine, presets
 from repro.workloads.imb import SendRecvBenchmark
 from repro.workloads.nas import KERNELS
@@ -280,16 +279,20 @@ class TestTLBRules:
         assert exc.value.rule == "tlb.unbacked-frame"
         assert exc.value.address == vma.start
 
-    def test_stale_cached_translation(self):
+    def test_stale_cached_translation(self, monkeypatch):
         san = sanitize.Sanitizer()
         with sanitize.capturing(san):
             machine, proc = make_machine()
             vma = proc.aspace.mmap(64 * KB)
-            proc.engine.touch(vma.start, 64 * KB)  # builds the xlate cache
-            leaf = proc.aspace.page_table.leaf_table(PAGE_4K)
-            # swap one PTE for an equal copy: the cached view now holds a
-            # dead object — exactly the desync the fast path would read
-            leaf[vma.start] = copy.copy(leaf[vma.start])
+            run, first, last = proc.aspace.translation_run(vma.start, 64 * KB)
+            # a copy of the run taken before a CoW write fault moves the
+            # first page's frame: exactly the desync a fast path reading
+            # a stale copy would cost against
+            stale = PageRun(run.start, run.page_size, run.paddr.copy())
+            proc.aspace.fork()
+            assert proc.aspace.write_fault(vma.start)
+            monkeypatch.setattr(proc.aspace, "translation_run",
+                                lambda vaddr, nbytes: (stale, first, last))
             with pytest.raises(sanitize.SanitizerError) as exc:
                 proc.engine.touch(vma.start, 64 * KB)
         assert exc.value.rule == "tlb.stale-translation"
