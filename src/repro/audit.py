@@ -67,12 +67,11 @@ def render(violations: List[Violation]) -> str:
 # ---------------------------------------------------------------------------
 
 def audit_kernel(kernel, label: str = "kernel") -> List[Violation]:
-    """Event-scheduler invariants: time monotonicity, seq sanity, plus
-    the structural invariants of whichever scheduler backs the kernel."""
+    """Event-heap invariants: time monotonicity, seq sanity and the heap
+    property of the kernel's pending-event list."""
     violations = []
-    sched = kernel._sched
-    entries = sched.entries()
-    for when, priority, seq, ev in entries:
+    queue = kernel._queue
+    for when, priority, seq, ev in queue:
         if when < kernel._now:
             violations.append(Violation(
                 check="event-heap", location=label,
@@ -85,55 +84,21 @@ def audit_kernel(kernel, label: str = "kernel") -> List[Violation]:
                 message=f"event seq {seq} exceeds kernel seq {kernel._seq}",
                 context={"when": when},
             ))
-    seqs = [e[2] for e in entries]
+    seqs = [e[2] for e in queue]
     if len(set(seqs)) != len(seqs):
         violations.append(Violation(
             check="event-heap", location=label,
-            message="duplicate event sequence numbers in the scheduler",
-            context={"entries": len(entries)},
+            message="duplicate event sequence numbers in the event heap",
+            context={"entries": len(queue)},
         ))
-    if sched.kind == "heap":
-        queue = sched._heap
-        for i in range(len(queue)):
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < len(queue) and queue[child][:3] < queue[i][:3]:
-                    violations.append(Violation(
-                        check="event-heap", location=label,
-                        message=f"heap property broken at index {i} (child {child} sorts first)",
-                        context={"parent": queue[i][:3], "child": queue[child][:3]},
-                    ))
-    elif sched.kind == "calendar":
-        # every bucket holds entries of exactly one slot, within the
-        # ring horizon; the ring count matches the bucket contents
-        count = 0
-        for idx, bucket in enumerate(sched._buckets):
-            count += len(bucket)
-            slots = {e[0] >> sched._shift for e in bucket}
-            if len(slots) > 1:
+    for i in range(len(queue)):
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(queue) and queue[child][:3] < queue[i][:3]:
                 violations.append(Violation(
                     check="event-heap", location=label,
-                    message=f"calendar bucket {idx} spans {len(slots)} slots",
-                    context={"slots": sorted(slots)},
+                    message=f"heap property broken at index {i} (child {child} sorts first)",
+                    context={"parent": queue[i][:3], "child": queue[child][:3]},
                 ))
-            for slot in slots:
-                if (slot & sched._mask) != idx:
-                    violations.append(Violation(
-                        check="event-heap", location=label,
-                        message=f"entry for slot {slot} filed in bucket {idx}",
-                        context={},
-                    ))
-                if not 0 <= slot - sched._cursor <= sched._mask:
-                    violations.append(Violation(
-                        check="event-heap", location=label,
-                        message=f"slot {slot} outside ring horizon",
-                        context={"cursor": sched._cursor},
-                    ))
-        if count != sched._count:
-            violations.append(Violation(
-                check="event-heap", location=label,
-                message=f"ring count {sched._count} != bucket total {count}",
-                context={},
-            ))
     return violations
 
 

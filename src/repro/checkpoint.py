@@ -56,7 +56,6 @@ from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine import core as engine_core
-from repro.engine import sched as sched_mod
 from repro.util import atomic_write
 
 #: snapshot schema tag; bump on any incompatible payload change
@@ -160,9 +159,9 @@ def pending_work(cluster) -> List[str]:
     """Human-readable reasons *cluster* is not at a quiescent boundary
     (empty list means it is)."""
     issues = []
-    if len(cluster.kernel._sched):
+    if cluster.kernel._queue:
         issues.append(
-            f"{len(cluster.kernel._sched)} events pending in the scheduler"
+            f"{len(cluster.kernel._queue)} events pending in the event heap"
         )
     for i, node in enumerate(cluster.nodes):
         if node.hca._rx_inflight:
@@ -338,9 +337,8 @@ def capture_cluster(cluster, require_quiescent: bool = True) -> dict:
         "kernel": {
             "now": kernel._now,
             "seq": kernel._seq,
-            "scheduler": kernel._sched.kind,
-            "queue_length": len(kernel._sched),
-            "pending": [_describe_event(e) for e in kernel._sched.entries()[:256]],
+            "queue_length": len(kernel._queue),
+            "pending": [_describe_event(e) for e in sorted(kernel._queue)[:256]],
         },
         "module_ids": {
             "verbs": _count_next(verbs._ids),
@@ -490,6 +488,13 @@ def restore_cluster(payload: dict):
             qp_by_key[(index, qp.qp_num)] = qp
     # park every send engine on its (empty) send queue
     cluster.kernel.run()
+    if cluster.kernel._queue:
+        # the clock and seq are about to be forced to the snapshot's: a
+        # still-pending event would sit in the past with a stale seq
+        raise CheckpointError(
+            f"restored kernel has {len(cluster.kernel._queue)} events "
+            "pending after parking the send engines"
+        )
     for index, state in enumerate(payload["nodes"]):
         for qstate in state["hca"]["qps"]:
             qp = qp_by_key[(index, qstate["qp_num"])]
@@ -506,12 +511,6 @@ def restore_cluster(payload: dict):
     kernel_state = payload["kernel"]
     cluster.kernel._now = kernel_state["now"]
     cluster.kernel._seq = kernel_state["seq"]
-    # honour the snapshot's scheduler kind (the queue is empty at a
-    # quiescent boundary, so swapping the implementation is free; event
-    # ordering is pinned identical across kinds regardless)
-    recorded = kernel_state.get("scheduler")
-    if recorded and recorded != cluster.kernel._sched.kind:
-        cluster.kernel._sched = sched_mod.make_scheduler(recorded)
     fstate = payload["faults"]
     if fstate is not None and cluster.faults is not None:
         cluster.faults.rng.setstate(fstate["rng_state"])
@@ -657,10 +656,9 @@ def post_mortem_report(kernel=None, clusters=None) -> str:
     if kernel is not None:
         lines.append(
             f"kernel: now={kernel._now} seq={kernel._seq} "
-            f"scheduler={kernel._sched.kind} "
-            f"pending_events={len(kernel._sched)}"
+            f"pending_events={len(kernel._queue)}"
         )
-        for summary in [_describe_event(e) for e in kernel._sched.entries()[:32]]:
+        for summary in [_describe_event(e) for e in sorted(kernel._queue)[:32]]:
             wakes = ",".join(summary["wakes"]) or "-"
             lines.append(
                 f"  event t={summary['when']} prio={summary['priority']} "

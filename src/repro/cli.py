@@ -23,10 +23,7 @@ NAS commands accept ``--class W|B|C`` (the benchmark suite uses C).
 Every command accepts ``--no-fastpath`` (before or after the command
 name) to force the reference per-element costing loops instead of the
 batched fast paths — results are identical either way, only slower (see
-``docs/performance.md``).  Every command likewise accepts ``--scheduler
-heap|calendar`` (or the ``REPRO_SCHEDULER`` environment variable) to
-select the event scheduler for every kernel in the run; the two produce
-byte-identical output and differ only in dispatch cost.
+``docs/performance.md``).
 
 ``fig5``, ``pingpong`` and ``faults`` accept ``--fault-plan
 key=value,...`` and ``--fault-seed N`` to run under injected faults
@@ -466,9 +463,7 @@ def _cmd_perf(args) -> None:
     code = run_perf(quick=args.quick, out=args.out, compare=args.compare,
                     only=args.only, max_slowdown=args.max_slowdown,
                     trace_overhead=args.trace_overhead,
-                    sanitize_overhead=args.sanitize_overhead,
-                    scheduler_sweep=args.scheduler_sweep,
-                    sched_out=args.sched_out)
+                    sanitize_overhead=args.sanitize_overhead)
     if code:
         raise SystemExit(code)
 
@@ -757,12 +752,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         action="store_true", default=argparse.SUPPRESS,
                         help="use the reference per-element costing loops "
                              "instead of the batched fast paths")
-    common.add_argument("--scheduler", dest="scheduler",
-                        choices=["heap", "calendar"],
-                        default=argparse.SUPPRESS,
-                        help="event scheduler for every SimKernel in the run "
-                             "(default: $REPRO_SCHEDULER or heap); both "
-                             "produce byte-identical output")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.",
@@ -956,18 +945,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            action="store_true",
                            help="also time fig5 with the sanitizer off vs "
                                 "on and report the enabled-mode overhead")
-            p.add_argument("--scheduler-sweep", dest="scheduler_sweep",
-                           action="store_true",
-                           help="instead of the fast-vs-reference harness, "
-                                "time the train and fig5 under both "
-                                "schedulers plus the delivery fold on/off, "
-                                "require identical payloads, gate the "
-                                "heap/calendar timing ratio, and write "
-                                "BENCH_PR9.json")
-            p.add_argument("--sched-out", dest="sched_out",
-                           default="BENCH_PR9.json",
-                           help="JSON results file for --scheduler-sweep "
-                                "(default BENCH_PR9.json)")
     return parser
 
 
@@ -982,16 +959,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro import fastpath
 
         fastpath.set_enabled(False)
-    scheduler = getattr(args, "scheduler",
-                        os.environ.get("REPRO_SCHEDULER") or None)
-    if scheduler is not None:
-        from repro.engine import core as engine_core
-
-        try:
-            engine_core.set_default_scheduler(scheduler)
-        except ValueError as exc:
-            print(f"error: --scheduler: {exc}", file=sys.stderr)
-            return 2
     if args.command in (None, "list"):
         for name, (_fn, help_text) in COMMANDS.items():
             print(f"  {name:<14} {help_text}")

@@ -16,9 +16,6 @@ Public surface:
   :class:`~repro.engine.resources.Store`,
   :class:`~repro.engine.resources.Channel` — synchronisation primitives.
 - :class:`~repro.engine.clock.TickClock` — tick/nanosecond conversions.
-- :class:`~repro.engine.sched.HeapScheduler`,
-  :class:`~repro.engine.sched.CalendarScheduler` — pluggable event
-  schedulers (``SimKernel(scheduler=...)``, ``--scheduler`` on the CLI).
 """
 
 from repro.engine.clock import TickClock
@@ -31,28 +28,20 @@ from repro.engine.core import (
     SimError,
     SimKernel,
     Timeout,
-    default_scheduler,
-    set_default_scheduler,
 )
 from repro.engine.resources import Channel, Resource, Store
-from repro.engine.sched import SCHEDULERS, CalendarScheduler, HeapScheduler
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarScheduler",
     "Channel",
     "Event",
-    "HeapScheduler",
     "Interrupt",
     "Process",
     "Resource",
-    "SCHEDULERS",
     "SimError",
     "SimKernel",
     "Store",
     "TickClock",
     "Timeout",
-    "default_scheduler",
-    "set_default_scheduler",
 ]

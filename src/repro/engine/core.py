@@ -1,16 +1,16 @@
 """Core of the discrete-event simulation kernel.
 
 The kernel keeps pending ``(time, priority, sequence, event)`` entries in
-a pluggable :mod:`scheduler <repro.engine.sched>`.  Time is an integer
-tick count; ties are broken first by an event priority (so e.g. urgent
+one binary heap (:mod:`heapq`) that it owns.  Time is an integer tick
+count; ties are broken first by an event priority (so e.g. urgent
 interrupts run before normal timeouts at the same instant) and then by
 scheduling order, which makes every simulation fully deterministic.
 
-Dispatch is *frame-fused*: the scheduler hands back every event sharing
-the minimal ``(time, priority)`` key as one frame, and events scheduled
+Dispatch is *frame-fused*: the loop pops every event sharing the
+minimal ``(time, priority)`` key as one frame, and events scheduled
 **during** the frame for the same key are appended to the live frame —
 same-tick cascades (resource grants, zero-delay succeeds) never touch
-the scheduler at all.  An urgent event scheduled mid-frame preempts the
+the heap at all.  An urgent event scheduled mid-frame preempts the
 rest of the frame exactly as the old per-event heap loop would have.
 
 Processes are plain generator functions.  Each ``yield`` hands the kernel a
@@ -34,9 +34,8 @@ count 1) and are never recycled behind the creator's back.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Union
-
-from repro.engine.sched import make_scheduler
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 #: scheduling priorities (lower runs first at equal times)
 URGENT = 0
@@ -222,17 +221,15 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
+        Interrupting a finished process is an error.  The interrupt is an
+        urgent event: when it fires, the process is detached from the
+        event it is waiting on *then* (not at the call — a process that
+        had not started yet, or was resumed at the same instant, waits
+        on a different event by then), and it is dropped if the process
+        finished in between.
         """
         if self._triggered:
             raise SimError(f"cannot interrupt finished {self!r}")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
         interrupt_ev = Event(self.kernel)
         interrupt_ev._holds = 0  # kernel-internal, nobody retains it
         interrupt_ev._triggered = True
@@ -246,6 +243,14 @@ class Process(Event):
         self._step(event, throw=not event.ok)
 
     def _resume_throw(self, event: Event) -> None:
+        if self._triggered:
+            return  # finished before the interrupt fired
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
         self._step(event, throw=True)
 
     def _step(self, event: Event, throw: bool) -> None:
@@ -288,6 +293,7 @@ class Process(Event):
             immediate._value = target.value
             immediate.callbacks.append(self._resume)
             self.kernel._schedule(immediate, 0, URGENT)
+            self._target = immediate
         else:
             target.callbacks.append(self._resume)
             self._target = target
@@ -403,24 +409,12 @@ def active_kernel() -> Optional["SimKernel"]:
     return _active_kernel
 
 
-#: scheduler used by kernels that don't name one (see --scheduler)
-_default_scheduler = "heap"
-
-
-def set_default_scheduler(kind: str) -> None:
-    """Set the scheduler new kernels use by default (``heap``/``calendar``)."""
-    global _default_scheduler
-    make_scheduler(kind)  # validate the name eagerly
-    _default_scheduler = kind
-
-
-def default_scheduler() -> str:
-    """The scheduler kind new kernels get by default."""
-    return _default_scheduler
+#: one pending heap entry: (when, priority, seq, event)
+Entry = Tuple[int, int, int, Event]
 
 
 class SimKernel:
-    """The event loop: a virtual clock plus a scheduling queue.
+    """The event loop: a virtual clock plus the heap of pending events.
 
     >>> k = SimKernel()
     >>> def proc():
@@ -433,7 +427,7 @@ class SimKernel:
     """
 
     __slots__ = (
-        "_sched",
+        "_queue",
         "_seq",
         "_now",
         "_active_process",
@@ -452,12 +446,8 @@ class SimKernel:
     #: to the garbage collector
     _POOL_MAX = 256
 
-    def __init__(self, scheduler: Optional[Union[str, object]] = None) -> None:
-        if scheduler is None:
-            scheduler = _default_scheduler
-        self._sched = (
-            make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
+    def __init__(self) -> None:
+        self._queue: List[Entry] = []
         self._seq = 0
         self._now = 0
         self._active_process: Optional[Process] = None
@@ -486,11 +476,6 @@ class SimKernel:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def scheduler_kind(self) -> str:
-        """Registry name of the scheduler this kernel runs on."""
-        return self._sched.kind
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -575,21 +560,18 @@ class SimKernel:
                 # an urgent event at the current tick outranks the rest
                 # of this frame: make the dispatch loop yield to it
                 self._preempt = True
-        self._sched.push(when, priority, self._seq, event)
+        heappush(self._queue, (when, priority, self._seq, event))
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
-        return self._sched.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else None
 
     def step(self) -> None:
         """Process the single next event."""
-        sched = self._sched
-        if not len(sched):
+        if not self._queue:
             raise SimError("step() on an empty event queue")
-        when, prio, frame = sched.pop_frame()
-        for seq, ev in frame[1:]:
-            sched.push(when, prio, seq, ev)
-        event = frame[0][1]
+        when, _prio, _seq, event = heappop(self._queue)
         self._now = when
         event._run_callbacks()
         crash = self._crash
@@ -622,7 +604,7 @@ class SimKernel:
             return self._run_loop(until)
         frames0, events0 = self._frames, self._events
         with tracer.span("engine.run", track="kernel",
-                         pending=len(self._sched)):
+                         pending=len(self._queue)):
             result = self._run_loop(until)
             tracer.instant("engine.frames", track="kernel",
                            frames=self._frames - frames0,
@@ -642,18 +624,22 @@ class SimKernel:
         _active_kernel = self
         frames = 0
         events = 0
-        sched = self._sched
-        pop_frame = sched.pop_frame
-        push = sched.push
+        queue = self._queue
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         pool_max = self._POOL_MAX
         try:
-            while len(sched):
-                if until is not None and sched.peek_time() > until:
+            while queue:
+                if until is not None and queue[0][0] > until:
                     self._now = until
                     return
-                when, prio, frame = pop_frame()
+                # pop one frame: every entry sharing the minimal
+                # (when, priority) key, in sequence order
+                when, prio, seq, event = heappop(queue)
+                frame = [(seq, event)]
+                while queue and queue[0][0] == when and queue[0][1] == prio:
+                    _when, _prio, seq, event = heappop(queue)
+                    frame.append((seq, event))
                 self._now = when
                 frames += 1
                 self._frame = frame
@@ -689,9 +675,9 @@ class SimKernel:
                     events += i
                     if i < len(frame):
                         # preempted (or crashed): the unprocessed tail
-                        # goes back to the scheduler in original order
+                        # goes back on the heap with its original seqs
                         for entry in frame[i:]:
-                            push(when, prio, entry[0], entry[1])
+                            heappush(queue, (when, prio, entry[0], entry[1]))
         finally:
             self._frames += frames
             self._events += events

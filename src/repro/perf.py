@@ -26,16 +26,6 @@ the fast paths; the perf benchmarks below run the same drivers at
 production scale (messages to 64 MB, NAS class B) where per-page /
 per-entry reference costing dominates and the batched paths pay off
 3-4x.  Both scales are reported honestly.
-
-A second harness (``repro perf --scheduler-sweep``) covers the *kernel*
-axis: it times the event-bound ``train`` benchmark (and fig5) under
-both registered schedulers, requires byte-identical payloads, gates the
-heap/calendar timing ratio, and measures the delivery-fold speedup
-(fold on vs off) — results land in ``BENCH_PR9.json``.  Only ratios of
-same-machine timings are gated, never absolute seconds, so the gate
-holds in CI regardless of hardware (see ``docs/performance.md`` for the
-honest numbers and why the paper-scale drivers are model-arithmetic-
-bound rather than event-bound).
 """
 
 from __future__ import annotations
@@ -58,17 +48,6 @@ SCHEMA = "repro-perf/1"
 #: ``--compare`` fails when fig5's speedup drops below this fraction of
 #: the baseline's (0.8 = a >20 % regression fails)
 REGRESSION_TOLERANCE = 0.8
-
-SCHED_SCHEMA = "repro-sched/1"
-
-#: ``--scheduler-sweep`` fails when either scheduler is more than this
-#: fraction slower than the other.  The recorded calendar/heap ratios in
-#: BENCH_PR9.json are 1.186 (full) and 1.158 (quick) on the sparse-queue
-#: train (C-implemented heapq beats a pure-Python calendar at ~30 pending
-#: events) and 1.067 / 1.025 on fig5 — 0.35 leaves headroom over the
-#: honest gap while still failing on any real regression in either
-#: scheduler.
-SCHED_TOLERANCE = 0.35
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +168,8 @@ def _bench_train(quick: bool):
 
     The one benchmark that is genuinely event-kernel-bound: a windowed
     back-to-back train where nearly all simulated work is scheduling,
-    dispatch, resource grants and completions — the regime the calendar
-    scheduler and the folded delivery path target.  The payload carries
+    dispatch, resource grants and completions — the regime the folded
+    delivery path targets.  The payload carries
     the analytic period too, so any drift between the DES and the closed
     form flips ``identical``.
     """
@@ -381,144 +360,6 @@ def measure_sanitize_overhead(quick: bool = True,
             "overhead": round(on_s / off_s - 1.0, 4) if off_s else 0.0}
 
 
-def measure_scheduler_sweep(quick: bool = True,
-                            names: tuple = ("train", "fig5")) -> Dict[str, dict]:
-    """Time the named benchmarks under every registered scheduler.
-
-    Returns per benchmark: best-of-N seconds under ``heap`` and
-    ``calendar``, the slow/fast ``ratio`` between them, and whether the
-    payloads were byte-identical (they must be — the schedulers are
-    pinned to dispatch in the same order).
-    """
-    from repro.engine import default_scheduler, set_default_scheduler
-
-    _prime()
-    out: Dict[str, dict] = {}
-    prior = default_scheduler()
-    try:
-        for spec in BENCHMARKS:
-            if spec.name not in names:
-                continue
-            repeats = spec.quick_repeats if quick else spec.repeats
-            times: Dict[str, float] = {}
-            payloads: Dict[str, tuple] = {}
-            for kind in ("heap", "calendar"):
-                set_default_scheduler(kind)
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    payloads[kind] = spec.run(quick)
-                    best = min(best, time.perf_counter() - start)
-                times[kind] = best
-            slow, fast = max(times.values()), min(times.values())
-            out[spec.name] = {
-                "heap_s": round(times["heap"], 4),
-                "calendar_s": round(times["calendar"], 4),
-                "ratio": round(slow / fast, 3) if fast else 0.0,
-                "identical": payloads["heap"] == payloads["calendar"],
-            }
-            print(f"  {spec.name}: heap={times['heap']:.3f}s "
-                  f"calendar={times['calendar']:.3f}s "
-                  f"ratio={slow / fast:.2f}x "
-                  f"identical={out[spec.name]['identical']}",
-                  file=sys.stderr)
-    finally:
-        set_default_scheduler(prior)
-    return out
-
-
-def measure_fold_speedup(quick: bool = True, repeats: int = 3) -> Dict[str, float]:
-    """Time the train with the delivery folds on vs off.
-
-    ``fold_s`` is the default mode (callback chains); ``nofold_s`` pins
-    the per-message generator machinery the folds replace
-    (``REPRO_NO_FOLD``).  Both must produce identical ticks; the speedup
-    is reported honestly — the fold removes events and generator
-    resumes, not model arithmetic, so expect ~1.1-1.3x on the train and
-    ~1.0x on the figure drivers (see ``docs/performance.md``).
-    """
-    spec = next(s for s in BENCHMARKS if s.name == "train")
-    _prime()
-    times: Dict[bool, float] = {}
-    payloads: Dict[bool, tuple] = {}
-    for folded in (True, False):
-        with fastpath.fold_forced(folded):
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                payloads[folded] = spec.run(quick)
-                best = min(best, time.perf_counter() - start)
-            times[folded] = best
-    return {
-        "fold_s": round(times[True], 4),
-        "nofold_s": round(times[False], 4),
-        "speedup": round(times[False] / times[True], 3) if times[True] else 0.0,
-        "identical": payloads[True] == payloads[False],
-    }
-
-
-def write_sched_results(path: str, mode: str, sweep: Dict[str, dict],
-                        fold: Dict[str, float],
-                        tolerance: float = SCHED_TOLERANCE) -> None:
-    """Merge this run's *mode* section into the scheduler results file."""
-    doc = {"schema": SCHED_SCHEMA, "modes": {}}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                existing = json.load(fh)
-            if existing.get("schema") == SCHED_SCHEMA:
-                doc = existing
-        except (OSError, ValueError):
-            pass
-    doc.setdefault("modes", {})[mode] = {
-        # results-file metadata only; never feeds simulated state
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),  # detlint: ignore[wallclock]
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "tolerance": tolerance,
-        "sweep": sweep,
-        "fold": fold,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def run_sched_gate(quick: bool = False, out: str = "BENCH_PR9.json",
-                   tolerance: float = SCHED_TOLERANCE) -> List[str]:
-    """The ``--scheduler-sweep`` half of ``repro perf``.
-
-    Runs the sweep and the fold measurement, writes *out*, and returns
-    gate failures: payload divergence anywhere (hard identity), or a
-    heap/calendar timing gap beyond *tolerance* — a same-machine ratio,
-    so the gate is hardware-independent.  The fold *speedup* is recorded
-    but not gated (it is honest measurement, not a promise).
-    """
-    mode = "quick" if quick else "full"
-    print(f"  scheduler sweep ({mode} mode) ...", file=sys.stderr)
-    sweep = measure_scheduler_sweep(quick=quick)
-    fold = measure_fold_speedup(quick=quick)
-    print(f"  train fold: fold={fold['fold_s']:.3f}s "
-          f"nofold={fold['nofold_s']:.3f}s speedup={fold['speedup']:.2f}x "
-          f"identical={fold['identical']}", file=sys.stderr)
-    failures: List[str] = []
-    for name, r in sweep.items():
-        if not r["identical"]:
-            failures.append(f"{name}: heap and calendar payloads diverged")
-        if r["ratio"] > 1.0 + tolerance:
-            failures.append(
-                f"{name}: scheduler timing gap {r['ratio']:.2f}x exceeds "
-                f"{(1 + tolerance):.2f}x (heap {r['heap_s']:.3f}s vs "
-                f"calendar {r['calendar_s']:.3f}s)"
-            )
-    if not fold["identical"]:
-        failures.append("train: folded and process-machinery ticks diverged")
-    if out:
-        write_sched_results(out, mode, sweep, fold, tolerance)
-        print(f"scheduler results written to {out} (mode: {mode})")
-    return failures
-
-
 def compare_results(baseline_path: str, mode: str,
                     results: Dict[str, dict],
                     max_slowdown: Optional[float] = None) -> List[str]:
@@ -568,18 +409,9 @@ def run_perf(quick: bool = False, out: str = "BENCH_PR2.json",
              only: Optional[List[str]] = None,
              max_slowdown: Optional[float] = None,
              trace_overhead: bool = False,
-             sanitize_overhead: bool = False,
-             scheduler_sweep: bool = False,
-             sched_out: str = "BENCH_PR9.json") -> int:
+             sanitize_overhead: bool = False) -> int:
     """The ``repro perf`` entry point; returns a process exit code."""
     mode = "quick" if quick else "full"
-    if scheduler_sweep:
-        failures = run_sched_gate(quick=quick, out=sched_out)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        return 0
     if trace_overhead:
         oh = measure_trace_overhead(quick=quick)
         print(f"fig5 trace overhead: off={oh['off_s']:.3f}s "

@@ -50,8 +50,8 @@ with freed ranges quarantined until the allocator reuses them:
 
 ``counter`` — ``counter.float-amount``: a non-integer amount entering a
 :class:`~repro.analysis.counters.CounterSet` (floats drift across
-platforms and break byte-identical reports; see ``tools/detlint.py``
-for the static version of this rule).
+platforms and break byte-identical reports; the ``float-counter``
+rule of ``tools/simlint`` is the static version of this rule).
 
 The enablement pattern is :mod:`repro.trace`'s: a module-level
 ``_active`` handle, hook sites paying one attribute read + ``None``

@@ -7,8 +7,7 @@ back-to-back messages through the full adapter pipeline (post, WQE
 fetch, gather, wire, scatter, CQE, ack) with a bounded completion
 window, so nearly all simulation work is event-kernel work: scheduling,
 dispatch, resource grants, completions.  ``repro perf`` times it as the
-``train`` benchmark; the scheduler-regression gate in CI runs it under
-both schedulers.
+``train`` benchmark.
 
 The driver also carries the closed-form model it is pinned against:
 with ``window=1`` the steady-state per-message period is a pure sum of

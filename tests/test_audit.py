@@ -145,13 +145,13 @@ class TestSeededCorruptionIsDetected:
 
         k.process(burn())
         k.run()
-        k._sched.push(k.now - 10, 1, 1, k.event())
+        heapq.heappush(k._queue, (k.now - 10, 1, 1, k.event()))
         violations = audit_kernel(k)
         assert "event-heap" in _checks(violations)
         assert any("scheduled in the past" in v.message for v in violations)
         with pytest.raises(AuditError, match="event-heap"):
             assert_clean(cluster)
-        k._sched.clear()
+        k._queue.clear()
 
     def test_qp_slot_leak(self):
         cluster = Cluster(presets.opteron_infinihost_pcie(), 2)

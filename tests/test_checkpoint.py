@@ -139,6 +139,21 @@ class TestQuiescence:
         restored = restore_cluster(snap)
         assert restored.kernel.now == 10
 
+    def test_restore_refuses_pending_events(self, monkeypatch):
+        """The restored clock and seq are forced to the snapshot's, so an
+        event still pending after the send engines are parked would sit
+        in the past with a stale seq: restore must refuse it."""
+        # under a fault plan each send engine is a process, started by
+        # an event the park step in restore_cluster dispatches
+        cluster = _verbs_pair(FaultPlan(link_loss=0.05, seed=3))[0]
+        cluster.kernel.run()
+        snap = capture_cluster(cluster)
+        # a park step that dispatches nothing leaves those events pending
+        monkeypatch.setattr(engine_core.SimKernel, "run",
+                            lambda self, until=None: None)
+        with pytest.raises(CheckpointError, match="pending"):
+            restore_cluster(snap)
+
     def test_restore_refuses_wrong_kind(self):
         with pytest.raises(CheckpointError, match="not a cluster snapshot"):
             restore_cluster({"kind": "run-ledger"})
@@ -311,10 +326,10 @@ class TestRunCheckpointer:
 
         bad = Cluster(presets.opteron_infinihost_pcie(), 1)
         bad.kernel._now = 100
-        bad.kernel._sched.push(50, 1, 0, bad.kernel.event())
+        heapq.heappush(bad.kernel._queue, (50, 1, 0, bad.kernel.event()))
         with pytest.raises(AuditError):
             ck.run_unit("bad", lambda: (1, 0, bad))
-        bad.kernel._sched.clear()
+        bad.kernel._queue.clear()
 
 
 # ---------------------------------------------------------------------------

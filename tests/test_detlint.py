@@ -1,6 +1,9 @@
-"""detlint: per-rule positive/negative/suppression fixtures, plus the
-assertion that the shipped ``src/repro`` tree lints clean."""
+"""The per-line determinism rules (:mod:`simlint.perline`, the rule set
+historically called detlint): per-rule positive/negative/suppression
+fixtures, plus the assertion that the shipped ``src/repro`` tree lints
+clean."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +11,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-import detlint  # noqa: E402
-from detlint import RULES, lint_source  # noqa: E402
+from simlint import perline  # noqa: E402
+from simlint.perline import RULES, lint_source  # noqa: E402
+
+#: the per-line rules alone, through the simlint command line
+SIMLINT = [sys.executable, str(REPO / "tools" / "simlint"), "--only", "perline"]
 
 
 def rules_of(code):
@@ -67,14 +73,14 @@ class TestWallclockSleep:
         # while the raw pattern count is non-zero
         batch = REPO / "src" / "repro" / "batch"
         raw = []
-        for path in detlint.iter_python_files([str(batch)]):
-            linter = detlint._Linter(str(path))
-            linter.visit(detlint.ast.parse(path.read_text()))
+        for path in perline.iter_python_files([str(batch)]):
+            linter = perline._Linter(str(path))
+            linter.visit(ast.parse(path.read_text()))
             raw.extend(f for f in linter.findings
                        if f.rule == "wallclock-sleep")
         assert raw, "expected wallclock-sleep sites inside repro.batch"
-        for path in detlint.iter_python_files([str(batch)]):
-            assert [f for f in detlint.lint_file(path)
+        for path in perline.iter_python_files([str(batch)]):
+            assert [f for f in perline.lint_file(path)
                     if f.rule == "wallclock-sleep"] == []
 
 
@@ -104,13 +110,13 @@ class TestSocketIo:
         # repro.serve is individually marked
         serve = REPO / "src" / "repro" / "serve"
         raw = []
-        for path in detlint.iter_python_files([str(serve)]):
-            linter = detlint._Linter(str(path))
-            linter.visit(detlint.ast.parse(path.read_text()))
+        for path in perline.iter_python_files([str(serve)]):
+            linter = perline._Linter(str(path))
+            linter.visit(ast.parse(path.read_text()))
             raw.extend(f for f in linter.findings if f.rule == "socket-io")
         assert raw, "expected socket-io sites inside repro.serve"
-        for path in detlint.iter_python_files([str(serve)]):
-            assert [f for f in detlint.lint_file(path)
+        for path in perline.iter_python_files([str(serve)]):
+            assert [f for f in perline.lint_file(path)
                     if f.rule == "socket-io"] == []
 
     def test_serve_layer_wallclock_is_all_suppressed(self):
@@ -119,13 +125,13 @@ class TestSocketIo:
         # the raw pattern count is non-zero
         serve = REPO / "src" / "repro" / "serve"
         raw = []
-        for path in detlint.iter_python_files([str(serve)]):
-            linter = detlint._Linter(str(path))
-            linter.visit(detlint.ast.parse(path.read_text()))
+        for path in perline.iter_python_files([str(serve)]):
+            linter = perline._Linter(str(path))
+            linter.visit(ast.parse(path.read_text()))
             raw.extend(f for f in linter.findings if f.rule == "wallclock")
         assert raw, "expected wallclock sites inside repro.serve"
-        for path in detlint.iter_python_files([str(serve)]):
-            assert [f for f in detlint.lint_file(path)
+        for path in perline.iter_python_files([str(serve)]):
+            assert [f for f in perline.lint_file(path)
                     if f.rule == "wallclock"] == []
 
 
@@ -353,10 +359,8 @@ class TestHarness:
         assert [f.line for f in findings] == sorted(f.line for f in findings)
 
     def test_cli_list_rules(self):
-        out = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "detlint.py"),
-             "--list-rules"],
-            capture_output=True, text=True, cwd=REPO)
+        out = subprocess.run(SIMLINT + ["--list-rules"],
+                             capture_output=True, text=True, cwd=REPO)
         assert out.returncode == 0
         for rule in RULES:
             assert rule in out.stdout
@@ -366,12 +370,10 @@ class TestHarness:
         dirty.write_text("import time\nt = time.time()\n")
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        r_dirty = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "detlint.py"), str(dirty)],
-            capture_output=True, text=True)
-        r_clean = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "detlint.py"), str(clean)],
-            capture_output=True, text=True)
+        r_dirty = subprocess.run(SIMLINT + [str(dirty)],
+                                 capture_output=True, text=True)
+        r_clean = subprocess.run(SIMLINT + [str(clean)],
+                                 capture_output=True, text=True)
         assert r_dirty.returncode == 1
         assert "wallclock" in r_dirty.stdout
         assert r_clean.returncode == 0
@@ -380,10 +382,10 @@ class TestHarness:
 class TestTreeIsClean:
     def test_src_repro_lints_clean(self):
         findings = []
-        for path in detlint.iter_python_files([str(REPO / "src" / "repro")]):
-            findings.extend(detlint.lint_file(path))
+        for path in perline.iter_python_files([str(REPO / "src" / "repro")]):
+            findings.extend(perline.lint_file(path))
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_detlint_lints_itself(self):
-        findings = detlint.lint_file(REPO / "tools" / "detlint.py")
-        assert findings == []
+    def test_perline_lints_itself(self):
+        findings = perline.lint_file(REPO / "tools" / "simlint" / "perline.py")
+        assert findings == [], "\n".join(f.render() for f in findings)

@@ -1,18 +1,17 @@
-"""Scheduler pinning: the calendar queue against the reference heap.
+"""The event kernel's dispatch order, frames, ownership and pools.
 
 Four layers of guarantees:
 
-- :class:`CalendarScheduler` unit behaviour — cross-bucket ordering,
-  overflow migration, the rewind path, frame grouping;
-- property-based equivalence (hypothesis): arbitrary entry streams and
-  arbitrary kernel programs (timeouts, same-tick ties, urgent
-  interrupts, zero-delay completions, far-horizon sleeps) dispatch in
-  byte-identical order under ``heap`` and ``calendar``;
+- property-based dispatch order (hypothesis): arbitrary kernel programs
+  (timeouts, same-tick ties and cascades, urgent interrupts and urgent
+  schedules mid-frame, zero-delay completions, ``run(until=...)`` then
+  resume, ``step()``) dispatch in exactly the order of an oracle that
+  always picks the minimal ``(when, priority, seq)`` pending event;
 - same-tick fusion and urgent preemption of the live dispatch frame;
-- the PR's kernel bugfix regressions: explicit event ownership
-  (``hold``/``release`` instead of the refcount-recycling heuristic),
-  ``run(until=...)`` never fast-forwarding past a drained queue, and
-  pooled ``Timeout`` reset being indistinguishable from construction.
+- explicit event ownership (``hold``/``release`` instead of a
+  refcount-recycling heuristic), ``run(until=...)`` never
+  fast-forwarding past a drained queue, and pooled ``Timeout`` reset
+  being indistinguishable from construction.
 """
 
 from __future__ import annotations
@@ -21,216 +20,79 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    SCHEDULERS,
-    CalendarScheduler,
-    Event,
-    HeapScheduler,
-    Interrupt,
-    SimError,
-    SimKernel,
-    Timeout,
-)
-from repro.engine.core import NORMAL, URGENT
-from repro.engine.sched import make_scheduler
-
-#: one full lap of the default ring: 2048 buckets x 2**7 ticks
-RING_HORIZON = 2048 << 7
+from repro.engine import Event, Interrupt, SimError, SimKernel, Timeout
+from repro.engine.core import URGENT
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
-def kernel(request):
-    """One kernel per registered scheduler — every test in this module
-    that takes `kernel` runs under both."""
-    return SimKernel(request.param)
+@pytest.fixture
+def kernel():
+    return SimKernel()
 
 
 # ---------------------------------------------------------------------------
-# registry
+# property: dispatch order == minimal (when, priority, seq) oracle
 # ---------------------------------------------------------------------------
 
 
-def test_registry_kinds():
-    assert make_scheduler("heap").kind == "heap"
-    assert make_scheduler("calendar").kind == "calendar"
-    assert SimKernel("calendar").scheduler_kind == "calendar"
+class OracleKernel(SimKernel):
+    """A kernel that mirrors every schedule into an oracle.
+
+    Each scheduled event gets an observer as its first callback, so the
+    observer runs the moment the kernel dispatches the event.  At that
+    moment the oracle's choice is the minimal ``(when, priority, seq)``
+    among all events scheduled and not yet dispatched; the kernel's
+    choice is the event being dispatched, stamped with the clock.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.pending = {}  # event -> (when, priority, seq)
+        self.dispatched = []
+        self.expected = []
+
+    def _schedule(self, event, delay, priority):
+        super()._schedule(event, delay, priority)
+        self.pending[event] = (self._now + int(delay), priority, self._seq)
+        event.callbacks.insert(0, self._observe)
+
+    def _observe(self, event):
+        self.expected.append(min(self.pending.values()))
+        _when, priority, seq = self.pending.pop(event)
+        self.dispatched.append((self._now, priority, seq))
 
 
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("splay")
-    with pytest.raises(ValueError):
-        SimKernel("splay")
-
-
-def test_calendar_requires_power_of_two_buckets():
-    with pytest.raises(ValueError, match="power of two"):
-        CalendarScheduler(n_buckets=3)
-
-
-# ---------------------------------------------------------------------------
-# CalendarScheduler unit behaviour
-# ---------------------------------------------------------------------------
-
-
-class TestCalendarUnit:
-    def test_orders_across_buckets(self):
-        cal = CalendarScheduler()
-        times = [513, 0, 128, 3, 129, 7000, 127, 512]
-        for seq, when in enumerate(times):
-            cal.push(when, NORMAL, seq, f"ev{seq}")
-        assert len(cal) == len(times)
-        popped = []
-        while len(cal):
-            when, prio, frame = cal.pop_frame()
-            assert prio == NORMAL
-            popped.extend((when, seq) for seq, _ in frame)
-        assert popped == sorted((when, seq) for seq, when in enumerate(times))
-
-    def test_frame_groups_key_equal_entries_in_seq_order(self):
-        cal = CalendarScheduler()
-        cal.push(40, NORMAL, 1, "a")
-        cal.push(50, NORMAL, 2, "later")
-        cal.push(40, NORMAL, 3, "b")
-        cal.push(40, URGENT, 4, "urgent")
-        when, prio, frame = cal.pop_frame()
-        assert (when, prio) == (40, URGENT)
-        assert frame == [(4, "urgent")]
-        when, prio, frame = cal.pop_frame()
-        assert (when, prio) == (40, NORMAL)
-        assert frame == [(1, "a"), (3, "b")]
-        assert cal.pop_frame() == (50, NORMAL, [(2, "later")])
-
-    def test_far_events_overflow_then_migrate(self):
-        cal = CalendarScheduler()
-        far = RING_HORIZON + 12345
-        cal.push(far, NORMAL, 1, "far")
-        assert cal._overflow and cal._count == 0  # beyond the ring horizon
-        cal.push(10, NORMAL, 2, "near")
-        assert cal.peek_time() == 10
-        assert cal.pop_frame() == (10, NORMAL, [(2, "near")])
-        # popping the near event advances the cursor; the far entry now
-        # fits the ring and must migrate out of the overflow heap
-        assert cal.pop_frame() == (far, NORMAL, [(1, "far")])
-        assert not cal._overflow and len(cal) == 0
-
-    def test_drained_ring_jumps_to_overflow_minimum(self):
-        cal = CalendarScheduler()
-        cal.push(10_000_000, NORMAL, 1, "deep")
-        cal.push(90_000_000, NORMAL, 2, "deeper")
-        assert cal.peek_time() == 10_000_000
-        assert cal.pop_frame()[2] == [(1, "deep")]
-        assert cal.pop_frame()[2] == [(2, "deeper")]
-
-    def test_push_below_cursor_rewinds(self):
-        cal = CalendarScheduler()
-        cal.push(10_000_000, NORMAL, 1, "deep")
-        cal.push(10_000_400, NORMAL, 2, "deep2")
-        assert cal.pop_frame()[2] == [(1, "deep")]
-        # the cursor now sits at slot 10_000_000 >> 7; a push far below
-        # it must rebuild the ring around the new minimum, keeping the
-        # still-pending deep entry
-        cal.push(5, NORMAL, 3, "early")
-        assert cal.entries() == [
-            (5, NORMAL, 3, "early"),
-            (10_000_400, NORMAL, 2, "deep2"),
-        ]
-        assert cal.pop_frame() == (5, NORMAL, [(3, "early")])
-        assert cal.pop_frame() == (10_000_400, NORMAL, [(2, "deep2")])
-
-    def test_entries_and_clear(self):
-        cal = CalendarScheduler()
-        cal.push(99, NORMAL, 1, "x")
-        cal.push(RING_HORIZON * 3, NORMAL, 2, "y")
-        assert [e[0] for e in cal.entries()] == [99, RING_HORIZON * 3]
-        cal.clear()
-        assert len(cal) == 0
-        assert cal.peek_time() is None
-        assert cal.entries() == []
-
-
-# ---------------------------------------------------------------------------
-# property: heap and calendar are byte-identical
-# ---------------------------------------------------------------------------
-
-_entry_lists = st.lists(
-    st.tuples(st.integers(0, 1 << 22), st.integers(0, 1)),
-    min_size=1,
-    max_size=200,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_entry_lists)
-def test_schedulers_pop_identical_frames(entries):
-    heap, cal = HeapScheduler(), CalendarScheduler()
-    for seq, (when, prio) in enumerate(entries):
-        heap.push(when, prio, seq, seq)
-        cal.push(when, prio, seq, seq)
-    assert heap.entries() == cal.entries()
-    while len(heap):
-        assert heap.pop_frame() == cal.pop_frame()
-    assert len(cal) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("push"), st.integers(0, 1 << 21), st.integers(0, 1)),
-            st.tuples(st.just("pop"), st.just(0), st.just(0)),
-        ),
-        min_size=1,
-        max_size=120,
-    )
-)
-def test_interleaved_push_pop_equivalence(ops):
-    """Pops interleaved with pushes — including pushes *below* entries
-    already popped, which drives the calendar's rewind path."""
-    heap, cal = HeapScheduler(), CalendarScheduler()
-    seq = 0
-    for op, when, prio in ops:
-        if op == "push":
-            seq += 1
-            heap.push(when, prio, seq, seq)
-            cal.push(when, prio, seq, seq)
-        elif len(heap):
-            assert heap.pop_frame() == cal.pop_frame()
-    while len(heap):
-        assert heap.pop_frame() == cal.pop_frame()
-    assert len(cal) == 0
-
-
-def _run_program(scheduler: str, ops):
-    """Execute one op-list program and return its full dispatch log."""
-    k = SimKernel(scheduler)
-    log = []
+def _run_program(ops, control):
+    """Execute one op-list program under *control*, then drain; return
+    the kernel so the caller can compare its two dispatch logs."""
+    k = OracleKernel()
     live = []
     interrupted = set()
 
-    def sleeper(wid, delay):
+    def sleeper(delay):
         try:
-            yield k.timeout(delay, value=wid)
-            log.append(("wake", k.now, wid))
-        except Interrupt as exc:
-            log.append(("intr", k.now, wid, exc.cause))
+            yield k.timeout(delay)
+        except Interrupt:
+            pass
 
-    def waiter(ev, wid):
+    def cascade(n):
+        for _ in range(n):
+            yield k.timeout(0)
+
+    def waiter(ev):
         try:
-            value = yield ev
-            log.append(("ok", k.now, wid, value))
+            yield ev
         except RuntimeError:
-            log.append(("err", k.now, wid))
+            pass
 
     def driver():
-        for wid, (kind, delay, gap) in enumerate(ops):
+        for kind, delay, gap in ops:
             if kind == 0:
-                live.append(k.process(sleeper(wid, delay)))
+                live.append(k.process(sleeper(delay)))
             elif kind == 1:  # same-tick tie: two sleepers, one wake tick
-                live.append(k.process(sleeper((wid, "a"), delay)))
-                live.append(k.process(sleeper((wid, "b"), delay)))
-            elif kind == 2:  # beyond the calendar ring horizon
-                live.append(k.process(sleeper(wid, delay * 3000 + RING_HORIZON)))
+                live.append(k.process(sleeper(delay)))
+                live.append(k.process(sleeper(delay)))
+            elif kind == 2:  # same-tick cascade of zero-delay timeouts
+                k.process(cascade(delay % 5 + 1))
             elif kind == 3:  # urgent interrupt of the oldest live sleeper
                 target = next(
                     (p for p in live if p.is_alive and p not in interrupted),
@@ -238,55 +100,87 @@ def _run_program(scheduler: str, ops):
                 )
                 if target is not None:
                     interrupted.add(target)
-                    target.interrupt(cause=wid)
-            else:  # zero-delay completion racing the current frame
+                    target.interrupt(cause=delay)
+            elif kind == 4:  # zero-delay completion racing the frame
                 ev = k.event()
-                k.process(waiter(ev, wid))
+                k.process(waiter(ev))
                 if delay % 2:
                     ev.fail(RuntimeError("boom"))
                 else:
-                    ev.succeed(value=wid)
+                    ev.succeed(value=delay)
+            else:  # a raw urgent schedule: now (mid-frame) or later
+                ev = k.event()
+                ev._triggered = True
+                k._schedule(ev, 0 if delay % 2 else delay, URGENT)
             if gap:
                 yield k.timeout(gap)
-                log.append(("drv", k.now, wid))
 
     k.process(driver(), name="driver")
+    for action, arg in control:
+        if action == "until":
+            k.run(until=k.now + arg)
+        else:
+            for _ in range(arg):
+                if k.peek() is None:
+                    break
+                k.step()
     k.run()
-    log.append(("end", k.now))
-    return log
+    return k
 
 
+# a gap of 0 keeps the driver scheduling within one tick, where the
+# priority and sequence tie-breaks decide the order
 _programs = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 400), st.integers(0, 50)),
+    st.tuples(st.integers(0, 5), st.integers(0, 400),
+              st.one_of(st.just(0), st.integers(0, 50))),
     min_size=1,
     max_size=25,
 )
 
+_controls = st.lists(
+    st.one_of(
+        st.tuples(st.just("until"), st.integers(0, 600)),
+        st.tuples(st.just("step"), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=6,
+)
 
-@settings(max_examples=60, deadline=None)
-@given(_programs)
-def test_heap_calendar_equivalent_programs(ops):
-    assert _run_program("heap", ops) == _run_program("calendar", ops)
+
+@settings(max_examples=100, deadline=None)
+@given(_programs, _controls)
+def test_dispatch_order_matches_oracle(ops, control):
+    k = _run_program(ops, control)
+    assert k.dispatched == k.expected
+    assert not k.pending and k.peek() is None
 
 
-def test_heap_calendar_equivalent_reference_program():
-    """A fixed program touching every op kind — runs without hypothesis
-    so a plain ``pytest tests/test_scheduler.py`` still pins the kernels."""
+def test_dispatch_order_matches_oracle_reference_program():
+    """A fixed program touching every op kind and both controls — runs
+    without hypothesis so a plain ``pytest tests/test_scheduler.py``
+    still pins the order."""
     ops = [
-        (0, 10, 5),
+        (4, 0, 0),  # a NORMAL completion at tick 0 ...
+        (0, 10, 5),  # ... then a later-seq URGENT start at tick 0
         (1, 7, 0),
         (4, 3, 2),
-        (2, 100, 1),
+        (2, 3, 0),
+        (5, 1, 0),
         (3, 0, 4),
         (1, 0, 0),
+        (5, 40, 9),
         (4, 2, 9),
         (3, 0, 0),
         (0, 0, 30),
         (2, 1, 0),
     ]
-    heap_log = _run_program("heap", ops)
-    assert heap_log == _run_program("calendar", ops)
-    assert len(heap_log) > 10  # the program actually did something
+    k = _run_program(ops, [("step", 3), ("until", 6), ("step", 2),
+                           ("until", 25)])
+    assert k.dispatched == k.expected
+    assert not k.pending
+    assert len(k.dispatched) > 30  # the program actually did something
+    # the oracle ran across several priorities and ticks
+    assert {prio for _when, prio, _seq in k.dispatched} == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +201,7 @@ def test_same_tick_cascade_fuses_into_one_frame(kernel):
     assert done == [0]
     # one URGENT frame (the Initialize) plus one NORMAL frame holding
     # all ten zero-delay timeouts and the process-completion event —
-    # fusion keeps the scheduler out of the cascade entirely
+    # fusion keeps the heap out of the cascade entirely
     assert kernel._frames == 2
     assert kernel._events == 12
 
@@ -348,6 +242,70 @@ def test_fused_events_observe_monotonic_clock(kernel):
     kernel.process(p(3))
     kernel.run()
     assert stamps == [3, 3, 3, 3]
+
+
+# ---------------------------------------------------------------------------
+# regression: interrupts detach the process when they fire
+# ---------------------------------------------------------------------------
+
+
+class TestInterrupt:
+    """``interrupt()`` used to detach the process from the event it was
+    waiting on at the *call*.  A process that had not started yet (or
+    that a same-instant urgent event resumed first) waited on another
+    event by the time the interrupt fired; that event kept its resume
+    callback and later resumed the process a second time.  Detaching
+    happens when the interrupt fires now."""
+
+    def test_interrupt_before_start(self, kernel):
+        log = []
+
+        def sleeper():
+            try:
+                yield kernel.timeout(5)
+                log.append("woke")
+            except Interrupt as exc:
+                log.append(("interrupted", kernel.now, exc.cause))
+                yield kernel.timeout(10)
+                log.append(("slept", kernel.now))
+
+        proc = kernel.process(sleeper())
+        proc.interrupt(cause="early")
+        kernel.run()
+        # old kernel: the stale tick-5 wake resumed the second sleep
+        assert log == [("interrupted", 0, "early"), ("slept", 10)]
+        assert proc.ok
+
+    def test_interrupt_detaches_an_immediate_resume(self, kernel):
+        done = Event(kernel)
+        done.succeed("v")
+        kernel.run()
+        log = []
+
+        def waiter():
+            try:
+                yield done  # already processed: resumed by an urgent event
+                log.append("got")
+            except Interrupt:
+                log.append(("interrupted", kernel.now))
+                yield kernel.timeout(10)
+                log.append(("slept", kernel.now))
+
+        proc = kernel.process(waiter())
+        proc.interrupt()
+        kernel.run()
+        assert log == [("interrupted", 0), ("slept", 10)]
+        assert proc.ok
+
+    def test_interrupt_of_process_that_finishes_first_is_dropped(self, kernel):
+        def instant():
+            return "done"
+            yield  # a generator that finishes on its first resume
+
+        proc = kernel.process(instant())
+        proc.interrupt()  # fires after the start event has finished it
+        kernel.run()  # old kernel: Interrupt escaped from run()
+        assert proc.ok and proc.value == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +414,8 @@ class TestRunUntil:
         assert order == [10, 2010]
 
     def test_spawn_after_early_stop(self, kernel):
-        """New work scheduled below the stopped scan point — on the
-        calendar this pushes below the advanced cursor and must rewind."""
+        """New work scheduled after an early stop lands below the
+        still-pending event and must dispatch first."""
         hits = []
 
         def late():

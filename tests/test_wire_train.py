@@ -9,8 +9,6 @@ Three parties must agree tick-exactly on a back-to-back message train
   :mod:`repro.ib.hca` that replace those processes (the default);
 - the **closed form** — :func:`repro.workloads.train.analytic_period_ticks`
   built on :meth:`repro.ib.link.IBLink.train_ns`.
-
-And both schedulers must dispatch the whole thing identically.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro import fastpath
-from repro.engine import SCHEDULERS, SimKernel, set_default_scheduler
 from repro.ib.link import IBLink, LinkConfig
 from repro.workloads.train import run_train
 
@@ -82,7 +79,7 @@ class TestClosedFormPin:
 
 
 # ---------------------------------------------------------------------------
-# identity: fold vs process machinery, heap vs calendar
+# identity: fold vs process machinery
 # ---------------------------------------------------------------------------
 
 def _train_signature(**kwargs):
@@ -109,18 +106,6 @@ class TestIdentity:
             with fastpath.fold_forced(False):
                 reference = _train_signature(**kwargs)
         assert folded == reference
-
-    def test_schedulers_agree_on_the_train(self):
-        kwargs = dict(msg_bytes=1024, count=40, window=16)
-        signatures = {}
-        prior = SimKernel().scheduler_kind
-        try:
-            for kind in sorted(SCHEDULERS):
-                set_default_scheduler(kind)
-                signatures[kind] = _train_signature(**kwargs)
-        finally:
-            set_default_scheduler(prior)
-        assert signatures["heap"] == signatures["calendar"]
 
     def test_window_only_overlaps_never_reorders(self):
         # more window = more overlap = fewer total ticks, same messages

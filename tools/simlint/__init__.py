@@ -1,6 +1,6 @@
 """simlint: determinism lint for the repro tree.
 
-Grown out of ``tools/detlint.py``.  Two layers:
+Grown out of the original ``detlint`` rule set.  Two layers:
 
 - :mod:`simlint.perline` — the original per-line rules (wall-clock
   reads, unseeded randomness, iteration-order hazards, ...) with the
@@ -11,9 +11,8 @@ Grown out of ``tools/detlint.py``.  Two layers:
   coverage), :mod:`simlint.ownership` (hold/release and pin/unpin
   balance) and :mod:`simlint.counterkeys` (counter-name registry).
 
-Run it as ``python tools/simlint`` (see :mod:`simlint.cli`), through
-``repro lint``, or keep using ``python tools/detlint.py`` for the
-per-line subset.  Pure stdlib by design — it must run anywhere the
+Run it as ``python tools/simlint`` (see :mod:`simlint.cli`) or through
+``repro lint``; ``--only perline`` runs the per-line subset.  Pure stdlib by design — it must run anywhere the
 tests run, including CI images before any pip install.
 """
 

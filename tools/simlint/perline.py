@@ -70,10 +70,8 @@ third-party dependency.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -390,33 +388,3 @@ def iter_python_files(paths: List[str]) -> List[Path]:
             out.append(p)
     return out
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """The historical ``detlint`` command line (per-line rules only)."""
-    parser = argparse.ArgumentParser(
-        prog="detlint",
-        description="determinism lint for the repro sources",
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories to lint "
-                             "(default: src/repro)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for rule, desc in RULES.items():
-            print(f"  {rule:<20} {desc}")
-        return 0
-    findings: List[Finding] = []
-    for path in iter_python_files(args.paths or ["src/repro"]):
-        try:
-            findings.extend(lint_file(path))
-        except SyntaxError as exc:
-            print(f"{path}: syntax error: {exc}", file=sys.stderr)
-            return 2
-    for finding in findings:
-        print(finding.render())
-    if findings:
-        print(f"detlint: {len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
