@@ -149,7 +149,7 @@ def _audit_mrs(machine, label: str) -> List[Violation]:
 def _audit_att(machine, label: str) -> List[Violation]:
     violations = []
     live = {mr.mr_id: mr for mr in machine.hca._mrs_by_lkey.values() if mr.registered}
-    for mr_id, entry_index in machine.att._cache:
+    for mr_id, entry_index in machine.att.keys():
         mr = live.get(mr_id)
         if mr is None:
             violations.append(Violation(
@@ -177,7 +177,7 @@ def _audit_proc_memory(proc, machine, label: str) -> List[Violation]:
     # hardware keeps entries after munmap until eviction or shootdown.
     for size, tlb_name in ((PAGE_4K, "tlb.4k"), (PAGE_2M, "tlb.2m")):
         table = aspace.page_table.leaf_table(size)
-        for vpage in proc.engine.tlb._arrays[size]:
+        for vpage in proc.engine.tlb.keys(size):
             vma = aspace.find_vma(vpage)
             if vma is not None and vpage not in table:
                 violations.append(Violation(
@@ -191,7 +191,7 @@ def _audit_proc_memory(proc, machine, label: str) -> List[Violation]:
                 ))
     total = machine.physical.total_bytes
     line_size = proc.engine.cache.config.line_size
-    for line in proc.engine.cache._lines:
+    for line in proc.engine.cache.keys():
         paddr = line * line_size
         if not (0 <= paddr < total):
             violations.append(Violation(

@@ -16,12 +16,12 @@ system where the bus has no slack to hide the stalls.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import sanitize
 from repro.analysis.counters import CounterSet
+from repro.fastpath import RunLRU
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class ATTCache:
     def __init__(self, config: ATTConfig, counters: Optional[CounterSet] = None):
         self.config = config
         self.counters = counters if counters is not None else CounterSet()
-        self._cache: OrderedDict = OrderedDict()
+        self._cache = RunLRU(config.entries)
 
     def access(self, mr_id: int, entry_index: int) -> Tuple[bool, float]:
         """Translate through entry *entry_index* of region *mr_id*.
@@ -65,15 +65,10 @@ class ATTCache:
         san = sanitize._active
         if san is not None and san.mr:
             san.check_att(mr_id, entry_index, 1)
-        key = (mr_id, entry_index)
-        if key in self._cache:
-            self._cache.move_to_end(key)
+        if self._cache.access(entry_index, mr_id):
             self.counters.add("att.hit")
             return True, 0.0
         self.counters.add("att.miss")
-        while len(self._cache) >= self.config.entries:
-            self._cache.popitem(last=False)
-        self._cache[key] = True
         return False, self.config.fetch_ns
 
     def sweep_range(self, mr_id: int, first_entry: int, n_entries: int) -> Tuple[int, int]:
@@ -90,98 +85,29 @@ class ATTCache:
         san = sanitize._active
         if san is not None and san.mr:
             san.check_att(mr_id, first_entry, n_entries)
-        cache = self._cache
-        capacity = self.config.entries
-        end = first_entry + n_entries
-        resident = 0
-        if len(cache) <= n_entries:
-            for mr, idx in cache:
-                if mr == mr_id and first_entry <= idx < end:
-                    resident += 1
-        else:
-            for idx in range(first_entry, end):
-                if (mr_id, idx) in cache:
-                    resident += 1
-        if resident == 0:
-            hits, misses = 0, n_entries
-            if n_entries >= capacity:
-                cache.clear()
-                for idx in range(end - capacity, end):
-                    cache[(mr_id, idx)] = True
-            else:
-                overflow = len(cache) + n_entries - capacity
-                for _ in range(overflow if overflow > 0 else 0):
-                    cache.popitem(last=False)
-                for idx in range(first_entry, end):
-                    cache[(mr_id, idx)] = True
-        elif resident == n_entries:
-            # all hits: nothing inserted, so nothing evicted
-            hits, misses = n_entries, 0
-            for idx in range(first_entry, end):
-                cache.move_to_end((mr_id, idx))
-        elif (
-            resident == capacity
-            and len(cache) == capacity
-            and n_entries >= 2 * capacity
-            and all(
-                key == expect
-                for key, expect in zip(
-                    cache, ((mr_id, i) for i in range(end - capacity, end))
-                )
-            )
-        ):
-            # repeated long sweep: the cache holds exactly the last
-            # `capacity` swept entries in sweep order, and evictions race
-            # ahead of the cursor — all misses, final state unchanged
-            # (see the matching case in repro.fastpath.lru_sweep)
-            hits, misses = 0, n_entries
-        else:
-            hits = 0
-            for idx in range(first_entry, end):
-                key = (mr_id, idx)
-                if key in cache:
-                    cache.move_to_end(key)
-                    hits += 1
-                else:
-                    while len(cache) >= capacity:
-                        cache.popitem(last=False)
-                    cache[key] = True
-            misses = n_entries - hits
+        hits = self._cache.sweep(first_entry, n_entries, mr_id)
+        misses = n_entries - hits
         if hits:
             self.counters.add("att.hit", hits)
         if misses:
             self.counters.add("att.miss", misses)
         return hits, misses
 
-    def stream_stall_ns(self, mr_id: int, first_entry: int, n_entries: int) -> float:
-        """Total stall for a sequential sweep over *n_entries* entries.
-
-        Used by the HCA for large transfers: charges the exact per-entry
-        hit/miss pattern through the stateful cache (cheap — entry counts
-        are page counts, not byte counts).
-        """
-        if n_entries < 0:
-            raise ValueError("negative entry count")
-        total = 0.0
-        for i in range(first_entry, first_entry + n_entries):
-            _, ns = self.access(mr_id, i)
-            total += ns
-        return total
-
     def invalidate_region(self, mr_id: int) -> int:
         """Drop all cached entries of one region (deregistration).
 
         Returns the number of entries dropped.
         """
-        doomed = [k for k in self._cache if k[0] == mr_id]
-        for k in doomed:
-            del self._cache[k]
-        return len(doomed)
+        return self._cache.drop(mr_id)
 
     @property
     def resident(self) -> int:
         """Live cached entries."""
         return len(self._cache)
+
+    def keys(self) -> List[Tuple[int, int]]:
+        """Cached ``(mr_id, entry_index)`` keys in LRU order, oldest first."""
+        return self._cache.keys()
 
     def flush(self) -> None:
         """Drop everything."""
@@ -191,10 +117,8 @@ class ATTCache:
     def dump_state(self) -> list:
         """Picklable snapshot: ``(mr_id, entry_index)`` keys in LRU
         order (oldest first)."""
-        return [tuple(key) for key in self._cache]
+        return self._cache.keys()
 
     def load_state(self, state: list) -> None:
         """Restore a :meth:`dump_state` snapshot."""
-        self._cache.clear()
-        for key in state:
-            self._cache[tuple(key)] = True
+        self._cache.load(state)

@@ -19,12 +19,11 @@ Two pieces:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.counters import CounterSet
-from repro.fastpath import lru_sweep
+from repro.fastpath import RunLRU
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,12 @@ class CacheConfig:
     prefetch_hit_ns: float = 12.0
     stream_restart_lines: int = 1
 
+    def __post_init__(self) -> None:
+        if self.line_size < 1:
+            raise ValueError("cache line size must be positive")
+        if self.capacity_bytes < self.line_size:
+            raise ValueError("cache capacity must hold at least one line")
+
     @property
     def capacity_lines(self) -> int:
         """Capacity expressed in lines."""
@@ -62,22 +67,17 @@ class DataCache:
     def __init__(self, config: CacheConfig, counters: Optional[CounterSet] = None):
         self.config = config
         self.counters = counters if counters is not None else CounterSet()
-        self._lines: OrderedDict = OrderedDict()
+        self._lines = RunLRU(config.capacity_lines)
 
     def access(self, paddr: int, write: bool = False) -> Tuple[bool, float]:
         """Access the line holding physical address *paddr*.
 
         Returns ``(hit, cost_ns)``.  Writes are modelled write-allocate.
         """
-        line = paddr // self.config.line_size
-        if line in self._lines:
-            self._lines.move_to_end(line)
+        if self._lines.access(paddr // self.config.line_size):
             self.counters.add("cache.hit")
             return True, self.config.hit_ns
         self.counters.add("cache.miss")
-        while len(self._lines) >= self.config.capacity_lines:
-            self._lines.popitem(last=False)
-        self._lines[line] = True
         return False, self.config.miss_ns
 
     def sweep(self, first_line: int, n_lines: int, write: bool = False) -> Tuple[int, int, float]:
@@ -90,9 +90,8 @@ class DataCache:
         """
         if n_lines <= 0:
             raise ValueError(f"n_lines must be positive, got {n_lines}")
-        hits, misses = lru_sweep(
-            self._lines, first_line, n_lines, 1, self.config.capacity_lines
-        )
+        hits = self._lines.sweep(first_line, n_lines)
+        misses = n_lines - hits
         if hits:
             self.counters.add("cache.hit", hits)
         if misses:
@@ -103,6 +102,10 @@ class DataCache:
         """Number of valid lines."""
         return len(self._lines)
 
+    def keys(self) -> List[int]:
+        """Cached line numbers in LRU order, oldest first."""
+        return self.dump_state()
+
     def flush(self) -> None:
         """Invalidate everything."""
         self._lines.clear()
@@ -110,13 +113,11 @@ class DataCache:
     # -- checkpointing ------------------------------------------------------
     def dump_state(self) -> list:
         """Picklable snapshot: line keys in LRU order (oldest first)."""
-        return list(self._lines)
+        return [line for _, line in self._lines.keys()]
 
     def load_state(self, state: list) -> None:
         """Restore a :meth:`dump_state` snapshot."""
-        self._lines.clear()
-        for line in state:
-            self._lines[line] = True
+        self._lines.load((0, line) for line in state)
 
 
 class Prefetcher:

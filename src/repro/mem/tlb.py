@@ -16,12 +16,11 @@ access engine for phase-level costing of millions of accesses) live here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.counters import CounterSet
-from repro.fastpath import lru_sweep
+from repro.fastpath import RunLRU
 from repro.mem.physical import PAGE_2M, PAGE_4K, align_down
 
 
@@ -48,6 +47,10 @@ class TLBConfig:
     #: hugepage miss counts "are not responsible for less application
     #: time" (§5.2)
     walk_2m_ns: float = 6.0
+
+    def __post_init__(self) -> None:
+        if self.entries_4k < 1 or self.entries_2m < 1:
+            raise ValueError("each TLB array needs at least one entry")
 
     def entries_for(self, page_size: int) -> int:
         """Entry count of the array serving *page_size*."""
@@ -86,8 +89,8 @@ class SplitTLB:
         self.config = config
         self.counters = counters if counters is not None else CounterSet()
         self._arrays = {
-            PAGE_4K: OrderedDict(),
-            PAGE_2M: OrderedDict(),
+            PAGE_4K: RunLRU(config.entries_4k, PAGE_4K),
+            PAGE_2M: RunLRU(config.entries_2m, PAGE_2M),
         }
 
     def access(self, vaddr: int, page_size: int) -> Tuple[bool, float]:
@@ -96,17 +99,10 @@ class SplitTLB:
         A hit costs nothing extra; a miss costs a page walk and installs
         the translation, evicting LRU if the array is full.
         """
-        array = self._arrays[page_size]
-        vpage = align_down(vaddr, page_size)
-        if vpage in array:
-            array.move_to_end(vpage)
+        if self._arrays[page_size].access(align_down(vaddr, page_size)):
             self.counters.add(self._HIT_NAMES[page_size])
             return True, 0.0
         self.counters.add(self._MISS_NAMES[page_size])
-        capacity = self.config.entries_for(page_size)
-        while len(array) >= capacity:
-            array.popitem(last=False)
-        array[vpage] = True
         return False, self.config.walk_ns(page_size)
 
     def sweep(self, vbase: int, n_pages: int, page_size: int) -> Tuple[int, int, float]:
@@ -122,13 +118,8 @@ class SplitTLB:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         if vbase % page_size:
             raise ValueError(f"unaligned sweep base {vbase:#x}")
-        hits, misses = lru_sweep(
-            self._arrays[page_size],
-            vbase,
-            n_pages,
-            page_size,
-            self.config.entries_for(page_size),
-        )
+        hits = self._arrays[page_size].sweep(vbase, n_pages)
+        misses = n_pages - hits
         if hits:
             self.counters.add(self._HIT_NAMES[page_size], hits)
         if misses:
@@ -144,19 +135,20 @@ class SplitTLB:
         """Number of live entries in the array for *page_size*."""
         return len(self._arrays[page_size])
 
+    def keys(self, page_size: int) -> List[int]:
+        """Cached virtual pages of the *page_size* array, oldest first."""
+        return [vpage for _, vpage in self._arrays[page_size].keys()]
+
     # -- checkpointing ------------------------------------------------------
     def dump_state(self) -> dict:
         """Picklable snapshot: per-array entry keys in LRU order
         (oldest first), so a restore reproduces eviction order exactly."""
-        return {size: list(array) for size, array in self._arrays.items()}
+        return {size: self.keys(size) for size in self._arrays}
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`dump_state` snapshot."""
         for size, keys in state.items():
-            array = self._arrays[size]
-            array.clear()
-            for key in keys:
-                array[key] = True
+            self._arrays[size].load((0, key) for key in keys)
 
     # -- analytic steady-state helpers ------------------------------------
     def analytic_stream_misses(self, nbytes: int, page_size: int) -> int:

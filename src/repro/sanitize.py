@@ -426,10 +426,9 @@ class Sanitizer:
                     )
         except TranslationFault as fault:
             fault_vaddr = getattr(fault, "vaddr", vaddr)
-            arrays = getattr(engine.tlb, "_arrays", {})
             for page_size in (PAGE_4K, PAGE_2M):
                 base = fault_vaddr - fault_vaddr % page_size
-                if base in arrays.get(page_size, ()):
+                if base in engine.tlb.keys(page_size):
                     self._violate(
                         "tlb.dangling-entry",
                         f"TLB holds {base:#x} ({page_size}-byte page) "

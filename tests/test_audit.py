@@ -88,8 +88,8 @@ class TestSeededCorruptionIsDetected:
 
     def test_stale_att_entry(self):
         cluster, node, proc, buf, mr = _mr_cluster()
-        node.att._cache[(999999, 0)] = True  # translation for a dead MR
-        node.att._cache[(mr.mr_id, mr.n_entries + 5)] = True  # out of range
+        node.att.access(999999, 0)  # translation for a dead MR
+        node.att.access(mr.mr_id, mr.n_entries + 5)  # out of range
         violations = audit_cluster(cluster)
         stale = [v for v in violations if v.check == "att-stale"]
         assert len(stale) == 2
@@ -102,7 +102,7 @@ class TestSeededCorruptionIsDetected:
         vma = proc.aspace.mmap(64 * KB)
         # the TLB caches a translation the page table no longer has,
         # while the VMA is still live — a real use-after-unmap window
-        proc.engine.tlb._arrays[PAGE_4K][vma.start] = True
+        proc.engine.tlb.access(vma.start, PAGE_4K)
         proc.aspace.page_table.leaf_table(PAGE_4K).pop(vma.start)
         violations = audit_cluster(cluster)
         assert "tlb-dangling" in _checks(violations)

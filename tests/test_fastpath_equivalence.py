@@ -19,7 +19,7 @@ import pytest
 from repro import fastpath
 from repro.analysis import CounterSet
 from repro.engine import SimKernel, TickClock
-from repro.fastpath import lru_sweep
+from repro.fastpath import RunLRU
 from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.link import IBLink, LinkConfig
 from repro.mem import (
@@ -39,11 +39,11 @@ MB = 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
-# the shared primitive: lru_sweep
+# the shared primitive: RunLRU
 # ---------------------------------------------------------------------------
 
 def _replay_reference(array, first_key, n_keys, stride, capacity):
-    """The key-by-key loop lru_sweep's docstring promises to match."""
+    """The key-by-key loop RunLRU's docstring promises to match."""
     hits = 0
     for key in range(first_key, first_key + n_keys * stride, stride):
         if key in array:
@@ -56,6 +56,10 @@ def _replay_reference(array, first_key, n_keys, stride, capacity):
     return hits, n_keys - hits
 
 
+def _lru_keys(lru):
+    return [key for _, key in lru.keys()]
+
+
 class TestLRUSweepPrimitive:
     @given(
         pre=st.lists(st.integers(min_value=0, max_value=60), max_size=60),
@@ -66,16 +70,16 @@ class TestLRUSweepPrimitive:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_replay(self, pre, first, n, stride, capacity):
-        fast, ref = OrderedDict(), OrderedDict()
-        # identical pre-state, built through the reference access pattern
-        # on the sweep's key grid so hits/evictions actually occur
+        fast, ref = RunLRU(capacity, stride), OrderedDict()
+        # identical pre-state, built through single accesses on the
+        # sweep's key grid so hits/evictions actually occur
         for k in pre:
-            _replay_reference(fast, k * stride, 1, stride, capacity)
+            fast.access(k * stride)
             _replay_reference(ref, k * stride, 1, stride, capacity)
-        got = lru_sweep(fast, first * stride, n, stride, capacity)
+        hits = fast.sweep(first * stride, n)
         want = _replay_reference(ref, first * stride, n, stride, capacity)
-        assert got == want
-        assert list(fast.items()) == list(ref.items())
+        assert (hits, n - hits) == want
+        assert _lru_keys(fast) == list(ref)
 
     @given(
         capacity=st.integers(min_value=1, max_value=8),
@@ -84,14 +88,16 @@ class TestLRUSweepPrimitive:
     )
     @settings(max_examples=60, deadline=None)
     def test_repeated_long_sweep_shortcut(self, capacity, rounds, factor):
-        """Back-to-back >=2x-capacity sweeps hit the O(capacity) case."""
+        """Back-to-back >=2x-capacity sweeps: all misses, and the
+        content ends as one run of the last `capacity` keys."""
         n = factor * capacity
-        fast, ref = OrderedDict(), OrderedDict()
+        fast, ref = RunLRU(capacity), OrderedDict()
         for _ in range(rounds):
-            got = lru_sweep(fast, 0, n, 1, capacity)
+            hits = fast.sweep(0, n)
             want = _replay_reference(ref, 0, n, 1, capacity)
-            assert got == want
-            assert list(fast.items()) == list(ref.items())
+            assert (hits, n - hits) == want
+            assert _lru_keys(fast) == list(ref)
+            assert fast.runs() == [(0, n - capacity, capacity)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +129,7 @@ class TestSweepEquivalence:
                 misses += not hit
                 ns += extra
             assert got == (hits, misses, ns)
-            assert list(fast_tlb._arrays[PAGE_4K].items()) == \
-                list(ref_tlb._arrays[PAGE_4K].items())
+            assert fast_tlb.keys(PAGE_4K) == ref_tlb.keys(PAGE_4K)
         assert fast_counters.snapshot() == ref_counters.snapshot()
 
     @given(
@@ -150,8 +155,7 @@ class TestSweepEquivalence:
                 hits += hit
                 misses += not hit
             assert got == (hits, misses)
-            assert list(fast_att._cache.items()) == \
-                list(ref_att._cache.items())
+            assert fast_att.keys() == ref_att.keys()
         assert fast_counters.snapshot() == ref_counters.snapshot()
 
 
@@ -215,10 +219,9 @@ class TestAccessEngineEquivalence:
         assert fast_engine.counters.snapshot() == \
             ref_engine.counters.snapshot()
         for page_size in (PAGE_4K, PAGE_2M):
-            assert list(fast_engine.tlb._arrays[page_size].items()) == \
-                list(ref_engine.tlb._arrays[page_size].items())
-        assert list(fast_engine.cache._lines.items()) == \
-            list(ref_engine.cache._lines.items())
+            assert fast_engine.tlb.keys(page_size) == \
+                ref_engine.tlb.keys(page_size)
+        assert fast_engine.cache.keys() == ref_engine.cache.keys()
 
     @staticmethod
     def _apply(engine, kind, base, offset, nbytes, write):

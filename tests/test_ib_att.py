@@ -49,24 +49,32 @@ class TestAccess:
 
 
 class TestStreamStall:
+    """A sequential stream's stall is ``misses * fetch_ns`` of its
+    :meth:`~repro.ib.att.ATTCache.sweep_range`."""
+
+    @staticmethod
+    def _stall(att, mr_id, first, n):
+        _, misses = att.sweep_range(mr_id, first, n)
+        return misses * att.config.fetch_ns
+
     def test_cold_stream_all_misses(self, att):
-        ns = att.stream_stall_ns(1, 0, 3)
-        assert ns == 300.0
+        assert self._stall(att, 1, 0, 3) == 300.0
 
     def test_warm_small_stream_free(self, att):
-        att.stream_stall_ns(1, 0, 3)
-        assert att.stream_stall_ns(1, 0, 3) == 0.0
+        self._stall(att, 1, 0, 3)
+        assert self._stall(att, 1, 0, 3) == 0.0
 
     def test_large_stream_thrashes(self, att):
         """More entries than the cache holds: every pass re-misses —
         the 4 KB-translation behaviour behind the Xeon result."""
-        att.stream_stall_ns(1, 0, 100)
-        ns = att.stream_stall_ns(1, 0, 100)
-        assert ns == 100 * 100.0
+        self._stall(att, 1, 0, 100)
+        assert self._stall(att, 1, 0, 100) == 100 * 100.0
 
     def test_negative_rejected(self, att):
         with pytest.raises(ValueError):
-            att.stream_stall_ns(1, 0, -1)
+            att.sweep_range(1, 0, -1)
+        with pytest.raises(ValueError):
+            att.sweep_range(1, 0, 0)
 
 
 class TestInvalidation:

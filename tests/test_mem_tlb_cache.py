@@ -29,6 +29,15 @@ class TestTLBConfig:
         with pytest.raises(ValueError):
             TLBConfig().entries_for(8192)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"entries_4k": 0}, {"entries_2m": 0}, {"entries_4k": -1},
+    ])
+    def test_empty_array_rejected(self, kwargs):
+        """A zero-entry array has no LRU to evict from: rejected up
+        front instead of failing in access() or costing a sweep."""
+        with pytest.raises(ValueError):
+            TLBConfig(**kwargs)
+
 
 class TestSplitTLBStateful:
     def test_miss_then_hit(self):
@@ -129,6 +138,24 @@ class TestSplitTLBAnalytic:
             tlb.analytic_rotate_misses(0, 10, 0.0, PAGE_4K)
         with pytest.raises(ValueError):
             tlb.analytic_random_misses(10, 0, PAGE_4K)
+
+
+class TestCacheConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"capacity_bytes": 32},                  # less than one 64 B line
+        {"capacity_bytes": 0},
+        {"line_size": 0},
+        {"line_size": -64, "capacity_bytes": 64},
+    ])
+    def test_lineless_cache_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CacheConfig(**kwargs)
+
+    def test_one_line_cache_accepted(self):
+        cache = DataCache(CacheConfig(capacity_bytes=64))
+        assert cache.access(0) == (False, CacheConfig().miss_ns)
+        assert cache.sweep(1, 3) == (0, 3, 3 * CacheConfig().miss_ns)
+        assert cache.keys() == [3]
 
 
 class TestDataCache:

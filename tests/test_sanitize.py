@@ -260,7 +260,7 @@ class TestTLBRules:
         with sanitize.capturing(san):
             machine, proc = make_machine()
             vma = proc.aspace.mmap(64 * KB)
-            proc.engine.tlb._arrays[PAGE_4K][vma.start] = True
+            proc.engine.tlb.access(vma.start, PAGE_4K)
             proc.aspace.page_table.leaf_table(PAGE_4K).pop(vma.start)
             with pytest.raises(sanitize.SanitizerError) as exc:
                 proc.engine.touch(vma.start, 64)
