@@ -137,58 +137,6 @@ def batch_report(rows: Sequence[Mapping[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def serve_report(rows: Sequence[Mapping[str, Any]],
-                 counters: Mapping[str, int]) -> str:
-    """Render the experiment service's shutdown report.
-
-    *rows* are :meth:`repro.serve.state.ServeJob.as_dict` mappings
-    (``id``, ``command``, ``attempts``, ``status``, ``cached``,
-    optionally ``detail``); *counters* is the service's
-    :meth:`~repro.analysis.counters.CounterSet.snapshot`.  Same shape
-    as :func:`batch_report`, but statuses include ``rejected`` (never
-    executed: expired deadline) and the summary line reports the
-    admission-control outcomes alongside the execution ones.
-    """
-    table = Table(["job", "command", "attempts", "status", "detail"],
-                  title="serve report")
-    for row in rows:
-        status = str(row["status"])
-        if row.get("cached"):
-            status += " (memo)"
-        table.add_row([row["id"], row["command"], row["attempts"],
-                       status, row.get("detail", "")])
-    get = counters.get
-    lines = [table.render()]
-    lines.append(
-        f"serve: {get('serve.submitted', 0)} admitted: "
-        f"{get('serve.completed', 0)} done "
-        f"({get('serve.memo_served', 0)} from the memo cache), "
-        f"{get('serve.failed', 0)} failed, "
-        f"{get('serve.rejected.deadline', 0)} rejected; "
-        f"{get('serve.retries', 0)} retries, "
-        f"{get('serve.crashes', 0)} worker crash(es), "
-        f"{get('serve.timeouts', 0)} timeout(s), "
-        f"{get('serve.disconnects', 0)} client disconnect(s)"
-    )
-    refused = (get("serve.rejected.backpressure", 0)
-               + get("serve.rejected.client_cap", 0)
-               + get("serve.rejected.draining", 0))
-    if refused:
-        lines.append(
-            f"serve: {refused} admission(s) refused at the door "
-            f"({get('serve.rejected.backpressure', 0)} backpressure, "
-            f"{get('serve.rejected.client_cap', 0)} client cap, "
-            f"{get('serve.rejected.draining', 0)} draining)"
-        )
-    corrupt = get("memo.corrupt", 0)
-    if corrupt:
-        lines.append(
-            f"WARNING: {corrupt} corrupt memo entr(y/ies) detected and "
-            "re-run — check the disk under results/"
-        )
-    return "\n".join(lines)
-
-
 #: how each fault counter is classified in the degradation report
 _INJECTED_PREFIXES = ("faults.link.dropped", "faults.link.corrupted",
                       "faults.reg.", "faults.mem.")

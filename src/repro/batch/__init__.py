@@ -31,25 +31,19 @@ Ctrl-C must never cost completed work.  This package is that layer:
     report.
 
 See ``docs/batch_runner.md`` for the spec format, journal schema and
-crash-recovery guarantees.  The same substrate — journal, memo cache,
-worker, chaos, failure classification — backs the long-lived
-``repro serve`` experiment service (:mod:`repro.serve`,
-``docs/serving.md``).
+crash-recovery guarantees.
 """
 
 from repro.batch.chaos import ChaosPlan, parse_chaos
-from repro.batch.journal import (CompactingJournal, Journal, JournalError,
-                                 fold_jobs, read_journal)
+from repro.batch.journal import Journal, JournalError, fold_jobs, read_journal
 from repro.batch.memo import MemoCache
-from repro.batch.spec import (JobSpec, SpecError, job_key, load_specfile,
-                              parse_jobs_doc)
+from repro.batch.spec import JobSpec, SpecError, job_key, load_specfile
 from repro.batch.supervisor import BatchError, BatchSupervisor, classify_exit
 
 __all__ = [
     "BatchError",
     "BatchSupervisor",
     "ChaosPlan",
-    "CompactingJournal",
     "Journal",
     "JournalError",
     "JobSpec",
@@ -60,5 +54,5 @@ __all__ = [
     "job_key",
     "load_specfile",
     "parse_chaos",
-    "parse_jobs_doc",
+    "read_journal",
 ]

@@ -18,25 +18,16 @@ journal is the batch's single source of truth for recovery:
   are rewritten through :func:`repro.util.atomic_write` and the file
   then continues to append — so journals stay O(jobs), not O(crashes).
 
-A *batch* compacts once, at resume time, because a batch has a finite
-job list.  A long-lived consumer — the ``repro serve`` experiment
-service, whose journal must survive weeks of traffic — instead uses
-:class:`CompactingJournal`, which folds itself in place every N appends
-(fold → :func:`compact` → continue appending), so a killed server
-replays O(live jobs), not O(everything it ever ran).
-
 Records carry no wall-clock timestamps: attempt ordinals order a job's
 own history, and keeping host time out of the journal keeps
 ``repro.batch`` clean under the determinism lint's ``wallclock`` rule.
-(``repro serve`` records *do* carry wall-clock request deadlines — the
-service is the documented escape hatch; see ``docs/serving.md``.)
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.util import atomic_write
 
@@ -185,56 +176,3 @@ def compact(path: str, keep: List[Dict[str, Any]],
     atomic_write(path, "".join(line + "\n" for line in lines),
                  prefix=".journal-")
 
-
-class CompactingJournal(Journal):
-    """A :class:`Journal` for long-lived processes: folds itself in
-    place every *every* appends.
-
-    The owner provides *fold_keep*: a function from the full replayed
-    record list to the minimal record list that reconstructs the same
-    state (live jobs' submissions, terminal outcomes — whatever the
-    owner's fold function needs).  Compaction is crash-safe end to end:
-    the rewrite goes through :func:`compact` (atomic replace), so a
-    kill at any instant leaves either the old journal or the compacted
-    one, never a mix — and both replay to the same state by
-    construction.
-
-    The durability contract is unchanged from :class:`Journal`: every
-    :meth:`append` is flushed and fsynced before it returns, so the
-    record's state transition is on disk before its side effects run.
-    """
-
-    def __init__(self, path: str,
-                 fold_keep: Callable[[List[Dict[str, Any]]],
-                                     List[Dict[str, Any]]],
-                 header: Optional[Callable[[], Dict[str, Any]]] = None,
-                 every: int = 256):
-        if every < 1:
-            raise ValueError("compaction interval must be >= 1")
-        super().__init__(path)
-        self._fold_keep = fold_keep
-        self._header = header
-        self._every = every
-        self._since_compact = 0
-
-    def append(self, record: Dict[str, Any]) -> None:
-        super().append(record)
-        self._since_compact += 1
-        if self._since_compact >= self._every:
-            self.compact_now()
-
-    def compact_now(self) -> int:
-        """Fold and rewrite the journal in place; returns the number of
-        records kept.  The append handle survives (it is reopened on
-        the compacted file)."""
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-        records, _torn = read_journal(self.path)
-        keep = self._fold_keep(records)
-        compact(self.path, keep,
-                header=self._header() if self._header is not None else None)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._since_compact = 0
-        return len(keep)

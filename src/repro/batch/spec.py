@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 #: commands that may appear in a specfile: every experiment driver, but
-#: not the meta commands (nested batches/servers, resume bookkeeping,
-#: the wall-clock perf harness)
-_DENIED_COMMANDS = {"batch", "serve", "resume", "perf", "list"}
+#: not the meta commands (nested batches, resume bookkeeping, the
+#: wall-clock perf harness)
+_DENIED_COMMANDS = {"batch", "resume", "perf", "list"}
 
 
 class SpecError(Exception):
@@ -90,8 +91,12 @@ def _parse_job(obj: Any, index: int) -> JobSpec:
         raise SpecError(f"{where}: 'args' must be a list of strings")
     timeout = obj.get("timeout")
     if timeout is not None:
-        if not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise SpecError(f"{where}: 'timeout' must be a positive number")
+        # bool is an int subclass (True would be a 1 s budget) and NaN
+        # fails every comparison (a budget that never expires)
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+                or not 0 < timeout < math.inf:
+            raise SpecError(f"{where}: 'timeout' must be a finite positive "
+                            "number of seconds")
         timeout = float(timeout)
     job_id = obj.get("id", f"job-{index:03d}-{command}")
     if not isinstance(job_id, str) or not job_id:
@@ -102,16 +107,21 @@ def _parse_job(obj: Any, index: int) -> JobSpec:
     return JobSpec(id=job_id, command=command, args=list(args), timeout=timeout)
 
 
-def parse_jobs_doc(doc: Any, where: str = "spec",
-                   next_index: int = 0) -> List[JobSpec]:
-    """Parse an already-decoded spec document (the shared core of
-    :func:`load_specfile` and the ``repro serve`` HTTP body parser).
+def load_specfile(path: str) -> List[JobSpec]:
+    """Parse *path*; raises :class:`SpecError` with a friendly message
+    on any problem (the CLI converts that to exit code 2).
 
-    *doc* is a single job object, a list of them, or ``{"jobs":
-    [...]}``; *next_index* seeds the default-id counter so a server
-    admitting jobs one request at a time still mints unique default
-    ids.  Raises :class:`SpecError` on any problem.
+    The document is a single job object, a list of them, or ``{"jobs":
+    [...]}``.
     """
+    where = f"specfile {path!r}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot read {where}: {exc}")
+    except ValueError as exc:
+        raise SpecError(f"{where} is not valid JSON: {exc}")
     if isinstance(doc, dict) and "command" in doc:
         doc = [doc]
     elif isinstance(doc, dict):
@@ -121,26 +131,13 @@ def parse_jobs_doc(doc: Any, where: str = "spec",
         doc = doc["jobs"]
     if not isinstance(doc, list):
         raise SpecError(f"{where}: expected a JSON list of job "
-                        "objects (or {{'jobs': [...]}})")
+                        "objects (or {'jobs': [...]})")
     if not doc:
         raise SpecError(f"{where}: no jobs")
-    specs = [_parse_job(obj, next_index + i) for i, obj in enumerate(doc)]
+    specs = [_parse_job(obj, i) for i, obj in enumerate(doc)]
     seen = set()
     for spec in specs:
         if spec.id in seen:
             raise SpecError(f"duplicate job id {spec.id!r}")
         seen.add(spec.id)
     return specs
-
-
-def load_specfile(path: str) -> List[JobSpec]:
-    """Parse *path*; raises :class:`SpecError` with a friendly message
-    on any problem (the CLI converts that to exit code 2)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read specfile {path!r}: {exc}")
-    except ValueError as exc:
-        raise SpecError(f"specfile {path!r} is not valid JSON: {exc}")
-    return parse_jobs_doc(doc, where=f"specfile {path!r}")

@@ -30,7 +30,9 @@ Robustness semantics:
   last unit boundary instead of restarting; determinism makes the
   recovered stdout byte-identical to an uninterrupted run.  A *clean*
   failure of a resume attempt (exit > 0: e.g. a corrupt snapshot)
-  discards the snapshot and retries from scratch.
+  discards the snapshot and retries from scratch.  A fresh attempt
+  first empties the job's checkpoint directory, so the only snapshot a
+  retry can resume is one this job's own attempts wrote.
 * **Memoization** — before launching, the sha256 result cache is
   consulted; duplicate configs wait for the in-flight twin instead of
   racing it.
@@ -46,6 +48,7 @@ This module is process management, not simulation — its
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -79,8 +82,7 @@ class BatchError(Exception):
 def classify_exit(code: Optional[int], timed_out: bool) -> Tuple[str, str]:
     """Classify one finished attempt as ``(kind, reason)``.
 
-    *kind* drives the retry decision — the failure taxonomy shared by
-    the batch runner and the ``repro serve`` experiment service:
+    *kind* drives the retry decision:
 
     ``done``
         Exit 0; publish the result.
@@ -157,6 +159,14 @@ class BatchSupervisor:
             raise BatchError("worker pool size must be >= 1")
         if retries < 0:
             raise BatchError("retry budget must be >= 0")
+        # NaN fails every comparison, so it would set a deadline that
+        # never expires; 0 would set none at all
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise BatchError("--timeout must be a finite number of "
+                             "seconds > 0")
+        if not 0 <= backoff < math.inf:
+            raise BatchError("--backoff must be a finite number of "
+                             "seconds >= 0")
         if chaos is not None and chaos.stall_p > 0 and timeout is None \
                 and not all(s.timeout for s in specs):
             raise BatchError("--chaos stall needs a per-job --timeout "
@@ -235,6 +245,11 @@ class BatchSupervisor:
         os.makedirs(job.jobdir, exist_ok=True)
         use_resume = job.resume_next and os.path.exists(
             worker.snapshot_path(job.jobdir))
+        if not use_resume:
+            # a snapshot left by an earlier run (maybe of another config
+            # under the same id) must never be resumed as this job's
+            shutil.rmtree(os.path.join(job.jobdir, worker.CKPT_DIRNAME),
+                          ignore_errors=True)
         spec = job.spec
         args = list(spec.args)
         timeout = spec.timeout if spec.timeout is not None else self.timeout

@@ -553,39 +553,6 @@ def _cmd_batch(args) -> None:
         raise SystemExit(code)
 
 
-def _cmd_serve(args) -> None:
-    """Run the crash-tolerant experiment service (``repro serve``) —
-    see ``docs/serving.md``."""
-    import asyncio
-
-    from repro.batch import parse_chaos
-    from repro.serve import ExperimentService, ServeError
-    from repro.serve.http import run_server
-
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = parse_chaos(args.chaos, seed=args.chaos_seed)
-        except ValueError as exc:
-            print(f"error: --chaos: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    _ensure_dir(args.out_dir, "--out-dir")
-    try:
-        service = ExperimentService(
-            args.out_dir, workers=args.workers, queue_cap=args.queue_cap,
-            client_cap=args.client_cap, retries=args.retries,
-            backoff=args.backoff, retry_seed=args.retry_seed,
-            timeout=args.timeout, drain_timeout=args.drain_timeout,
-            chaos=chaos, resume=args.resume, stream=sys.stderr)
-        code = asyncio.run(run_server(service, args.host, args.port,
-                                      stream=sys.stderr))
-    except ServeError as exc:
-        print(f"error: serve: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    if code:
-        raise SystemExit(code)
-
-
 def _cmd_lint(args) -> None:
     """Run the determinism lint (``repro lint``): the per-line detlint
     rules plus the simlint whole-program passes, against ``src/repro``
@@ -737,7 +704,6 @@ COMMANDS = {
     "trace": (_cmd_trace, "run a figure driver with tracing on"),
     "sanitize": (_cmd_sanitize, "run a figure driver under the sanitizer"),
     "batch": (_cmd_batch, "crash-tolerant batch runner for a JSON specfile"),
-    "serve": (_cmd_serve, "crash-tolerant HTTP experiment service"),
     "lint": (_cmd_lint, "determinism lint: detlint rules + simlint passes"),
 }
 
@@ -866,59 +832,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None, metavar="FILE",
                            help="trace every job and merge the per-job "
                                 "timelines into one Chrome trace file")
-        if name == "serve":
-            p.add_argument("--host", default="127.0.0.1",
-                           help="bind address (default 127.0.0.1)")
-            p.add_argument("--port", type=int, default=0, metavar="N",
-                           help="bind port; 0 picks an ephemeral port and "
-                                "writes it to <out-dir>/serve.addr "
-                                "(default 0)")
-            p.add_argument("--workers", type=int, default=2, metavar="K",
-                           help="worker pool size (default 2)")
-            p.add_argument("--out-dir", dest="out_dir", default="serve_out",
-                           metavar="DIR",
-                           help="service work directory: serve journal, "
-                                "per-job dirs, memoized results "
-                                "(default serve_out)")
-            p.add_argument("--queue-cap", dest="queue_cap", type=int,
-                           default=64, metavar="N",
-                           help="max jobs in flight before admissions get "
-                                "429 + Retry-After (default 64)")
-            p.add_argument("--client-cap", dest="client_cap", type=int,
-                           default=8, metavar="N",
-                           help="max in-flight jobs per X-Client identity "
-                                "(default 8)")
-            p.add_argument("--timeout", type=float, default=None,
-                           metavar="SECONDS",
-                           help="default per-job wall-clock budget "
-                                "(specs and deadlines may tighten it)")
-            p.add_argument("--retries", type=int, default=2, metavar="N",
-                           help="retry budget per job for crashes/timeouts/"
-                                "transient failures; deterministic exit-2 "
-                                "failures never retry (default 2)")
-            p.add_argument("--backoff", type=float, default=0.25,
-                           metavar="SECONDS",
-                           help="full-jitter retry base: delay is uniform "
-                                "over [0, backoff * 2^attempt] "
-                                "(default 0.25)")
-            p.add_argument("--retry-seed", dest="retry_seed", type=int,
-                           default=0,
-                           help="seed for the jittered backoff RNG")
-            p.add_argument("--drain-timeout", dest="drain_timeout",
-                           type=float, default=30.0, metavar="SECONDS",
-                           help="graceful-drain budget after SIGTERM/SIGINT; "
-                                "stragglers are killed and re-queue on the "
-                                "next start (default 30)")
-            p.add_argument("--chaos", default=None, metavar="SPEC",
-                           help="seeded fault injection for the service's "
-                                "workers: kill-worker:p=P and/or stall:p=P")
-            p.add_argument("--chaos-seed", dest="chaos_seed", type=int,
-                           default=0, help="chaos decision seed")
-            p.add_argument("--resume", action="store_true",
-                           help="replay an existing serve journal: done "
-                                "jobs stay done, interrupted jobs re-queue "
-                                "(from their snapshots), expired jobs are "
-                                "rejected")
         if name == "perf":
             p.add_argument("--quick", action="store_true",
                            help="smaller sweeps (the CI smoke configuration)")

@@ -416,29 +416,3 @@ def merge_chrome_traces(
         },
     }
 
-
-def wall_clock_doc(
-    events: Sequence[Dict[str, Any]],
-    other: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Wrap pre-built ``trace_event`` records in a Chrome document
-    whose clock is *wall time*, not simulated ticks.
-
-    Everything else in this module runs on the simulator's virtual
-    clock; the one producer of real-time spans is the ``repro serve``
-    request timeline (admission → terminal, one ``X`` span per
-    request), and its documents must be distinguishable from simulated
-    ones — ``otherData.clock`` says which clock the timestamps mean.
-    The caller supplies complete event records (``ts``/``dur`` in
-    microseconds of elapsed wall time since service start); this
-    helper only normalizes the envelope so the file loads in the same
-    Perfetto workflow as the simulated traces.
-    """
-    doc: Dict[str, Any] = {
-        "traceEvents": list(events),
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "wall"},
-    }
-    if other:
-        doc["otherData"].update(other)
-    return doc

@@ -105,6 +105,12 @@ class TestSpecfile:
         ([42], "expected an object"),
         ({"jobs": [], "extra": 1}, "exactly one key"),
         ("not-a-list", "JSON list"),
+        # True would run as a 1 s budget; NaN never compares as expired
+        ([{"command": "fig4", "timeout": True}], "finite positive number"),
+        ([{"command": "fig4", "timeout": float("nan")}],
+         "finite positive number"),
+        ([{"command": "fig4", "timeout": float("inf")}],
+         "finite positive number"),
     ])
     def test_invalid_specs_raise(self, tmp_path, doc, needle):
         with pytest.raises(SpecError, match=needle):
@@ -192,69 +198,6 @@ class TestJournal:
         records, torn = read_journal(str(path))
         assert not torn
         assert [r["ev"] for r in records] == ["batch-start", "done"]
-
-
-class TestCompactingJournal:
-    @staticmethod
-    def _keep_latest(records):
-        # toy fold: keep only each job's last record
-        latest = {}
-        for rec in records:
-            if "job" in rec:
-                latest[rec["job"]] = rec
-        return list(latest.values())
-
-    def test_auto_compacts_every_n_appends(self, tmp_path):
-        path = tmp_path / "serve.jsonl"
-        with journal_mod.CompactingJournal(
-                str(path), fold_keep=self._keep_latest,
-                header=lambda: {"ev": "start"}, every=4) as j:
-            for i in range(9):
-                j.append({"ev": "tick", "job": "a", "n": i})
-        records, torn = read_journal(str(path))
-        assert not torn
-        # two compactions happened (at 4 and 8); the 9th append remains
-        assert [r["ev"] for r in records] == ["start", "tick", "tick"]
-        assert records[-1]["n"] == 8
-
-    def test_bounded_size_under_sustained_appends(self, tmp_path):
-        path = tmp_path / "serve.jsonl"
-        with journal_mod.CompactingJournal(
-                str(path), fold_keep=self._keep_latest, every=8) as j:
-            for i in range(200):
-                j.append({"ev": "tick", "job": "a", "n": i})
-            high_water = path.stat().st_size
-        # 200 appends, but the file never holds more than a compaction
-        # window: one folded record plus up to `every` fresh lines
-        assert high_water < 9 * 60
-
-    def test_journal_stays_replayable_after_compaction(self, tmp_path):
-        path = tmp_path / "serve.jsonl"
-        with journal_mod.CompactingJournal(
-                str(path), fold_keep=self._keep_latest, every=2) as j:
-            j.append({"ev": "a", "job": "x"})
-            j.append({"ev": "b", "job": "x"})  # compacts here
-            j.append({"ev": "c", "job": "y"})
-        records, torn = read_journal(str(path))
-        assert not torn
-        assert self._keep_latest(records) == [
-            {"ev": "b", "job": "x"}, {"ev": "c", "job": "y"}]
-
-    def test_compact_now_is_idempotent(self, tmp_path):
-        path = tmp_path / "serve.jsonl"
-        with journal_mod.CompactingJournal(
-                str(path), fold_keep=self._keep_latest, every=100) as j:
-            j.append({"ev": "a", "job": "x"})
-            assert j.compact_now() == 1
-            assert j.compact_now() == 1
-        records, _ = read_journal(str(path))
-        assert records == [{"ev": "a", "job": "x"}]
-
-    def test_rejects_bad_interval(self, tmp_path):
-        with pytest.raises(ValueError):
-            journal_mod.CompactingJournal(
-                str(tmp_path / "j.jsonl"),
-                fold_keep=self._keep_latest, every=0)
 
 
 # --- chaos plans -----------------------------------------------------------
@@ -602,6 +545,60 @@ class TestBatchRuns:
         with pytest.raises(BatchError, match="stall needs"):
             BatchSupervisor(specs, str(tmp_path / "o"),
                             chaos=parse_chaos("stall:p=0.5"))
+        # 0 is "not None" for the stall check but sets no deadline, so
+        # a stalled worker would never be killed
+        with pytest.raises(BatchError, match="--timeout must be"):
+            BatchSupervisor(specs, str(tmp_path / "o"), timeout=0.0,
+                            chaos=parse_chaos("stall:p=1.0"))
+
+    def test_fresh_attempt_never_resumes_a_stale_snapshot(self, tmp_path,
+                                                          monkeypatch):
+        # an earlier run of job "x" under another config left a
+        # snapshot in x's work directory; this run's first attempt is
+        # SIGKILLed before its own first snapshot.  Resuming the stale
+        # snapshot would publish the old config's stdout under the new
+        # config's memo key
+        specs = load_specfile(_write_specs(tmp_path, [
+            {"id": "x", "command": "faults",
+             "args": ["--fault-plan", "link_loss=0.02",
+                      "--fault-seed", "2"]},
+        ]))
+        sup = BatchSupervisor(specs, str(tmp_path / "out"), backoff=0.0,
+                              stream=io.StringIO())
+        job = sup.jobs[0]
+        stale = Path(worker.snapshot_path(job.jobdir))
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"snapshot of --fault-seed 1")
+
+        class KilledBeforeFirstSnapshot:
+            pid = 0
+            exitcode = -signal.SIGKILL
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def start(self):
+                pass
+
+            def join(self, timeout=None):
+                pass
+
+            def is_alive(self):
+                return False
+
+        monkeypatch.setattr("multiprocessing.Process",
+                            KilledBeforeFirstSnapshot)
+        sup._journal = journal_mod.Journal(sup.journal_path)
+        try:
+            sup._spawn(job)
+            sup._handle_exit(job)
+        finally:
+            sup._journal.close()
+        assert not stale.exists()
+        assert job.status == "queued" and not job.resume_next
+        records, _ = read_journal(sup.journal_path)
+        retry = [r for r in records if r["ev"] == "retry"]
+        assert retry and retry[-1]["resume"] is False
 
 
 class TestBatchCLI:
@@ -626,6 +623,24 @@ class TestBatchCLI:
                   "--chaos", "explode:p=0.5"])
         assert exc.value.code == 2
         assert "error: --chaos:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--backoff", "-0.5"),
+        ("--backoff", "nan"),
+    ])
+    def test_cli_bad_timeout_or_backoff_exits_2(self, tmp_path, capsys,
+                                                flag, value):
+        specs = _write_specs(tmp_path, [{"command": "fig4"}])
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", specs, "--out-dir", str(tmp_path / "out"),
+                  f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"error: batch: {flag} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "jobs.jsonl").exists()
 
     def test_cli_journal_collision_exits_2(self, tmp_path, capsys):
         specs = _write_specs(tmp_path, [{"command": "fig4"}])

@@ -17,16 +17,14 @@ caused exactly that:
 ``wallclock-sleep``
     Wall-clock waits and process signalling (``time.sleep``,
     ``os.kill``, ``signal.alarm``) — real-time delays and signals have
-    no place in a simulated timeline.  The legitimate homes are
-    process supervision (``repro.batch``) and the experiment service
-    (``repro.serve``), which mark each site with
+    no place in a simulated timeline.  The one legitimate home is
+    process supervision (``repro.batch``), which marks each site with
     ``# detlint: ignore[wallclock-sleep]``.
 ``socket-io``
     Network socket construction (``asyncio.start_server``,
     ``socket.socket``, ...) — the simulator models its own wire; real
     sockets in simulation code mean external state is leaking in.
-    The one module whose *job* is sockets is the ``repro serve`` HTTP
-    layer (``repro.serve``), which suppresses each site.
+    No module of ``repro`` opens sockets, so nothing may suppress it.
 ``unseeded-random``
     The module-level ``random.*`` functions (global, unseeded RNG),
     ``random.Random()`` constructed without a seed, and ``numpy.random``
@@ -209,14 +207,12 @@ class _Linter(ast.NodeVisitor):
                            f"{dotted}() waits on (or signals) the host in "
                            f"real time; simulated delays belong on the tick "
                            f"clock — only process supervision (repro.batch) "
-                           f"and the serve layer (repro.serve) may "
-                           f"suppress this")
+                           f"may suppress this")
             elif dotted in _SOCKET_IO:
                 self._flag(node, "socket-io",
                            f"{dotted}() opens a real network socket; the "
-                           f"simulator models its own wire — only the "
-                           f"serve HTTP layer (repro.serve) may suppress "
-                           f"this")
+                           f"simulator models its own wire — nothing may "
+                           f"suppress this")
             elif dotted in _GLOBAL_RANDOM:
                 self._flag(node, "unseeded-random",
                            f"{dotted}() uses the global unseeded RNG; use "
