@@ -10,11 +10,18 @@ in nanoseconds or converted to bandwidths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
-#: ns→ticks memo cap per clock: figure runs use a small set of distinct
-#: durations (fixed pipeline costs plus one value per message size), so
-#: the cache stays tiny; the cap only guards pathological workloads.
+#: ns→ticks memo cap per tick frequency: figure runs use a small set of
+#: distinct durations (fixed pipeline costs plus one value per message
+#: size), so the cache stays tiny; the cap only guards pathological
+#: workloads.
 _MEMO_MAX = 4096
+
+#: one ns→ticks memo per tick frequency, shared by every clock of that
+#: frequency: the conversion depends on nothing else, and a fresh node's
+#: clock would otherwise start cold
+_MEMOS: Dict[float, dict] = {}
 
 
 @dataclass(frozen=True)
@@ -31,9 +38,14 @@ class TickClock:
     """
 
     ticks_per_us: float = 200.0
-    #: per-instance ns→ticks memo (ns_to_ticks is the hottest call in
-    #: the simulator and mostly sees the same handful of fixed costs)
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    #: ns→ticks memo shared per frequency (ns_to_ticks is the hottest
+    #: call in the simulator and mostly sees the same handful of fixed
+    #: costs)
+    _memo: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo",
+                           _MEMOS.setdefault(self.ticks_per_us, {}))
 
     def ns_to_ticks(self, ns: float) -> int:
         """Convert nanoseconds to whole ticks (round half up, min 0)."""

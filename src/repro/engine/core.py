@@ -519,6 +519,22 @@ class SimKernel:
         ev._holds = 0
         return ev
 
+    def call_after(self, delay: int, callback: Callable[[Event], None]) -> None:
+        """Run *callback(event)* *delay* ticks from now: one pooled event
+        and no process — the step primitive of callback chains."""
+        pool = self._event_pool
+        if pool:
+            ev = pool.pop()
+            ev._value = None
+            ev._ok = True
+            ev._processed = False
+        else:
+            ev = Event(self)
+        ev._holds = 0
+        ev._triggered = True
+        ev.callbacks = [callback]
+        self._schedule(ev, delay, NORMAL)
+
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start *generator* as a simulation process."""
         return Process(self, generator, name)

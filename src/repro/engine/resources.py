@@ -6,14 +6,24 @@
   for work queues and completion queues).
 - :class:`Channel` — a message channel with optional filtering on receive
   (used for MPI message matching by ``(source, tag)``).
+
+Both queues take two kinds of waiter: an event (``get()``/``receive()``,
+for processes that ``yield`` it) and a plain callback (``get_then()``/
+``receive_then()``, for callback chains).  An item handed to a callback
+is delivered synchronously, inside the put or send that made it
+available, so a chain waiting on a queue costs no kernel event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Union
 
 from repro.engine.core import Event, SimError, SimKernel
+
+#: a waiting consumer: an event to succeed with the item, or a callback
+#: to call with it (the callback form costs no kernel event)
+Waiter = Union[Event, Callable[[Any], None]]
 
 
 class Resource:
@@ -105,7 +115,7 @@ class Store:
         self.kernel = kernel
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._getters: Deque[Waiter] = deque()
         self._putters: Deque[tuple] = deque()
 
     def __len__(self) -> int:
@@ -140,7 +150,8 @@ class Store:
         if self.capacity is not None and len(self._items) >= self.capacity:
             return False
         self._items.append(item)
-        self._dispatch()
+        if self._getters:
+            self._dispatch()
         return True
 
     def get(self) -> Event:
@@ -149,6 +160,14 @@ class Store:
         self._getters.append(ev)
         self._dispatch()
         return ev
+
+    def get_then(self, callback: Callable[[Any], None]) -> None:
+        """Callback form of :meth:`get`: *callback(item)* runs as soon as
+        an item is available — at once when one is queued and no earlier
+        getter waits — in FIFO order with event getters."""
+        self._getters.append(callback)
+        if self._items:
+            self._dispatch()
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking dequeue: the oldest item, or None when empty (or
@@ -166,13 +185,25 @@ class Store:
 
     def _dispatch(self) -> None:
         while self._getters and self._items:
-            self._getters.popleft().succeed(self._items.popleft())
-            while self._putters and (
-                self.capacity is None or len(self._items) < self.capacity
-            ):
-                pev, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                pev.succeed()
+            getter = self._getters.popleft()
+            item = self._items.popleft()
+            if isinstance(getter, Event):
+                getter.succeed(item)
+                if self._putters:
+                    self._admit_putters()
+            else:
+                # the callback may put or get again: settle the store first
+                if self._putters:
+                    self._admit_putters()
+                getter(item)
+
+    def _admit_putters(self) -> None:
+        while self._putters and (
+            self.capacity is None or len(self._items) < self.capacity
+        ):
+            pev, pitem = self._putters.popleft()
+            self._items.append(pitem)
+            pev.succeed()
 
 
 class Channel:
@@ -205,10 +236,13 @@ class Channel:
     def send(self, message: Any) -> None:
         """Deliver *message* immediately to a matching waiting receiver,
         or queue it (the "unexpected message queue")."""
-        for idx, (ev, predicate) in enumerate(self._receivers):
+        for idx, (receiver, predicate) in enumerate(self._receivers):
             if predicate is None or predicate(message):
                 del self._receivers[idx]
-                ev.succeed(message)
+                if isinstance(receiver, Event):
+                    receiver.succeed(message)
+                else:
+                    receiver(message)
                 return
         self._messages.append(message)
 
@@ -223,3 +257,15 @@ class Channel:
                 return ev
         self._receivers.append((ev, predicate))
         return ev
+
+    def receive_then(self, callback: Callable[[Any], None],
+                     predicate: Optional[Callable[[Any], bool]] = None) -> None:
+        """Callback form of :meth:`receive`: *callback(message)* runs with
+        the oldest matching message — at once when one is queued, else
+        inside the :meth:`send` that delivers it."""
+        for idx, message in enumerate(self._messages):
+            if predicate is None or predicate(message):
+                del self._messages[idx]
+                callback(message)
+                return
+        self._receivers.append((callback, predicate))

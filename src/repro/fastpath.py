@@ -82,15 +82,16 @@ def forced(flag: bool) -> Iterator[None]:
 # the event-fold switch
 #
 # Orthogonal to the costing switch above: folding replaces the adapter's
-# per-message generator processes with equivalent callback chains (see
-# ``repro.ib.hca``), cutting kernel events and generator resumes without
-# changing a single cost formula.  It is therefore active on BOTH costing
-# paths AND under the sanitizer (its hooks are synchronous calls the
-# fold chains make too); this switch exists so equivalence tests (and
-# debugging) can pin a run onto the per-hop process machinery that
-# folding replaces.  Tracing (per message) and fault plans (per HCA)
-# pin that machinery on their own — the fold has no span sites and no
-# per-packet decision points; this is the global override.
+# and the MPI layer's per-message generator processes with equivalent
+# callback chains (see ``repro.ib.hca`` and ``repro.mpi.fold``), cutting
+# kernel events and generator resumes without changing a single cost
+# formula.  It is therefore active on BOTH costing paths AND under the
+# sanitizer (its hooks are synchronous calls the fold chains make too);
+# this switch exists so equivalence tests (and debugging) can pin a run
+# onto the process machinery that folding replaces.  Fault plans pin
+# both layers on their own (per-packet decision points), and tracing
+# pins the adapter per message (its fold has no span sites); the MPI
+# chains emit their spans themselves.  This is the global override.
 # ---------------------------------------------------------------------------
 
 _fold: bool = os.environ.get("REPRO_NO_FOLD", "").strip().lower() not in (
@@ -102,12 +103,12 @@ _fold: bool = os.environ.get("REPRO_NO_FOLD", "").strip().lower() not in (
 
 
 def fold_enabled() -> bool:
-    """True while the adapter event folds are allowed."""
+    """True while the adapter and MPI event folds are allowed."""
     return _fold
 
 
 def set_fold(flag: bool) -> None:
-    """Turn the adapter event folds on or off globally."""
+    """Turn the adapter and MPI event folds on or off globally."""
     global _fold
     _fold = bool(flag)
 

@@ -51,6 +51,14 @@ bookkeeping interleaved with the pipeline), an active tracer pins it
 per-message (the ``ib.tx``/``ib.rx`` spans wrap generator bodies), and
 ``REPRO_NO_FOLD=1`` / :func:`repro.fastpath.set_fold` pins it globally
 so equivalence tests can diff the two machineries.
+
+The MPI layer above is folded the same way (:mod:`repro.mpi.fold`): it
+posts, registers, polls and deregisters through the callback forms
+:meth:`HCA.post_send_then`, :meth:`HCA.post_recv_then`,
+:meth:`HCA.poll_then`, :meth:`HCA.register_then` and
+:meth:`HCA.deregister_then`, which charge the same costs and open the
+same spans as their generator counterparts, and the send and receive
+queues hand a WR straight to a waiting callback.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from typing import (Any, Callable, Dict, Generator, Optional, Sequence,
 from repro import fastpath, sanitize, trace
 from repro.analysis.counters import CounterSet
 from repro.engine.clock import TickClock
-from repro.engine.core import NORMAL, Event, SimKernel
+from repro.engine.core import SimKernel
 from repro.faults import FaultInjector
 from repro.ib.att import ATTCache
 from repro.ib.bus import BusModel
@@ -147,12 +155,20 @@ class Wire:
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
         self._ends: Dict[int, "HCA"] = {}
+        #: id(sender) -> the HCA at the other end, resolved at attach
+        self._far: Dict[int, "HCA"] = {}
 
     def attach(self, hca: "HCA") -> None:
         """Connect one HCA end."""
         if len(self._ends) >= 2 and id(hca) not in self._ends:
             raise IBVerbsError("a wire has exactly two ends")
         self._ends[id(hca)] = hca
+        self._far = {
+            key: other
+            for key in self._ends
+            for other_key, other in self._ends.items()
+            if other_key != key
+        }
 
     def deliver(self, sender: "HCA", packet: _Packet, delay_ticks: int) -> None:
         """Schedule *packet* to arrive at the far end after *delay_ticks*.
@@ -162,18 +178,14 @@ class Wire:
         heap entry per packet instead of three (process start, timeout,
         process exit) is a measurable share of the event budget.
         """
-        others = [h for key, h in self._ends.items() if key != id(sender)]
-        if not others:
+        dest = self._far.get(id(sender))
+        if dest is None:
             raise IBVerbsError("wire has no far end attached")
-        dest = others[0]
 
         def _arrive(_ev, dest=dest, packet=packet, wire=self):
             dest._on_arrival(packet, wire)
 
-        ev = self.kernel.event()
-        ev._triggered = True
-        ev.callbacks.append(_arrive)
-        self.kernel._schedule(ev, delay_ticks, NORMAL)
+        self.kernel.call_after(delay_ticks, _arrive)
 
 
 class HCA:
@@ -271,6 +283,28 @@ class HCA:
         yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
         return mr
 
+    def register_then(
+        self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int,
+        length: int, then: Callable[[MemoryRegion], None],
+    ) -> None:
+        """Callback form of :meth:`register_memory`: the same cost and
+        span; *then(mr)* runs when the registration completes.  A failed
+        registration raises here, synchronously."""
+        span = trace.begin("ib.mr.register", track=self.name, bytes=length)
+        try:
+            mr, ns = self.reg.register(aspace, pd, vaddr, length)
+        except BaseException:
+            trace.end(span)
+            raise
+        self._mrs_by_lkey[mr.lkey] = mr
+        self._mrs_by_rkey[mr.rkey] = mr
+
+        def _registered(_ev):
+            trace.end(span)
+            then(mr)
+
+        self.kernel.call_after(self.clock.ns_to_ticks(ns), _registered)
+
     def deregister_memory(self, aspace: AddressSpace, mr: MemoryRegion) -> Generator:
         """Deregister *mr* (timed)."""
         tracer = trace.active()
@@ -285,6 +319,25 @@ class HCA:
         self._mrs_by_lkey.pop(mr.lkey, None)
         self._mrs_by_rkey.pop(mr.rkey, None)
         yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
+
+    def deregister_then(self, aspace: AddressSpace, mr: MemoryRegion,
+                        then: Callable[[], None]) -> None:
+        """Callback form of :meth:`deregister_memory`; *then()* runs
+        when the deregistration completes."""
+        span = trace.begin("ib.mr.deregister", track=self.name, bytes=mr.length)
+        try:
+            ns = self.reg.deregister(aspace, mr)
+        except BaseException:
+            trace.end(span)
+            raise
+        self._mrs_by_lkey.pop(mr.lkey, None)
+        self._mrs_by_rkey.pop(mr.rkey, None)
+
+        def _deregistered(_ev):
+            trace.end(span)
+            then()
+
+        self.kernel.call_after(self.clock.ns_to_ticks(ns), _deregistered)
 
     def lookup_mr(self, lkey: int) -> MemoryRegion:
         """The MR registered under *lkey*."""
@@ -340,6 +393,39 @@ class HCA:
             yield from self._post_send_impl(qp, wr)
 
     def _post_send_impl(self, qp: QueuePair, wr: SendWR) -> Generator:
+        ticks = self._post_send_ticks(qp, wr)
+        if not qp.wr_slots.try_acquire():  # blocks while the queue is full
+            yield qp.wr_slots.request()
+        yield self.kernel.timeout(ticks)
+        qp.send_q.put_nowait(wr)
+
+    def post_send_then(self, qp: QueuePair, wr: SendWR,
+                       then: Callable[[], None]) -> None:
+        """Callback form of :meth:`post_send`: the same checks (raised
+        here, synchronously), cost, span and hand-off; *then()* runs once
+        the WR is on the send queue."""
+        span = trace.begin("ib.post_send", track=self.name, opcode=wr.opcode,
+                           bytes=wr.total_bytes, sges=len(wr.sges))
+        try:
+            ticks = self._post_send_ticks(qp, wr)
+        except BaseException:
+            trace.end(span)
+            raise
+
+        def _queued(_ev):
+            qp.send_q.put_nowait(wr)
+            trace.end(span)
+            then()
+
+        if qp.wr_slots.try_acquire():
+            self.kernel.call_after(ticks, _queued)
+        else:  # the queue is full: wait for a slot
+            qp.wr_slots.request().callbacks.append(
+                lambda _ev: self.kernel.call_after(ticks, _queued)
+            )
+
+    def _post_send_ticks(self, qp: QueuePair, wr: SendWR) -> int:
+        """Check a send WR and count the post; returns its CPU cost."""
         if not qp.connected:
             raise IBVerbsError(
                 f"post_send on QP {qp.qp_num} in state {qp.state} "
@@ -362,13 +448,27 @@ class HCA:
             + self.bus.doorbell_ns()
         )
         self.counters.add("hca.post_send")
-        if not qp.wr_slots.try_acquire():  # blocks while the queue is full
-            yield qp.wr_slots.request()
-        yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        qp.send_q.put_nowait(wr)
+        return self.clock.ns_to_ticks(ns)
 
     def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator:
         """Post a receive WR (no doorbell on the fast path)."""
+        yield self.kernel.timeout(self._post_recv_ticks(wr))
+        qp.recv_q.put_nowait(wr)
+
+    def post_recv_then(self, qp: QueuePair, wr: RecvWR,
+                       then: Callable[[], None]) -> None:
+        """Callback form of :meth:`post_recv`; *then()* runs once the WR
+        is on the receive queue."""
+        ticks = self._post_recv_ticks(wr)
+
+        def _queued(_ev):
+            qp.recv_q.put_nowait(wr)
+            then()
+
+        self.kernel.call_after(ticks, _queued)
+
+    def _post_recv_ticks(self, wr: RecvWR) -> int:
+        """Check a receive WR and count the post; returns its CPU cost."""
         san = sanitize._active
         for sge in wr.sges:
             mr = self.lookup_mr(sge.lkey)
@@ -380,8 +480,7 @@ class HCA:
                 san.check_dma(mr, sge.addr, sge.length, "post_recv")
         ns = self.config.post_base_ns * 0.6 + len(wr.sges) * self.config.post_per_sge_ns
         self.counters.add("hca.post_recv")
-        yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        qp.recv_q.put_nowait(wr)
+        return self.clock.ns_to_ticks(ns)
 
     # -- completion consumption (CPU side) ------------------------------------------------
     def wait_completion(self, cq: CompletionQueue) -> Generator:
@@ -391,6 +490,16 @@ class HCA:
             wc = yield cq.store.get()
         yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.poll_ns))
         return wc
+
+    def poll_then(self, cq: CompletionQueue,
+                  then: Callable[[WorkCompletion], None]) -> None:
+        """Callback form of :meth:`wait_completion`: *then(wc)* runs one
+        poll cost after a CQE is available (the CQ hands it over without
+        a kernel event)."""
+        ticks = self.clock.ns_to_ticks(self.config.poll_ns)
+        cq.store.get_then(
+            lambda wc: self.kernel.call_after(ticks, lambda _ev: then(wc))
+        )
 
     def try_poll(self, cq: CompletionQueue) -> Optional[WorkCompletion]:
         """Non-blocking poll (untimed peek; benchmarks that care about
@@ -404,18 +513,10 @@ class HCA:
             yield from self._handle_send(qp, wr)
 
     # -- folded send pipeline (see "Event folding" in the module docstring) --
-    def _after(self, delay_ticks: int,
-               callback: Callable[[Event], None]) -> None:
-        """Schedule *callback* to run after *delay_ticks* (one event)."""
-        ev = self.kernel.event()
-        ev._triggered = True
-        ev.callbacks.append(callback)
-        self.kernel._schedule(ev, delay_ticks, NORMAL)
-
     def _tx_rearm(self, qp: QueuePair) -> None:
-        """Arm the folded send engine: wait for the next posted WR."""
-        ev = qp.send_q.get()
-        ev.callbacks.append(lambda ev, qp=qp: self._tx_begin(qp, ev.value))
+        """Arm the folded send engine: the send queue hands it the next
+        posted WR directly."""
+        qp.send_q.get_then(lambda wr, qp=qp: self._tx_begin(qp, wr))
 
     def _tx_begin(self, qp: QueuePair, wr: SendWR) -> None:
         if (
@@ -442,7 +543,7 @@ class HCA:
             )
 
     def _tx_fetch(self, qp: QueuePair, wr: SendWR) -> None:
-        self._after(
+        self.kernel.call_after(
             self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges))),
             lambda _ev, qp=qp, wr=wr: self._tx_launch(qp, wr),
         )
@@ -492,7 +593,7 @@ class HCA:
             )
 
     def _tx_drain(self, qp: QueuePair, gather_ticks: int) -> None:
-        self._after(gather_ticks, lambda _ev, qp=qp: self._tx_done(qp))
+        self.kernel.call_after(gather_ticks, lambda _ev, qp=qp: self._tx_done(qp))
 
     def _tx_done(self, qp: QueuePair) -> None:
         self.bus.read_channel.release()
@@ -785,7 +886,7 @@ class HCA:
                 )
                 qp.wr_slots.release()
 
-            self._after(
+            self.kernel.call_after(
                 self.clock.ns_to_ticks(self.config.cqe_write_ns), _complete
             )
             return
@@ -893,17 +994,12 @@ class HCA:
         qp = self._qps.get(packet.dst_qp)
         if qp is None:
             raise IBVerbsError(f"send targets unknown QP {packet.dst_qp}")
-        recv_wr = qp.recv_q.try_get()
-        if recv_wr is not None:
-            self._rx_send_fetch(qp, recv_wr, packet, wire)
-        else:
-            # no posted receive yet: wait for one (the RNR-wait model)
-            ev = qp.recv_q.get()
-            ev.callbacks.append(
-                lambda ev, qp=qp, packet=packet, wire=wire: self._rx_send_fetch(
-                    qp, ev.value, packet, wire
-                )
-            )
+        # the next posted receive, at once or when it is posted (the
+        # RNR-wait model)
+        qp.recv_q.get_then(
+            lambda recv_wr, qp=qp, packet=packet, wire=wire:
+                self._rx_send_fetch(qp, recv_wr, packet, wire)
+        )
 
     def _rx_send_fetch(
         self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire
@@ -911,7 +1007,7 @@ class HCA:
         status = "success"
         if recv_wr.total_bytes < packet.nbytes:
             status = "local-length-error"
-        self._after(
+        self.kernel.call_after(
             self.clock.ns_to_ticks(self.config.recv_wqe_ns),
             lambda _ev: self._rx_send_grant(qp, recv_wr, packet, wire, status),
         )
@@ -937,7 +1033,7 @@ class HCA:
             recv_wr.sges, min(packet.nbytes, recv_wr.total_bytes)
         )
         ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
-        self._after(
+        self.kernel.call_after(
             self.clock.ns_to_ticks(ns),
             lambda _ev: self._rx_send_done(qp, recv_wr, packet, wire, status),
         )
@@ -989,7 +1085,7 @@ class HCA:
             self.bus.config.burst_ns
         scatter_ns += self.bus.stream_ns(packet.nbytes)
         ns = max(scatter_ns, packet.stream_ns)
-        self._after(
+        self.kernel.call_after(
             self.clock.ns_to_ticks(ns),
             lambda _ev: self._rx_write_done(packet, wire),
         )

@@ -175,7 +175,7 @@ class RegistrationEngine:
             pages, first, last = run
             pins = pages.pins[first:last + 1]
             unpinned = pins < 1
-            if unpinned.any():
+            if np.count_nonzero(unpinned):
                 i = first + int(np.argmax(unpinned))
                 raise IBVerbsError(
                     f"unpin of page {pages.start + i * pages.page_size:#x} "

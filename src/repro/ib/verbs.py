@@ -10,7 +10,7 @@ passive data; timing and movement live in :mod:`repro.ib.hca` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.engine.core import SimKernel
@@ -122,17 +122,16 @@ class SendWR:
     remote_addr: int = 0
     rkey: int = 0
     payload: Any = None
+    #: message payload size (sum over SGEs), summed once at construction:
+    #: the adapter reads it several times per WR
+    total_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.opcode not in ("send", "rdma_write", "rdma_read"):
             raise IBVerbsError(f"unsupported opcode {self.opcode!r}")
         if not self.sges:
             raise IBVerbsError("work request needs at least one SGE")
-
-    @property
-    def total_bytes(self) -> int:
-        """Message payload size (sum over SGEs)."""
-        return sum(s.length for s in self.sges)
+        self.total_bytes = sum(s.length for s in self.sges)
 
 
 @dataclass
@@ -141,15 +140,13 @@ class RecvWR:
 
     wr_id: int
     sges: Sequence[SGE]
+    #: receive buffer capacity (sum over SGEs), summed once
+    total_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.sges:
             raise IBVerbsError("receive work request needs at least one SGE")
-
-    @property
-    def total_bytes(self) -> int:
-        """Receive buffer capacity."""
-        return sum(s.length for s in self.sges)
+        self.total_bytes = sum(s.length for s in self.sges)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ class PageRun:
     def first_pinned(self, a: int, b: int) -> Optional[int]:
         """Index of the first pinned page in ``[a, b)``, or None."""
         pinned = self.pins[a:b] > 0
-        return a + int(np.argmax(pinned)) if pinned.any() else None
+        return a + int(np.argmax(pinned)) if np.count_nonzero(pinned) else None
 
     def _append(self, paddr: np.ndarray) -> None:
         """Extend the run by fresh (unpinned, private) pages."""
@@ -308,7 +308,7 @@ class PageTable:
             )
         # report the first failure the per-page loop would have hit
         bad = paddr % page_size != 0
-        i_bad = int(np.argmax(bad)) if bad.any() else n
+        i_bad = int(np.argmax(bad)) if np.count_nonzero(bad) else n
         clash = self._first_mapped(page_size, vaddr, end)
         i_clash = n if clash is None else (clash - vaddr) // page_size
         if i_bad < n and i_bad <= i_clash:

@@ -17,11 +17,19 @@ frames (16 MB) generated on demand, so constructing a 16 GB machine does
 not materialise four million frame addresses.  Scattering within a 16 MB
 window is exactly what the prefetcher model cares about — consecutive
 virtual pages land on non-adjacent frames.
+
+Every fresh node of a spec draws the same windows (same seed, same
+fragmentation, same pool size), and drawing one costs a ``choice`` and
+two sorts of 4096 frames.  A pool whose RNG has run from its seed
+therefore takes window *k* from a process-wide memo keyed by (seed,
+fragmentation, pool frames, *k*): a read-only array plus the RNG state
+after the draw, which the pool adopts, so its RNG and its snapshots are
+exactly what drawing the window would have left.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +43,12 @@ FRAMES_PER_HUGEPAGE = PAGE_2M // PAGE_4K
 _WINDOW_FRAMES = 4096
 #: an exhausted shuffle window
 _EMPTY = np.empty(0, dtype=np.int64)
+#: shuffled windows by (seed, fragmentation, pool frames, refill index):
+#: the read-only window (frame addresses) and the RNG state after it
+_WINDOW_MEMO: Dict[tuple, Tuple[np.ndarray, dict]] = {}
+#: memoised windows kept at most (32 KB of addresses each); past the cap
+#: pools draw their windows themselves
+_WINDOW_MEMO_MAX = 64
 
 
 class OutOfMemoryError(MemoryError):
@@ -97,9 +111,9 @@ class PhysicalMemory:
 
         # hugepage pool sits at the top of physical memory
         self._huge_base = total_bytes - huge_bytes
-        self._free_huge: List[int] = [
-            self._huge_base + i * PAGE_2M for i in range(hugepages)
-        ]
+        self._free_huge: List[int] = list(
+            range(self._huge_base, total_bytes, PAGE_2M)
+        )
         self._total_huge = hugepages
 
         # lazy 4 KB pool below it
@@ -114,6 +128,9 @@ class PhysicalMemory:
         self._returned = np.empty(_WINDOW_FRAMES, dtype=np.int64)
         self._n_returned = 0
         self._rng = np.random.default_rng(seed)
+        #: window-memo key prefix; None once the RNG state is not the
+        #: seed's (a snapshot without a key was restored)
+        self._memo_key: Optional[tuple] = (seed, fragmentation, self._total_small)
         # CoW sharing: refcounts > 1 for frames mapped by several address
         # spaces after a fork; freeing a shared frame just drops a ref
         self._shared: dict = {}
@@ -132,6 +149,15 @@ class PhysicalMemory:
         n = min(_WINDOW_FRAMES, self._total_small - self._cursor)
         if n <= 0:
             raise OutOfMemoryError("4 KB frame pool exhausted")
+        self._window_pos = 0
+        key = None
+        if self._memo_key is not None:
+            key = self._memo_key + (self._cursor // _WINDOW_FRAMES,)
+            memo = _WINDOW_MEMO.get(key)
+            if memo is not None:
+                self._window, self._rng.bit_generator.state = memo
+                self._cursor += n
+                return
         order = np.arange(self._cursor, self._cursor + n, dtype=np.int64)
         self._cursor += n
         if self.fragmentation > 0.0 and n > 1:
@@ -140,7 +166,9 @@ class PhysicalMemory:
                 idx = self._rng.choice(n, size=n_shuffle, replace=False)
                 order[np.sort(idx)] = order[self._rng.permutation(np.sort(idx))]
         self._window = order * PAGE_4K
-        self._window_pos = 0
+        if key is not None and len(_WINDOW_MEMO) < _WINDOW_MEMO_MAX:
+            self._window.setflags(write=False)
+            _WINDOW_MEMO[key] = (self._window, self._rng.bit_generator.state)
 
     def alloc_frame(self) -> int:
         """Allocate one 4 KB frame; returns its physical address."""
@@ -201,7 +229,7 @@ class PhysicalMemory:
         if not len(frames):
             return
         bad = (frames % PAGE_4K != 0) | (frames >= self._huge_base)
-        if bad.any():
+        if np.count_nonzero(bad):
             paddr = int(frames[int(np.argmax(bad))])
             raise ValueError(f"bad 4 KB frame address {paddr:#x}")
         if self._shared:
@@ -283,6 +311,7 @@ class PhysicalMemory:
             "free_huge": list(self._free_huge),
             "shared": dict(self._shared),
             "rng_state": self._rng.bit_generator.state,
+            "memo_key": self._memo_key,
         }
 
     def load_state(self, state: dict) -> None:
@@ -295,3 +324,6 @@ class PhysicalMemory:
         self._free_huge = list(state["free_huge"])
         self._shared = dict(state["shared"])
         self._rng.bit_generator.state = state["rng_state"]
+        # the RNG state is the seed's after the same refills whenever the
+        # dumped pool's was, so its later windows still match the memo
+        self._memo_key = state.get("memo_key")

@@ -16,6 +16,14 @@ size > 16 KB              RDMA rendezvous (:mod:`repro.mpi.rendezvous`)
 
 Every communicator call is timed into the rank's mpiP-style profiler, so
 Fig 6's communication/computation split is measured, not assumed.
+
+Point-to-point messages start through :meth:`Endpoint.start_send` and
+:meth:`Endpoint.start_recv`, which return one event carrying the result.
+On the clean path the protocol runs as a callback chain
+(:mod:`repro.mpi.fold`), so a message spawns no process; under a fault
+plan or ``REPRO_NO_FOLD`` the event is the generator protocol run as a
+process (the oracle).  The progress engines that drain the completion
+queues are callback chains in both cases.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 
-from repro.engine.core import Event, Process, SimKernel
+from repro import fastpath, trace
+from repro.engine.core import Event, SimKernel
 from repro.engine.resources import Channel, Store
 from repro.faults import MPITransportError
 from repro.ib.verbs import (
@@ -36,10 +45,12 @@ from repro.ib.verbs import (
     QueuePair,
     RecvWR,
     SendWR,
+    WorkCompletion,
 )
 from repro.mpi import eager as eager_mod
 from repro.mpi import rendezvous as rndv_mod
 from repro.mpi.datatypes import pack_sges
+from repro.mpi.fold import Join, Op
 from repro.mpi.profiler import MPIProfiler
 from repro.mpi.regcache import RegistrationCache
 from repro.systems.machine import Cluster, OSProcess
@@ -127,7 +138,8 @@ class Endpoint:
         proc.aspace.unmap_hooks.append(self.regcache.invalidate_range)
         self._wr_ids = itertools.count(1)
         self._rndv_ids = itertools.count(1)
-        self._send_events: Dict[int, Event] = {}
+        #: send WR id -> the continuation its completion is handed to
+        self._send_waiters: Dict[int, Callable[[WorkCompletion], None]] = {}
         self._recv_slots: Dict[int, Tuple[int, int, object]] = {}
         self._ready = False
 
@@ -162,76 +174,101 @@ class Endpoint:
         # namespaced per rank so concurrent rendezvous cannot collide
         return (self.rank << 32) | next(self._rndv_ids)
 
+    def on_send_completion(self, wr_id: int,
+                           callback: Callable[[WorkCompletion], None]) -> None:
+        """Hand the completion of send WR *wr_id* to *callback(wc)*."""
+        self._send_waiters[wr_id] = callback
+
     def expect_send_completion(self, wr_id: int) -> Event:
-        """Event that fires when the send WR *wr_id* completes locally."""
+        """Event that fires when the send WR *wr_id* completes locally
+        (failing with :class:`MPITransportError` on an error CQE)."""
         ev = self.kernel.event()
-        self._send_events[wr_id] = ev
+
+        def _settle(wc: WorkCompletion) -> None:
+            if wc.ok:
+                ev.succeed(wc)
+            else:
+                ev.fail(self.completion_error(wc))
+
+        self._send_waiters[wr_id] = _settle
         return ev
+
+    def completion_error(self, wc: WorkCompletion) -> MPITransportError:
+        """The error an error CQE for a send WR raises."""
+        return MPITransportError(
+            f"rank {self.rank}: send WR {wc.wr_id} "
+            f"({wc.byte_len} B, {wc.opcode}) failed: {wc.status}"
+        )
+
+    def _folding(self) -> bool:
+        """True when messages run as callback chains: folding is on and
+        no fault plan needs the generator protocols."""
+        return fastpath.fold_enabled() and self.hca.faults is None
 
     # -- setup -------------------------------------------------------------------
     def setup(self) -> Generator:
         """Allocate and register bounce buffers, pre-post receives, start
         progress engines.  Timed (runs before the profiled window)."""
-        from repro import trace
-
-        tracer = trace.active()
-        if tracer is None:
-            yield from self._setup_impl()
-            return
-        with tracer.span("mpi.setup", track=f"rank{self.rank}.tx",
-                         rank=self.rank):
-            yield from self._setup_impl()
-
-    def _setup_impl(self) -> Generator:
-        cfg = self.config
-        n_qps = max(1, len(self.qps))
-        n_recv_bufs = cfg.prepost_depth * n_qps
-        total = (cfg.bounce_buffers + n_recv_bufs) * cfg.eager_buf_bytes
-        slab = self.proc.malloc(total)
-        # registered through the regcache's retry policy so a transient
-        # driver failure during setup is retried, not fatal
-        mr = yield from self.regcache.register_with_retry(slab, total)
-        cursor = slab
-        for _ in range(cfg.bounce_buffers):
-            self.bounce_pool.put((cursor, mr))
-            cursor += cfg.eager_buf_bytes
-        for peer, qp in self.qps.items():
-            for _ in range(cfg.prepost_depth):
-                yield from self._post_eager_recv(qp, cursor, mr)
+        span = trace.begin("mpi.setup", track=f"rank{self.rank}.tx",
+                           rank=self.rank)
+        try:
+            cfg = self.config
+            n_qps = max(1, len(self.qps))
+            n_recv_bufs = cfg.prepost_depth * n_qps
+            total = (cfg.bounce_buffers + n_recv_bufs) * cfg.eager_buf_bytes
+            slab = self.proc.malloc(total)
+            # registered through the regcache's retry policy so a transient
+            # driver failure during setup is retried, not fatal
+            mr = yield from self.regcache.register_with_retry(slab, total)
+            cursor = slab
+            for _ in range(cfg.bounce_buffers):
+                self.bounce_pool.put_nowait((cursor, mr))
                 cursor += cfg.eager_buf_bytes
-        self.kernel.process(self._recv_progress(), name=f"r{self.rank}-rxprog")
-        self.kernel.process(self._send_progress(), name=f"r{self.rank}-txprog")
-        self._ready = True
+            for qp in self.qps.values():
+                for _ in range(cfg.prepost_depth):
+                    yield from self.hca.post_recv(
+                        qp, self._eager_recv_wr(qp, cursor, mr))
+                    cursor += cfg.eager_buf_bytes
+            self._recv_progress()
+            self._send_progress()
+            self._ready = True
+        finally:
+            trace.end(span)
 
-    def _post_eager_recv(self, qp: QueuePair, buf: int,
-                         mr: MemoryRegion) -> Generator:
+    def _eager_recv_wr(self, qp: QueuePair, buf: int,
+                       mr: MemoryRegion) -> RecvWR:
+        """A receive WR for one eager bounce buffer, with its slot."""
         wr_id = self.next_wr_id()
         self._recv_slots[wr_id] = (buf, qp.qp_num, (qp, mr))
-        wr = RecvWR(wr_id=wr_id, sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
-        yield from self.hca.post_recv(qp, wr)
+        return RecvWR(wr_id=wr_id,
+                      sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
 
     # -- progress engines -------------------------------------------------------------
-    def _recv_progress(self) -> Generator:
-        while True:
-            wc = yield from self.hca.wait_completion(self.recv_cq)
-            buf, _qp_num, (qp, mr) = self._recv_slots.pop(wc.wr_id)
-            env = wc.payload
-            self._dispatch(env)
-            yield from self._post_eager_recv(qp, buf, mr)
+    #
+    # Callback chains: each engine polls its CQ (one poll cost per CQE,
+    # one CQE at a time), handles the entry, and only then polls again.
 
-    def _send_progress(self) -> Generator:
-        while True:
-            wc = yield from self.hca.wait_completion(self.send_cq)
-            ev = self._send_events.pop(wc.wr_id, None)
-            if ev is None:
-                raise RuntimeError(f"completion for unknown WR {wc.wr_id}")
-            if wc.ok:
-                ev.succeed(wc)
-            else:
-                ev.fail(MPITransportError(
-                    f"rank {self.rank}: send WR {wc.wr_id} "
-                    f"({wc.byte_len} B, {wc.opcode}) failed: {wc.status}"
-                ))
+    def _recv_progress(self) -> None:
+        self.hca.poll_then(self.recv_cq, self._on_recv_completion)
+
+    def _on_recv_completion(self, wc: WorkCompletion) -> None:
+        buf, _qp_num, (qp, mr) = self._recv_slots.pop(wc.wr_id)
+        # repost the bounce (the engine polls again once it is queued)
+        # before the envelope wakes a receiver, which then runs after it
+        self.hca.post_recv_then(qp, self._eager_recv_wr(qp, buf, mr),
+                                self._recv_progress)
+        self._dispatch(wc.payload)
+
+    def _send_progress(self) -> None:
+        self.hca.poll_then(self.send_cq, self._on_send_completion)
+
+    def _on_send_completion(self, wc: WorkCompletion) -> None:
+        waiter = self._send_waiters.pop(wc.wr_id, None)
+        if waiter is None:
+            raise RuntimeError(f"completion for unknown WR {wc.wr_id}")
+        # poll the next CQE before the woken sender carries on
+        self._send_progress()
+        waiter(wc)
 
     def _dispatch(self, env: Envelope) -> None:
         if env.kind in ("eager", "rts", "rdat"):
@@ -244,13 +281,59 @@ class Endpoint:
             raise RuntimeError(f"unknown envelope kind {env.kind!r}")
 
     # -- point-to-point: send ------------------------------------------------------------
-    def send(self, dest: int, tag: int, size: int,
-             addr: Optional[int] = None, payload: Any = None) -> Generator:
-        """Blocking standard-mode send."""
+    def start_send(self, dest: int, tag: int, size: int,
+                   addr: Optional[int] = None, payload: Any = None) -> Event:
+        """Start a standard-mode send; returns an event that fires when
+        it completes (or fails with the send's error)."""
+        if not self._folding():
+            return self.kernel.process(
+                self.send(dest, tag, size, addr, payload),
+                name=f"r{self.rank}-send",
+            )
+        op = Op(self)
+        op.call(self._send_then, op, dest, tag, size, addr, payload)
+        return op.done
+
+    def _send_then(self, op: Op, dest: int, tag: int, size: int,
+                   addr: Optional[int], payload: Any) -> None:
+        """Callback form of :meth:`send`."""
+        self._check_send(dest, size)
+        then = op.finish
+        if self.is_local(dest):
+            cfg = self.config
+            ns = cfg.intra_latency_ns + size * cfg.intra_copy_ns_per_byte
+
+            def _delivered() -> None:
+                env = self.make_envelope("eager", dest, tag, size, payload=payload)
+                self.world.endpoint(dest).match_channel.send(env)
+                then()
+
+            op.after(self.machine.clock.ns_to_ticks(ns), _delivered)
+        elif size <= self.config.eager_threshold:
+            eager_mod.eager_send_then(op, dest, tag, size, addr, payload, then)
+        elif size <= self.config.rdma_threshold:
+            eager_mod.copy_rendezvous_send_then(
+                op, dest, tag, size, addr, payload, then
+            )
+        elif self.config.rndv_protocol == "read":
+            rndv_mod.rdma_read_rendezvous_send_then(
+                op, dest, tag, size, addr, payload, then
+            )
+        else:
+            rndv_mod.rdma_rendezvous_send_then(
+                op, dest, tag, size, addr, payload, then
+            )
+
+    def _check_send(self, dest: int, size: int) -> None:
         if size < 0:
             raise ValueError(f"negative message size {size}")
         if dest == self.rank:
             raise ValueError("send to self is not supported")
+
+    def send(self, dest: int, tag: int, size: int,
+             addr: Optional[int] = None, payload: Any = None) -> Generator:
+        """Blocking standard-mode send (the generator form)."""
+        self._check_send(dest, size)
         if self.is_local(dest):
             yield from self._send_intra(dest, tag, size, payload)
         elif size <= self.config.eager_threshold:
@@ -313,6 +396,62 @@ class Endpoint:
         self.world.endpoint(dest).match_channel.send(env)
 
     # -- point-to-point: recv -------------------------------------------------------------
+    def start_recv(self, source: Optional[int] = None, tag: Optional[int] = None,
+                   addr: Optional[int] = None) -> Event:
+        """Post a receive; returns an event that fires with
+        ``(payload, size, src, tag)`` (see :meth:`recv`)."""
+        if not self._folding():
+            return self.kernel.process(self.recv(source, tag, addr),
+                                       name=f"r{self.rank}-recv")
+        op = Op(self)
+        self._post_recv_then(op, source, tag, addr)
+        return op.done
+
+    def start_sendrecv(self, dest: int, sendtag: int, size: int,
+                       source: Optional[int] = None, recvtag: Optional[int] = None,
+                       send_addr: Optional[int] = None,
+                       recv_addr: Optional[int] = None,
+                       payload: Any = None) -> Event:
+        """Start a send and a receive together; returns an event firing
+        with ``[None, recv_result]`` once both completed (the value of an
+        ``AllOf`` over :meth:`start_send` and :meth:`start_recv`)."""
+        if not self._folding():
+            return self.kernel.all_of([
+                self.start_send(dest, sendtag, size, send_addr, payload),
+                self.start_recv(source, recvtag, recv_addr),
+            ])
+        join = Join(self, 2)
+        sop = Op(self, join.notifier(0))
+        sop.call(self._send_then, sop, dest, sendtag, size, send_addr, payload)
+        rop = Op(self, join.notifier(1))
+        self._post_recv_then(rop, source, recvtag, recv_addr)
+        return join.done
+
+    def _post_recv_then(self, op: Op, source: Optional[int], tag: Optional[int],
+                        addr: Optional[int]) -> None:
+        self.match_channel.receive_then(
+            lambda env: op.call(self._recv_then, op, env, addr),
+            _matcher(source, tag),
+        )
+
+    def _recv_then(self, op: Op, env: Envelope, addr: Optional[int]) -> None:
+        """Callback form of :meth:`recv` once *env* matched."""
+        def then(payload: Any) -> None:
+            op.finish((payload, env.size, env.src, env.tag))
+
+        if env.kind == "eager":
+            if self.is_local(env.src):
+                ns = env.size * self.config.intra_copy_ns_per_byte
+                op.after(self.machine.clock.ns_to_ticks(ns), then, env.payload)
+            else:
+                eager_mod.eager_recv_copy_out_then(op, env, addr, then)
+        elif env.size <= self.config.rdma_threshold:
+            eager_mod.copy_rendezvous_recv_then(op, env, addr, then)
+        elif self.config.rndv_protocol == "read":
+            rndv_mod.rdma_read_rendezvous_recv_then(op, env, addr, then)
+        else:
+            rndv_mod.rdma_rendezvous_recv_then(op, env, addr, then)
+
     def recv(self, source: Optional[int] = None, tag: Optional[int] = None,
              addr: Optional[int] = None) -> Generator:
         """Blocking receive; returns ``(payload, size, src, tag)``.
@@ -320,16 +459,7 @@ class Endpoint:
         *addr* is the user receive buffer — required for messages above
         the RDMA threshold (the adapter must have a target).
         """
-        def matches(env: Envelope) -> bool:
-            if env.kind not in ("eager", "rts"):
-                return False
-            if source is not None and env.src != source:
-                return False
-            if tag is not None and env.tag != tag:
-                return False
-            return True
-
-        env = yield self.match_channel.receive(matches)
+        env = yield self.match_channel.receive(_matcher(source, tag))
         if env.kind == "eager":
             if self.is_local(env.src):
                 cfg = self.config
@@ -347,6 +477,20 @@ class Endpoint:
         else:
             payload = yield from rndv_mod.rdma_rendezvous_recv(self, env, addr)
         return payload, env.size, env.src, env.tag
+
+
+def _matcher(source: Optional[int], tag: Optional[int]) -> Callable[[Envelope], bool]:
+    """The match predicate of a receive posted for (*source*, *tag*)."""
+    def matches(env: Envelope) -> bool:
+        if env.kind not in ("eager", "rts"):
+            return False
+        if source is not None and env.src != source:
+            return False
+        if tag is not None and env.tag != tag:
+            return False
+        return True
+
+    return matches
 
 
 @dataclass
@@ -394,14 +538,17 @@ class Communicator:
     def send(self, dest: int, tag: int, size: int,
              addr: Optional[int] = None, payload: Any = None) -> Generator:
         """MPI_Send."""
-        return self._timed(
-            "MPI_Send", self.endpoint.send(dest, tag, size, addr, payload), size
-        )
+        t0 = self.kernel.now
+        yield self.endpoint.start_send(dest, tag, size, addr, payload)
+        self.profiler.record("MPI_Send", self.kernel.now - t0, size)
 
     def recv(self, source: Optional[int] = None, tag: Optional[int] = None,
              addr: Optional[int] = None) -> Generator:
         """MPI_Recv; returns ``(payload, size, src, tag)``."""
-        return self._timed("MPI_Recv", self.endpoint.recv(source, tag, addr))
+        t0 = self.kernel.now
+        result = yield self.endpoint.start_recv(source, tag, addr)
+        self.profiler.record("MPI_Recv", self.kernel.now - t0)
+        return result
 
     def sendrecv(self, dest: int, sendtag: int, size: int,
                  source: Optional[int] = None, recvtag: Optional[int] = None,
@@ -409,44 +556,32 @@ class Communicator:
                  payload: Any = None) -> Generator:
         """MPI_Sendrecv: send and receive concurrently."""
         t0 = self.kernel.now
-        sp = self.kernel.process(
-            self.endpoint.send(dest, sendtag, size, send_addr, payload),
-            name=f"r{self.rank}-sr-send",
+        results = yield self.endpoint.start_sendrecv(
+            dest, sendtag, size, source, recvtag, send_addr, recv_addr, payload
         )
-        rp = self.kernel.process(
-            self.endpoint.recv(source, recvtag, recv_addr),
-            name=f"r{self.rank}-sr-recv",
-        )
-        results = yield self.kernel.all_of([sp, rp])
         self.profiler.record("MPI_Sendrecv", self.kernel.now - t0, size)
         return results[1]
 
     def isend(self, dest: int, tag: int, size: int,
-              addr: Optional[int] = None, payload: Any = None) -> Process:
-        """Nonblocking send: returns a request (a DES process event);
-        complete it with :meth:`wait`."""
-        return self.kernel.process(
-            self.endpoint.send(dest, tag, size, addr, payload),
-            name=f"r{self.rank}-isend",
-        )
+              addr: Optional[int] = None, payload: Any = None) -> Event:
+        """Nonblocking send: returns a request (an event); complete it
+        with :meth:`wait`."""
+        return self.endpoint.start_send(dest, tag, size, addr, payload)
 
     def irecv(self, source: Optional[int] = None, tag: Optional[int] = None,
-              addr: Optional[int] = None) -> Process:
+              addr: Optional[int] = None) -> Event:
         """Nonblocking receive: returns a request; :meth:`wait` yields
         ``(payload, size, src, tag)``."""
-        return self.kernel.process(
-            self.endpoint.recv(source, tag, addr),
-            name=f"r{self.rank}-irecv",
-        )
+        return self.endpoint.start_recv(source, tag, addr)
 
-    def wait(self, request: Process) -> Generator:
+    def wait(self, request: Event) -> Generator:
         """Complete one nonblocking request (MPI_Wait)."""
         t0 = self.kernel.now
         result = yield request
         self.profiler.record("MPI_Wait", self.kernel.now - t0)
         return result
 
-    def waitall(self, requests: Sequence[Process]) -> Generator:
+    def waitall(self, requests: Sequence[Event]) -> Generator:
         """Complete several requests (MPI_Waitall); returns their
         results in order."""
         t0 = self.kernel.now

@@ -6,7 +6,11 @@ reduce+bcast otherwise), ring allgather and pairwise-exchange alltoallv.
 The NAS kernels run entirely on these plus point-to-point.
 
 Every collective uses its own tag space with a per-communicator epoch so
-back-to-back collectives cannot cross-match.
+back-to-back collectives cannot cross-match.  Each round starts its
+messages with :meth:`repro.mpi.api.Endpoint.start_send`,
+:meth:`~repro.mpi.api.Endpoint.start_recv` or
+:meth:`~repro.mpi.api.Endpoint.start_sendrecv` and waits on their result
+events, so a folded round spawns no process.
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ def barrier(comm: Communicator) -> Generator:
         dest = (rank + dist) % size
         src = (rank - dist) % size
         tag = base + k
-        sp = comm.kernel.process(ep.send(dest, tag, 1), name=f"bar-s{rank}")
-        rp = comm.kernel.process(ep.recv(src, tag), name=f"bar-r{rank}")
-        yield comm.kernel.all_of([sp, rp])
+        yield ep.start_sendrecv(dest, tag, 1, src, tag)
         dist <<= 1
         k += 1
 
@@ -80,7 +82,7 @@ def bcast(comm: Communicator, root: int, size: int, payload: Any = None,
     while mask < n:
         if vrank & mask:
             src = (vrank - mask + root) % n
-            value, _, _, _ = yield from ep.recv(src, tag, addr)
+            value, _, _, _ = yield ep.start_recv(src, tag, addr)
             break
         mask <<= 1
     mask >>= 1
@@ -90,7 +92,7 @@ def bcast(comm: Communicator, root: int, size: int, payload: Any = None,
         dest_v = vrank + mask
         if dest_v < n:
             dest = (dest_v + root) % n
-            yield from ep.send(dest, tag, size, addr, value)
+            yield ep.start_send(dest, tag, size, addr, value)
         mask >>= 1
     return value
 
@@ -114,11 +116,11 @@ def reduce(comm: Communicator, root: int, size: int, value: Any = None,
             src_v = vrank | mask
             if src_v < n:
                 src = (src_v + root) % n
-                other, _, _, _ = yield from ep.recv(src, tag, addr)
+                other, _, _, _ = yield ep.start_recv(src, tag, addr)
                 acc = op(acc, other)
         else:
             dest = (vrank - mask + root) % n
-            yield from ep.send(dest, tag, size, addr, acc)
+            yield ep.start_send(dest, tag, size, addr, acc)
             return None
         mask <<= 1
     return acc if rank == root else None
@@ -143,11 +145,8 @@ def allreduce(comm: Communicator, size: int, value: Any = None,
     k = 0
     while mask < n:
         partner = rank ^ mask
-        sp = comm.kernel.process(
-            ep.send(partner, tag + k, size, addr, acc), name=f"ar-s{rank}"
-        )
-        rp = comm.kernel.process(ep.recv(partner, tag + k, addr), name=f"ar-r{rank}")
-        results = yield comm.kernel.all_of([sp, rp])
+        results = yield ep.start_sendrecv(partner, tag + k, size, partner,
+                                          tag + k, addr, addr, acc)
         other = results[1][0]
         acc = op(acc, other)
         mask <<= 1
@@ -179,14 +178,10 @@ def allgather(comm: Communicator, size: int, value: Any = None,
         incoming_idx = (rank - step - 1) % n
         send_addr = addr + carry_idx * size if addr is not None else None
         recv_addr = addr + incoming_idx * size if addr is not None else None
-        sp = comm.kernel.process(
-            ep.send(right, tag + step, size, send_addr, (carry_idx, values[carry_idx])),
-            name=f"ag-s{rank}",
+        results = yield ep.start_sendrecv(
+            right, tag + step, size, left, tag + step, send_addr, recv_addr,
+            (carry_idx, values[carry_idx]),
         )
-        rp = comm.kernel.process(
-            ep.recv(left, tag + step, recv_addr), name=f"ag-r{rank}"
-        )
-        results = yield comm.kernel.all_of([sp, rp])
         idx, val = results[1][0]
         values[idx] = val
         carry_idx = idx
@@ -219,14 +214,10 @@ def alltoallv(comm: Communicator, sizes: List[int], payloads: Optional[List[Any]
     for step in range(1, n):
         dest = (rank + step) % n
         src = (rank - step) % n
-        sp = comm.kernel.process(
-            ep.send(dest, tag + step, sizes[dest], addrs[dest], payloads[dest]),
-            name=f"a2a-s{rank}",
+        results = yield ep.start_sendrecv(
+            dest, tag + step, sizes[dest], src, tag + step, addrs[dest],
+            recv_addrs[src], payloads[dest],
         )
-        rp = comm.kernel.process(
-            ep.recv(src, tag + step, recv_addrs[src]), name=f"a2a-r{rank}"
-        )
-        results = yield comm.kernel.all_of([sp, rp])
         received[src] = results[1][0]
     return received
 
@@ -247,12 +238,12 @@ def gather(comm: Communicator, root: int, size: int, value: Any = None) -> Gener
             src_v = vrank | mask
             if src_v < n:
                 src = (src_v + root) % n
-                other, _, _, _ = yield from ep.recv(src, tag)
+                other, _, _, _ = yield ep.start_recv(src, tag)
                 bundle.update(other)
         else:
             dest = (vrank - mask + root) % n
             # subtree payload size grows with the bundle
-            yield from ep.send(dest, tag, size * len(bundle), None, bundle)
+            yield ep.start_send(dest, tag, size * len(bundle), None, bundle)
             return None
         mask <<= 1
     if rank != root:
@@ -280,7 +271,7 @@ def scatter(comm: Communicator, root: int, size: int,
     while mask < n:
         if vrank & mask:
             src = (vrank - mask + root) % n
-            bundle, _, _, _ = yield from ep.recv(src, tag)
+            bundle, _, _, _ = yield ep.start_recv(src, tag)
             break
         mask <<= 1
     mask >>= 1
@@ -292,8 +283,8 @@ def scatter(comm: Communicator, root: int, size: int,
             dest = (dest_v + root) % n
             subtree = {k: v for k, v in bundle.items() if k >= dest_v}
             bundle = {k: v for k, v in bundle.items() if k < dest_v}
-            yield from ep.send(dest, tag, size * max(1, len(subtree)), None,
-                               subtree)
+            yield ep.start_send(dest, tag, size * max(1, len(subtree)), None,
+                                subtree)
         mask >>= 1
     return bundle[vrank]
 
@@ -318,15 +309,14 @@ def scan(comm: Communicator, size: int, value: Any = None,
         partner_down = rank - mask
         ops = []
         if partner_up < n:
-            ops.append(comm.kernel.process(
-                ep.send(partner_up, tag + k, size, None, carry)))
-        recv_proc = None
+            ops.append(ep.start_send(partner_up, tag + k, size, None, carry))
+        recv_req = None
         if partner_down >= 0:
-            recv_proc = comm.kernel.process(ep.recv(partner_down, tag + k))
-            ops.append(recv_proc)
+            recv_req = ep.start_recv(partner_down, tag + k)
+            ops.append(recv_req)
         if ops:
             results = yield comm.kernel.all_of(ops)
-        if recv_proc is not None:
+        if recv_req is not None:
             other = results[-1][0]
             result = op(other, result)
             carry = op(other, carry)

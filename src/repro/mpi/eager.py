@@ -9,36 +9,48 @@ Copy rendezvous (8 KB < size ≤ 16 KB): an RTS/CTS handshake followed by
 the payload chunked through bounce buffers.  Still no registration
 ("For buffers larger than 16 KB, it uses the RDMA feature of InfiniBand
 so we only see memory registration effects for those buffers", §5.1).
+
+Each protocol half comes twice: as a generator (the oracle, run as a
+process under a fault plan or ``REPRO_NO_FOLD``) and as a callback
+chain on a :class:`repro.mpi.fold.Op` (the ``*_then`` functions, the
+clean path).  Both charge the same costs at the same ticks and open the
+same ``mpi.*`` span.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro import trace
 from repro.faults import MPITransportError
 from repro.ib.verbs import SGE, SendWR
 
 if TYPE_CHECKING:
+    from repro.ib.verbs import WorkCompletion
     from repro.mpi.api import Endpoint, Envelope
+    from repro.mpi.fold import Op
 
 
 def eager_send(endpoint: Endpoint, dest: int, tag: int, size: int, addr: Optional[int],
                payload: Any) -> Generator:
     """Send one eager message (size must fit a bounce buffer)."""
-    tracer = trace.active()
-    if tracer is None:
-        yield from _eager_send_impl(endpoint, dest, tag, size, addr, payload)
-        return
-    with tracer.span("mpi.eager.send", track=f"rank{endpoint.rank}.tx",
-                     dest=dest, bytes=size):
-        yield from _eager_send_impl(endpoint, dest, tag, size, addr, payload)
+    span = trace.begin("mpi.eager.send", track=f"rank{endpoint.rank}.tx",
+                       dest=dest, bytes=size)
+    try:
+        env = endpoint.make_envelope("eager", dest, tag, size, payload=payload)
+        yield from send_through_bounce(endpoint, dest, env, size, addr)
+    finally:
+        trace.end(span)
 
 
-def _eager_send_impl(endpoint: Endpoint, dest: int, tag: int, size: int,
-                     addr: Optional[int], payload: Any) -> Generator:
-    env = endpoint.make_envelope("eager", dest, tag, size, payload=payload)
-    yield from send_through_bounce(endpoint, dest, env, size, addr)
+def eager_send_then(op: Op, dest: int, tag: int, size: int, addr: Optional[int],
+                    payload: Any, then: Callable[[], None]) -> None:
+    """Callback form of :func:`eager_send`."""
+    ep = op.ep
+    op.span = trace.begin("mpi.eager.send", f"rank{ep.rank}.tx",
+                          dest=dest, bytes=size)
+    env = ep.make_envelope("eager", dest, tag, size, payload=payload)
+    bounce_send_then(op, dest, env, size, addr, then)
 
 
 def send_through_bounce(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes: int,
@@ -68,12 +80,72 @@ def send_through_bounce(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes
         try:
             yield done
         except MPITransportError as exc:
-            raise MPITransportError(
-                f"rank {endpoint.rank}: {env.kind!r} message to rank "
-                f"{dest} ({wire_bytes} B) aborted: {exc}"
-            ) from exc
+            raise _bounce_aborted(endpoint, dest, env, wire_bytes, exc) from exc
     finally:
         endpoint.bounce_pool.put_nowait((buf_addr, mr))
+
+
+def _bounce_aborted(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes: int,
+                    exc: Exception) -> MPITransportError:
+    return MPITransportError(
+        f"rank {endpoint.rank}: {env.kind!r} message to rank "
+        f"{dest} ({wire_bytes} B) aborted: {exc}"
+    )
+
+
+def bounce_send_then(op: Op, dest: int, env: Envelope, wire_bytes: int,
+                     addr: Optional[int], then: Callable[[], None]) -> None:
+    """Callback form of :func:`send_through_bounce`: *then()* runs after
+    local completion, with the bounce buffer back in the pool."""
+    op.ep.bounce_pool.get_then(lambda buf: op.call(
+        _bounce_fill, op, dest, env, wire_bytes, addr, buf, then))
+
+
+def _bounce_fill(op: Op, dest: int, env: Envelope, wire_bytes: int,
+                 addr: Optional[int], buf: tuple, then: Callable[[], None]) -> None:
+    if addr is not None and wire_bytes > 0:
+        ep = op.ep
+        try:
+            cost = ep.proc.engine.copy(addr, buf[0], wire_bytes)
+        except Exception:
+            ep.bounce_pool.put_nowait(buf)
+            raise
+        op.after(cost.ticks, _bounce_post, op, dest, env, wire_bytes, buf, then)
+    else:
+        _bounce_post(op, dest, env, wire_bytes, buf, then)
+
+
+def _bounce_post(op: Op, dest: int, env: Envelope, wire_bytes: int, buf: tuple,
+                 then: Callable[[], None]) -> None:
+    ep = op.ep
+    buf_addr, mr = buf
+    try:
+        qp = ep.qp_for(dest)
+        wr_id = ep.next_wr_id()
+        ep.on_send_completion(wr_id, lambda wc: op.call(
+            _bounce_done, op, dest, env, wire_bytes, buf, then, wc))
+        wr = SendWR(
+            wr_id=wr_id,
+            sges=[SGE(buf_addr, wire_bytes, mr.lkey)],
+            payload=env,
+        )
+        ep.hca.post_send_then(qp, wr, _posted)
+    except Exception:
+        ep.bounce_pool.put_nowait(buf)
+        raise
+
+
+def _posted() -> None:
+    """A posted WR needs nothing more: its completion carries on."""
+
+
+def _bounce_done(op: Op, dest: int, env: Envelope, wire_bytes: int, buf: tuple,
+                 then: Callable[[], None], wc: WorkCompletion) -> None:
+    ep = op.ep
+    ep.bounce_pool.put_nowait(buf)
+    if not wc.ok:
+        raise _bounce_aborted(ep, dest, env, wire_bytes, ep.completion_error(wc))
+    then()
 
 
 def send_ctrl(endpoint: Endpoint, dest: int, env: Envelope) -> Generator:
@@ -81,85 +153,147 @@ def send_ctrl(endpoint: Endpoint, dest: int, env: Envelope) -> Generator:
     yield from send_through_bounce(endpoint, dest, env, endpoint.CTRL_BYTES, None)
 
 
+def send_ctrl_then(op: Op, dest: int, env: Envelope, then: Callable[[], None]) -> None:
+    """Callback form of :func:`send_ctrl`."""
+    bounce_send_then(op, dest, env, op.ep.CTRL_BYTES, None, then)
+
+
 def copy_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
                          addr: Optional[int], payload: Any) -> Generator:
     """RTS/CTS handshake, then the payload chunked through bounce bufs."""
-    tracer = trace.active()
-    if tracer is None:
-        yield from _copy_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
-        return
-    with tracer.span("mpi.rndv.copy.send", track=f"rank{endpoint.rank}.tx",
-                     dest=dest, bytes=size):
-        yield from _copy_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
+    span = trace.begin("mpi.rndv.copy.send", track=f"rank{endpoint.rank}.tx",
+                       dest=dest, bytes=size)
+    try:
+        rndv = endpoint.next_rndv_id()
+        rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
+        yield from send_ctrl(endpoint, dest, rts)
+        yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
+        chunk = endpoint.config.eager_buf_bytes
+        offset = 0
+        n_chunks = (size + chunk - 1) // chunk
+        for i in range(n_chunks):
+            this = min(chunk, size - offset)
+            env = endpoint.make_envelope(
+                "rdat", dest, tag, this, rndv=rndv,
+                payload=payload if i == n_chunks - 1 else None,
+            )
+            src = addr + offset if addr is not None else None
+            yield from send_through_bounce(endpoint, dest, env, this, src)
+            offset += this
+    finally:
+        trace.end(span)
 
 
-def _copy_rendezvous_send_impl(endpoint: Endpoint, dest: int, tag: int, size: int,
-                               addr: Optional[int], payload: Any) -> Generator:
-    rndv = endpoint.next_rndv_id()
-    rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
-    yield from send_ctrl(endpoint, dest, rts)
-    yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
-    chunk = endpoint.config.eager_buf_bytes
-    offset = 0
+def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
+                              addr: Optional[int], payload: Any,
+                              then: Callable[[], None]) -> None:
+    """Callback form of :func:`copy_rendezvous_send`."""
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.copy.send", f"rank{ep.rank}.tx",
+                          dest=dest, bytes=size)
+    rndv = ep.next_rndv_id()
+    rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
+    chunk = ep.config.eager_buf_bytes
     n_chunks = (size + chunk - 1) // chunk
-    for i in range(n_chunks):
+
+    def _chunk(i: int, offset: int) -> None:
+        if i == n_chunks:
+            then()
+            return
         this = min(chunk, size - offset)
-        env = endpoint.make_envelope(
+        env = ep.make_envelope(
             "rdat", dest, tag, this, rndv=rndv,
             payload=payload if i == n_chunks - 1 else None,
         )
         src = addr + offset if addr is not None else None
-        yield from send_through_bounce(endpoint, dest, env, this, src)
-        offset += this
+        bounce_send_then(op, dest, env, this, src,
+                         lambda: _chunk(i + 1, offset + this))
+
+    send_ctrl_then(op, dest, rts, lambda: ep.cts_channel.receive_then(
+        lambda _cts: op.call(_chunk, 0, 0), lambda e: e.rndv == rndv))
 
 
 def copy_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
     """Receiver half of the copy rendezvous; returns the payload."""
-    tracer = trace.active()
-    if tracer is None:
-        return (yield from _copy_rendezvous_recv_impl(endpoint, env, addr))
-    with tracer.span("mpi.rndv.copy.recv", track=f"rank{endpoint.rank}.rx",
-                     src=env.src, bytes=env.size):
-        return (yield from _copy_rendezvous_recv_impl(endpoint, env, addr))
+    span = trace.begin("mpi.rndv.copy.recv", track=f"rank{endpoint.rank}.rx",
+                       src=env.src, bytes=env.size)
+    try:
+        cts = endpoint.make_envelope("cts", env.src, env.tag, env.size,
+                                     rndv=env.rndv)
+        yield from send_ctrl(endpoint, env.src, cts)
+        remaining = env.size
+        payload = None
+        offset = 0
+        while remaining > 0:
+            data = yield endpoint.match_channel.receive(
+                lambda e: e.kind == "rdat" and e.rndv == env.rndv
+            )
+            if addr is not None:
+                # copy out of the bounce into the user buffer
+                cost = endpoint.proc.engine.stream(addr + offset, data.size,
+                                                   write=True)
+                yield endpoint.kernel.timeout(cost.ticks)
+            if data.payload is not None:
+                payload = data.payload
+            offset += data.size
+            remaining -= data.size
+        return payload
+    finally:
+        trace.end(span)
 
 
-def _copy_rendezvous_recv_impl(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
-    cts = endpoint.make_envelope("cts", env.src, env.tag, env.size, rndv=env.rndv)
-    yield from send_ctrl(endpoint, env.src, cts)
-    remaining = env.size
-    payload = None
-    offset = 0
-    while remaining > 0:
-        data = yield endpoint.match_channel.receive(
-            lambda e: e.kind == "rdat" and e.rndv == env.rndv
+def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
+                              then: Callable[[Any], None]) -> None:
+    """Callback form of :func:`copy_rendezvous_recv`; *then(payload)*."""
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.copy.recv", f"rank{ep.rank}.rx",
+                          src=env.src, bytes=env.size)
+    cts = ep.make_envelope("cts", env.src, env.tag, env.size, rndv=env.rndv)
+    rndv = env.rndv
+
+    def _next(offset: int, payload: Any) -> None:
+        if offset >= env.size:
+            then(payload)
+            return
+        ep.match_channel.receive_then(
+            lambda data: op.call(_landed, offset, payload, data),
+            lambda e: e.kind == "rdat" and e.rndv == rndv,
         )
-        if addr is not None:
-            # copy out of the bounce into the user buffer
-            cost = endpoint.proc.engine.stream(addr + offset, data.size, write=True)
-            yield endpoint.kernel.timeout(cost.ticks)
+
+    def _landed(offset: int, payload: Any, data: Envelope) -> None:
         if data.payload is not None:
             payload = data.payload
-        offset += data.size
-        remaining -= data.size
-    return payload
+        if addr is not None:
+            # copy out of the bounce into the user buffer
+            cost = ep.proc.engine.stream(addr + offset, data.size, write=True)
+            op.after(cost.ticks, _next, offset + data.size, payload)
+        else:
+            _next(offset + data.size, payload)
+
+    send_ctrl_then(op, env.src, cts, lambda: _next(0, None))
 
 
 def eager_recv_copy_out(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
     """Charge the receiver-side copy from the bounce to the user buffer."""
-    tracer = trace.active()
-    if tracer is None:
-        return (yield from _eager_recv_copy_out_impl(endpoint, env, addr))
-    with tracer.span("mpi.eager.recv", track=f"rank{endpoint.rank}.rx",
-                     src=env.src, bytes=env.size):
-        return (yield from _eager_recv_copy_out_impl(endpoint, env, addr))
+    span = trace.begin("mpi.eager.recv", track=f"rank{endpoint.rank}.rx",
+                       src=env.src, bytes=env.size)
+    try:
+        if addr is not None and env.size > 0:
+            cost = endpoint.proc.engine.stream(addr, env.size, write=True)
+            yield endpoint.kernel.timeout(cost.ticks)
+        return env.payload
+    finally:
+        trace.end(span)
 
 
-def _eager_recv_copy_out_impl(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
+def eager_recv_copy_out_then(op: Op, env: Envelope, addr: Optional[int],
+                             then: Callable[[Any], None]) -> None:
+    """Callback form of :func:`eager_recv_copy_out`; *then(payload)*."""
+    ep = op.ep
+    op.span = trace.begin("mpi.eager.recv", f"rank{ep.rank}.rx",
+                          src=env.src, bytes=env.size)
     if addr is not None and env.size > 0:
-        cost = endpoint.proc.engine.stream(addr, env.size, write=True)
-        yield endpoint.kernel.timeout(cost.ticks)
-    return env.payload
+        cost = ep.proc.engine.stream(addr, env.size, write=True)
+        op.after(cost.ticks, then, env.payload)
+    else:
+        then(env.payload)

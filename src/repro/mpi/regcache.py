@@ -15,7 +15,7 @@ cache entry (the classic MVAPICH malloc-hook dance).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import trace
 from repro.analysis.counters import CounterSet
@@ -102,6 +102,37 @@ class RegistrationCache:
         the cache enabled a hit is free; a miss registers and caches.
         With it disabled every call registers afresh.
         """
+        mr = self._lookup(vaddr, length)
+        if mr is not None:
+            return mr
+        mr = self._admit((yield from self.register_with_retry(vaddr, length)))
+        idx = 0
+        while True:
+            victim, idx = self._next_victim(idx)
+            if victim is None:
+                return mr
+            yield from self.hca.deregister_memory(self.aspace, victim)
+
+    def acquire_then(self, vaddr: int, length: int,
+                     then: Callable[[MemoryRegion], None]) -> None:
+        """Callback form of :meth:`acquire`: the same hits, misses,
+        costs and evictions; *then(mr)* runs once the MR is held (at
+        once on a hit).  Registration faults are not retried here: the
+        callers run it only without a fault plan."""
+        mr = self._lookup(vaddr, length)
+        if mr is not None:
+            then(mr)
+            return
+
+        def _registered(mr: MemoryRegion) -> None:
+            mr = self._admit(mr)
+            self._evict_then(0, lambda: then(mr))
+
+        self.hca.register_then(self.aspace, self.pd, vaddr, length, _registered)
+
+    def _lookup(self, vaddr: int, length: int) -> Optional[MemoryRegion]:
+        """The hit half of an acquisition: the pinned MR, or None after
+        counting a miss."""
         if self.enabled:
             mr = self._find(vaddr, length)
             if mr is not None:
@@ -117,11 +148,13 @@ class RegistrationCache:
         self.misses += 1
         self.counters.add("regcache.miss")
         trace.instant("mpi.regcache.miss", track=self.owner, bytes=length)
-        mr = yield from self.register_with_retry(vaddr, length)
+        return None
+
+    def _admit(self, mr: MemoryRegion) -> MemoryRegion:
+        """Pin a freshly registered MR and cache it; returns it."""
         self._pin(mr)
         if self.enabled:
             self._entries.append(mr)
-            yield from self._evict_to_capacity()
         return mr
 
     def register_with_retry(self, vaddr: int, length: int) -> Generator:
@@ -164,13 +197,33 @@ class RegistrationCache:
             yield  # pragma: no cover - make this a generator
         yield from self.hca.deregister_memory(self.aspace, mr)
 
-    def _evict_to_capacity(self) -> Generator:
+    def release_then(self, mr: MemoryRegion, then: Callable[[], None]) -> None:
+        """Callback form of :meth:`release`; *then()* runs at once when
+        caching, after the deregistration otherwise."""
+        self._unpin(mr)
+        if self.enabled:
+            then()
+        else:
+            self.hca.deregister_then(self.aspace, mr, then)
+
+    def _evict_then(self, idx: int, then: Callable[[], None]) -> None:
+        victim, idx = self._next_victim(idx)
+        if victim is None:
+            then()
+        else:
+            self.hca.deregister_then(self.aspace, victim,
+                                     lambda: self._evict_then(idx, then))
+
+    def _next_victim(self, idx: int) -> Tuple[Optional[MemoryRegion], int]:
+        """The next capacity victim at or after LRU position *idx*,
+        dropped from the cache (None when under capacity), and the
+        position to resume the walk from.
+
+        The walk starts at the cold end, skips pinned entries (an MR an
+        in-flight transfer still holds) and never evicts the newest
+        entry (the acquisition that triggered the pass)."""
         if self.capacity_bytes is None:
-            return
-        # LRU walk from the cold end, skipping pinned entries (an MR an
-        # in-flight transfer still holds) and never evicting the newest
-        # entry (the acquisition that triggered the pass)
-        idx = 0
+            return None, idx
         while (self.cached_bytes > self.capacity_bytes
                and idx < len(self._entries) - 1):
             victim = self._entries[idx]
@@ -181,7 +234,8 @@ class RegistrationCache:
             self.counters.add("regcache.evict")
             trace.instant("mpi.regcache.evict", track=self.owner,
                           bytes=victim.length)
-            yield from self.hca.deregister_memory(self.aspace, victim)
+            return victim, idx
+        return None, idx
 
     # -- invalidation -----------------------------------------------------------
     def invalidate_range(self, vaddr: int, length: int) -> int:

@@ -26,172 +26,295 @@ cost on both sides — Fig 5's first experiment.  The data movement itself
 is a single one-sided operation on the user buffers, so buffer
 *placement* (4 KB vs 2 MB pages) drives both the registration cost and
 the adapter's ATT behaviour during the transfer.
+
+A half that holds a registration (or an exposure) releases it on every
+exit path, a failed post included, so a QP that leaves RTS mid-protocol
+never leaves an MR pinned in the cache.  As in :mod:`repro.mpi.eager`,
+each half is a generator (the oracle) plus a ``*_then`` callback chain
+(the clean path).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro import trace
 from repro.faults import MPITransportError
 from repro.ib.verbs import SGE, SendWR
+from repro.mpi.eager import _posted, send_ctrl, send_ctrl_then
 
 if TYPE_CHECKING:
+    from repro.ib.verbs import MemoryRegion, WorkCompletion
     from repro.mpi.api import Endpoint, Envelope
-from repro.mpi.eager import send_ctrl
+    from repro.mpi.fold import Op
+
+
+def _need_addr(addr: Any, what: str) -> None:
+    if addr is None:
+        raise ValueError(f"RDMA rendezvous requires {what}")
+
+
+def _write_aborted(endpoint: Endpoint, size: int, dest: int,
+                   exc: Exception) -> MPITransportError:
+    return MPITransportError(
+        f"rank {endpoint.rank}: rendezvous write of {size} B to "
+        f"rank {dest} aborted: {exc}"
+    )
+
+
+def _read_aborted(endpoint: Endpoint, env: Envelope,
+                  exc: Exception) -> MPITransportError:
+    return MPITransportError(
+        f"rank {endpoint.rank}: rendezvous read of {env.size} B "
+        f"from rank {env.src} aborted: {exc}"
+    )
+
+
+def _rdma_wr(endpoint: Endpoint, wr_id: int, opcode: str, addr: int, size: int,
+             mr: MemoryRegion, remote_addr: int, rkey: int,
+             payload: Any = None) -> SendWR:
+    return SendWR(
+        wr_id=wr_id,
+        sges=[SGE(addr, size, mr.lkey)],
+        opcode=opcode,
+        remote_addr=remote_addr,
+        rkey=rkey,
+        payload=payload,
+    )
 
 
 def rdma_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
                          addr: int, payload: Any) -> Generator:
     """Sender half (see module docstring); *addr* must be a real mapped
     buffer — the RDMA path cannot send from nowhere."""
-    if addr is None:
-        raise ValueError("RDMA rendezvous requires a source buffer address")
-    tracer = trace.active()
-    if tracer is None:
-        yield from _rdma_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
-        return
-    with tracer.span("mpi.rndv.write.send", track=f"rank{endpoint.rank}.tx",
-                     dest=dest, bytes=size):
-        yield from _rdma_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
-
-
-def _rdma_rendezvous_send_impl(endpoint: Endpoint, dest: int, tag: int, size: int,
-                               addr: int, payload: Any) -> Generator:
-    rndv = endpoint.next_rndv_id()
-    rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
-    yield from send_ctrl(endpoint, dest, rts)
-    cts = yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
-    mr = yield from endpoint.regcache.acquire(addr, size)
-    qp = endpoint.qp_for(dest)
-    wr_id = endpoint.next_wr_id()
-    done = endpoint.expect_send_completion(wr_id)
-    wr = SendWR(
-        wr_id=wr_id,
-        sges=[SGE(addr, size, mr.lkey)],
-        opcode="rdma_write",
-        remote_addr=cts.remote_addr,
-        rkey=cts.rkey,
-        payload=payload,
-    )
-    yield from endpoint.hca.post_send(qp, wr)
+    _need_addr(addr, "a source buffer address")
+    span = trace.begin("mpi.rndv.write.send", track=f"rank{endpoint.rank}.tx",
+                       dest=dest, bytes=size)
     try:
-        yield done
-    except MPITransportError as exc:
-        # release the cached registration before surfacing the abort,
-        # or the MR leaks a reference for the life of the rank
+        rndv = endpoint.next_rndv_id()
+        rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
+        yield from send_ctrl(endpoint, dest, rts)
+        cts = yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
+        mr = yield from endpoint.regcache.acquire(addr, size)
+        try:
+            qp = endpoint.qp_for(dest)
+            wr_id = endpoint.next_wr_id()
+            done = endpoint.expect_send_completion(wr_id)
+            wr = _rdma_wr(endpoint, wr_id, "rdma_write", addr, size, mr,
+                          cts.remote_addr, cts.rkey, payload)
+            yield from endpoint.hca.post_send(qp, wr)
+            yield done
+        except MPITransportError as exc:
+            # release the cached registration before surfacing the abort,
+            # or the MR leaks a reference for the life of the rank
+            yield from endpoint.regcache.release(mr)
+            raise _write_aborted(endpoint, size, dest, exc) from exc
+        except Exception:
+            yield from endpoint.regcache.release(mr)
+            raise
         yield from endpoint.regcache.release(mr)
-        raise MPITransportError(
-            f"rank {endpoint.rank}: rendezvous write of {size} B to "
-            f"rank {dest} aborted: {exc}"
-        ) from exc
-    yield from endpoint.regcache.release(mr)
-    fin = endpoint.make_envelope("fin", dest, tag, size, rndv=rndv)
-    yield from send_ctrl(endpoint, dest, fin)
+        fin = endpoint.make_envelope("fin", dest, tag, size, rndv=rndv)
+        yield from send_ctrl(endpoint, dest, fin)
+    finally:
+        trace.end(span)
+
+
+def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
+                              payload: Any, then: Callable[[], None]) -> None:
+    """Callback form of :func:`rdma_rendezvous_send`."""
+    _need_addr(addr, "a source buffer address")
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.write.send", f"rank{ep.rank}.tx",
+                          dest=dest, bytes=size)
+    rndv = ep.next_rndv_id()
+    rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
+
+    def _cts(cts: Envelope) -> None:
+        ep.regcache.acquire_then(addr, size, lambda mr: op.call(_write, cts, mr))
+
+    def _write(cts: Envelope, mr: MemoryRegion) -> None:
+        op.mr = mr
+        wr_id = ep.next_wr_id()
+        ep.on_send_completion(wr_id, lambda wc: op.call(_written, wc))
+        wr = _rdma_wr(ep, wr_id, "rdma_write", addr, size, mr,
+                      cts.remote_addr, cts.rkey, payload)
+        ep.hca.post_send_then(ep.qp_for(dest), wr, _posted)
+
+    def _written(wc: WorkCompletion) -> None:
+        if not wc.ok:
+            raise _write_aborted(ep, size, dest, ep.completion_error(wc))
+        mr, op.mr = op.mr, None
+        ep.regcache.release_then(mr, lambda: op.call(_fin))
+
+    def _fin() -> None:
+        fin = ep.make_envelope("fin", dest, tag, size, rndv=rndv)
+        send_ctrl_then(op, dest, fin, then)
+
+    send_ctrl_then(op, dest, rts, lambda: ep.cts_channel.receive_then(
+        lambda cts: op.call(_cts, cts), lambda e: e.rndv == rndv))
 
 
 def rdma_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
     """Receiver half; *addr* is the user receive buffer (required)."""
-    if addr is None:
-        raise ValueError(
-            "RDMA rendezvous requires a receive buffer address "
-            f"(recv of {env.size} bytes from rank {env.src})"
-        )
-    tracer = trace.active()
-    if tracer is None:
-        return (yield from _rdma_rendezvous_recv_impl(endpoint, env, addr))
-    with tracer.span("mpi.rndv.write.recv", track=f"rank{endpoint.rank}.rx",
-                     src=env.src, bytes=env.size):
-        return (yield from _rdma_rendezvous_recv_impl(endpoint, env, addr))
+    _need_addr(addr, "a receive buffer address "
+               f"(recv of {env.size} bytes from rank {env.src})")
+    span = trace.begin("mpi.rndv.write.recv", track=f"rank{endpoint.rank}.rx",
+                       src=env.src, bytes=env.size)
+    try:
+        mr = yield from endpoint.regcache.acquire(addr, env.size)
+        try:
+            cts = endpoint.make_envelope(
+                "cts", env.src, env.tag, env.size, rndv=env.rndv,
+                remote_addr=addr, rkey=mr.rkey,
+            )
+            yield from send_ctrl(endpoint, env.src, cts)
+            yield endpoint.fin_channel.receive(lambda e: e.rndv == env.rndv)
+        except Exception:
+            yield from endpoint.regcache.release(mr)
+            raise
+        payload = endpoint.hca.rdma_landed.pop((mr.rkey, addr), None)
+        yield from endpoint.regcache.release(mr)
+        return payload
+    finally:
+        trace.end(span)
 
 
-def _rdma_rendezvous_recv_impl(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
-    mr = yield from endpoint.regcache.acquire(addr, env.size)
-    cts = endpoint.make_envelope(
-        "cts", env.src, env.tag, env.size, rndv=env.rndv,
-        remote_addr=addr, rkey=mr.rkey,
-    )
-    yield from send_ctrl(endpoint, env.src, cts)
-    yield endpoint.fin_channel.receive(lambda e: e.rndv == env.rndv)
-    payload = endpoint.hca.rdma_landed.pop((mr.rkey, addr), None)
-    yield from endpoint.regcache.release(mr)
-    return payload
+def rdma_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
+                              then: Callable[[Any], None]) -> None:
+    """Callback form of :func:`rdma_rendezvous_recv`; *then(payload)*."""
+    _need_addr(addr, "a receive buffer address "
+               f"(recv of {env.size} bytes from rank {env.src})")
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.write.recv", f"rank{ep.rank}.rx",
+                          src=env.src, bytes=env.size)
+    rndv = env.rndv
+
+    def _cts(mr: MemoryRegion) -> None:
+        op.mr = mr
+        cts = ep.make_envelope("cts", env.src, env.tag, env.size, rndv=rndv,
+                               remote_addr=addr, rkey=mr.rkey)
+        send_ctrl_then(op, env.src, cts, lambda: ep.fin_channel.receive_then(
+            lambda _fin: op.call(_landed), lambda e: e.rndv == rndv))
+
+    def _landed() -> None:
+        mr, op.mr = op.mr, None
+        payload = ep.hca.rdma_landed.pop((mr.rkey, addr), None)
+        ep.regcache.release_then(mr, lambda: then(payload))
+
+    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_cts, mr))
 
 
 def rdma_read_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
                               addr: int, payload: Any) -> Generator:
     """Sender half of the read rendezvous: expose the buffer, announce
     it in the RTS, wait for the receiver's FIN."""
-    if addr is None:
-        raise ValueError("RDMA rendezvous requires a source buffer address")
-    tracer = trace.active()
-    if tracer is None:
-        yield from _rdma_read_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
-        return
-    with tracer.span("mpi.rndv.read.send", track=f"rank{endpoint.rank}.tx",
-                     dest=dest, bytes=size):
-        yield from _rdma_read_rendezvous_send_impl(
-            endpoint, dest, tag, size, addr, payload
-        )
+    _need_addr(addr, "a source buffer address")
+    span = trace.begin("mpi.rndv.read.send", track=f"rank{endpoint.rank}.tx",
+                       dest=dest, bytes=size)
+    try:
+        rndv = endpoint.next_rndv_id()
+        mr = yield from endpoint.regcache.acquire(addr, size)
+        exposed = (mr.rkey, addr)
+        endpoint.hca.rdma_exposed[exposed] = payload
+        try:
+            rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv,
+                                         remote_addr=addr, rkey=mr.rkey)
+            yield from send_ctrl(endpoint, dest, rts)
+            yield endpoint.fin_channel.receive(lambda e: e.rndv == rndv)
+        except Exception:
+            endpoint.hca.rdma_exposed.pop(exposed, None)
+            yield from endpoint.regcache.release(mr)
+            raise
+        endpoint.hca.rdma_exposed.pop(exposed, None)
+        yield from endpoint.regcache.release(mr)
+    finally:
+        trace.end(span)
 
 
-def _rdma_read_rendezvous_send_impl(endpoint: Endpoint, dest: int, tag: int, size: int,
-                                    addr: int, payload: Any) -> Generator:
-    rndv = endpoint.next_rndv_id()
-    mr = yield from endpoint.regcache.acquire(addr, size)
-    endpoint.hca.rdma_exposed[(mr.rkey, addr)] = payload
-    rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv,
-                                 remote_addr=addr, rkey=mr.rkey)
-    yield from send_ctrl(endpoint, dest, rts)
-    yield endpoint.fin_channel.receive(lambda e: e.rndv == rndv)
-    endpoint.hca.rdma_exposed.pop((mr.rkey, addr), None)
-    yield from endpoint.regcache.release(mr)
+def rdma_read_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
+                                   addr: int, payload: Any,
+                                   then: Callable[[], None]) -> None:
+    """Callback form of :func:`rdma_read_rendezvous_send`."""
+    _need_addr(addr, "a source buffer address")
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.read.send", f"rank{ep.rank}.tx",
+                          dest=dest, bytes=size)
+    rndv = ep.next_rndv_id()
+
+    def _rts(mr: MemoryRegion) -> None:
+        op.mr = mr
+        op.exposed = (mr.rkey, addr)
+        ep.hca.rdma_exposed[op.exposed] = payload
+        rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv,
+                               remote_addr=addr, rkey=mr.rkey)
+        send_ctrl_then(op, dest, rts, lambda: ep.fin_channel.receive_then(
+            lambda _fin: op.call(_done), lambda e: e.rndv == rndv))
+
+    def _done() -> None:
+        ep.hca.rdma_exposed.pop(op.exposed, None)
+        op.exposed = None
+        mr, op.mr = op.mr, None
+        ep.regcache.release_then(mr, then)
+
+    ep.regcache.acquire_then(addr, size, lambda mr: op.call(_rts, mr))
 
 
 def rdma_read_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
     """Receiver half: pull the announced buffer with one RDMA read."""
-    if addr is None:
-        raise ValueError(
-            "RDMA rendezvous requires a receive buffer address "
-            f"(recv of {env.size} bytes from rank {env.src})"
-        )
-    tracer = trace.active()
-    if tracer is None:
-        return (yield from _rdma_read_rendezvous_recv_impl(endpoint, env, addr))
-    with tracer.span("mpi.rndv.read.recv", track=f"rank{endpoint.rank}.rx",
-                     src=env.src, bytes=env.size):
-        return (yield from _rdma_read_rendezvous_recv_impl(endpoint, env, addr))
-
-
-def _rdma_read_rendezvous_recv_impl(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
-    mr = yield from endpoint.regcache.acquire(addr, env.size)
-    qp = endpoint.qp_for(env.src)
-    wr_id = endpoint.next_wr_id()
-    done = endpoint.expect_send_completion(wr_id)
-    wr = SendWR(
-        wr_id=wr_id,
-        sges=[SGE(addr, env.size, mr.lkey)],
-        opcode="rdma_read",
-        remote_addr=env.remote_addr,
-        rkey=env.rkey,
-    )
-    yield from endpoint.hca.post_send(qp, wr)
+    _need_addr(addr, "a receive buffer address "
+               f"(recv of {env.size} bytes from rank {env.src})")
+    span = trace.begin("mpi.rndv.read.recv", track=f"rank{endpoint.rank}.rx",
+                       src=env.src, bytes=env.size)
     try:
-        wc = yield done
-    except MPITransportError as exc:
+        mr = yield from endpoint.regcache.acquire(addr, env.size)
+        try:
+            qp = endpoint.qp_for(env.src)
+            wr_id = endpoint.next_wr_id()
+            done = endpoint.expect_send_completion(wr_id)
+            wr = _rdma_wr(endpoint, wr_id, "rdma_read", addr, env.size, mr,
+                          env.remote_addr, env.rkey)
+            yield from endpoint.hca.post_send(qp, wr)
+            wc = yield done
+        except MPITransportError as exc:
+            yield from endpoint.regcache.release(mr)
+            raise _read_aborted(endpoint, env, exc) from exc
+        except Exception:
+            yield from endpoint.regcache.release(mr)
+            raise
         yield from endpoint.regcache.release(mr)
-        raise MPITransportError(
-            f"rank {endpoint.rank}: rendezvous read of {env.size} B "
-            f"from rank {env.src} aborted: {exc}"
-        ) from exc
-    yield from endpoint.regcache.release(mr)
-    fin = endpoint.make_envelope("fin", env.src, env.tag, env.size,
-                                 rndv=env.rndv)
-    yield from send_ctrl(endpoint, env.src, fin)
-    return wc.payload
+        fin = endpoint.make_envelope("fin", env.src, env.tag, env.size,
+                                     rndv=env.rndv)
+        yield from send_ctrl(endpoint, env.src, fin)
+        return wc.payload
+    finally:
+        trace.end(span)
+
+
+def rdma_read_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
+                                   then: Callable[[Any], None]) -> None:
+    """Callback form of :func:`rdma_read_rendezvous_recv`; *then(payload)*."""
+    _need_addr(addr, "a receive buffer address "
+               f"(recv of {env.size} bytes from rank {env.src})")
+    ep = op.ep
+    op.span = trace.begin("mpi.rndv.read.recv", f"rank{ep.rank}.rx",
+                          src=env.src, bytes=env.size)
+
+    def _read(mr: MemoryRegion) -> None:
+        op.mr = mr
+        wr_id = ep.next_wr_id()
+        ep.on_send_completion(wr_id, lambda wc: op.call(_pulled, wc))
+        wr = _rdma_wr(ep, wr_id, "rdma_read", addr, env.size, mr,
+                      env.remote_addr, env.rkey)
+        ep.hca.post_send_then(ep.qp_for(env.src), wr, _posted)
+
+    def _pulled(wc: WorkCompletion) -> None:
+        if not wc.ok:
+            raise _read_aborted(ep, env, ep.completion_error(wc))
+        mr, op.mr = op.mr, None
+        ep.regcache.release_then(mr, lambda: op.call(_fin, wc.payload))
+
+    def _fin(payload: Any) -> None:
+        fin = ep.make_envelope("fin", env.src, env.tag, env.size, rndv=env.rndv)
+        send_ctrl_then(op, env.src, fin, lambda: then(payload))
+
+    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_read, mr))

@@ -5,10 +5,11 @@ to registration, to ATT misses, to TLB misses, or to the wire — so the
 simulator needs more than end-of-run counter totals: it needs to say
 *when* and *where* inside a run each cost landed.  This module is that
 tool: a :class:`Tracer` with a span API (``with tracer.span("ib.tx",
-bytes=n):``), instant events, and counter-delta sampling at span
-boundaries, threaded through the engine run loop, the memory system,
-the IB stack and the MPI layer (see ``docs/observability.md`` for the
-span taxonomy).
+bytes=n):``, or :meth:`Tracer.begin`/:meth:`Tracer.end` for callback
+chains, whose steps share no ``with`` block), instant events, and
+counter-delta sampling at span boundaries, threaded through the engine
+run loop, the memory system, the IB stack and the MPI layer (see
+``docs/observability.md`` for the span taxonomy).
 
 Three properties drive the design:
 
@@ -119,6 +120,23 @@ def span(name: str, track: Optional[str] = None, **attrs: Any) -> ContextManager
     return t.span(name, track=track, **attrs)
 
 
+def begin(name: str, track: Optional[str] = None,
+          **attrs: Any) -> Optional[Dict[str, Any]]:
+    """Open a span on the installed tracer; returns its record for
+    :func:`end`, or None when tracing is disabled."""
+    t = _tracer
+    if t is None:
+        return None
+    return t.begin(name, track, **attrs)
+
+
+def end(rec: Optional[Dict[str, Any]]) -> None:
+    """Close a span opened by :func:`begin` (no-op for None)."""
+    t = _tracer
+    if rec is not None and t is not None:
+        t.end(rec)
+
+
 def instant(name: str, track: Optional[str] = None, **attrs: Any) -> None:
     """An instant event on the installed tracer (no-op when disabled)."""
     t = _tracer
@@ -208,11 +226,12 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, track: Optional[str] = None,
-             **attrs: Any) -> Iterator[Dict[str, Any]]:
-        """Record a span; yields the record so callers may add
-        attributes discovered mid-span (``rec["args"]["hit"] = True``).
+    def begin(self, name: str, track: Optional[str] = None,
+              **attrs: Any) -> Dict[str, Any]:
+        """Open a span now; returns its record for :meth:`end` (callers
+        may add attributes discovered mid-span, ``rec["args"]["hit"] =
+        True``).  Callback chains use the pair directly, since their
+        steps are separate calls with no ``with`` block around them.
 
         Attributes must be deterministic across the fast and slow
         costing paths — sizes, opcodes, names, tick counts; never
@@ -224,16 +243,28 @@ class Tracer:
             "unit": self._unit, "track": track or "main", "args": attrs,
         }
         self._open.append(rec)
+        return rec
+
+    def end(self, rec: Dict[str, Any]) -> None:
+        """Close a span opened by :meth:`begin` at the current tick."""
+        self._boundary()
+        try:
+            self._open.remove(rec)
+        except ValueError:  # pragma: no cover - defensive
+            pass
+        rec["dur"] = self._now() - rec["ts"]
+        self.events.append(rec)
+
+    @contextmanager
+    def span(self, name: str, track: Optional[str] = None,
+             **attrs: Any) -> Iterator[Dict[str, Any]]:
+        """:meth:`begin` and :meth:`end` around a ``with`` block; yields
+        the span record."""
+        rec = self.begin(name, track, **attrs)
         try:
             yield rec
         finally:
-            self._boundary()
-            try:
-                self._open.remove(rec)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            rec["dur"] = self._now() - rec["ts"]
-            self.events.append(rec)
+            self.end(rec)
 
     def instant(self, name: str, track: Optional[str] = None,
                 **attrs: Any) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mem import physical
 from repro.mem.physical import (
     FRAMES_PER_HUGEPAGE,
     PAGE_2M,
@@ -132,3 +133,85 @@ class TestHugepages:
         # a hugepage is one frame: its 512 4K-sub-frames are contiguous by
         # construction; verify the constant used elsewhere
         assert FRAMES_PER_HUGEPAGE == 512
+
+
+class TestWindowMemo:
+    """Fresh pools share their shuffled windows through a capped memo;
+    the memo must never change what a pool hands out."""
+
+    N_FRAMES = 3 * 4096 + 100  # crosses three window refills
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self, monkeypatch):
+        monkeypatch.setattr(physical, "_WINDOW_MEMO", {})
+
+    @staticmethod
+    def _pool(seed=11):
+        return PhysicalMemory(64 * MB, hugepages=2, fragmentation=0.8, seed=seed)
+
+    def _unmemoised(self, monkeypatch, fn):
+        """Run *fn* with the memo switched off (empty, zero capacity)."""
+        with monkeypatch.context() as m:
+            m.setattr(physical, "_WINDOW_MEMO", {})
+            m.setattr(physical, "_WINDOW_MEMO_MAX", 0)
+            return fn()
+
+    def test_cold_and_warm_pools_hand_out_the_same_frames(self, monkeypatch):
+        cold_pool = self._pool()
+        cold = cold_pool.alloc_frames(self.N_FRAMES).tolist()
+        assert physical._WINDOW_MEMO  # the cold pool filled it
+        warm_pool = self._pool()
+        warm = warm_pool.alloc_frames(self.N_FRAMES).tolist()
+        plain = self._unmemoised(
+            monkeypatch, lambda: self._pool().alloc_frames(self.N_FRAMES).tolist())
+        assert cold == warm == plain
+        # the warm pool's RNG and snapshot are what drawing would leave
+        assert warm_pool.dump_state() == cold_pool.dump_state()
+
+    def test_memo_keys_on_seed(self):
+        a = self._pool(seed=1).alloc_frames(4096).tolist()
+        b = self._pool(seed=2).alloc_frames(4096).tolist()
+        assert a != b
+
+    def test_restored_pool_continues_as_unmemoised(self, monkeypatch):
+        source = self._pool()
+        source.alloc_frames(4096 + 1234)  # mid-way through window 1
+        source.free_frames(source.alloc_frames(7))
+        state = source.dump_state()
+        restored = self._pool(seed=99)
+        restored.load_state(state)
+        got = restored.alloc_frames(2 * 4096).tolist()
+
+        def plain():
+            pool = self._pool()
+            pool.alloc_frames(4096 + 1234)
+            pool.free_frames(pool.alloc_frames(7))
+            return pool.alloc_frames(2 * 4096).tolist()
+
+        assert got == self._unmemoised(monkeypatch, plain)
+
+    def test_old_snapshot_without_memo_key_draws_its_own_windows(self):
+        source = self._pool()
+        source.alloc_frames(100)
+        state = source.dump_state()
+        del state["memo_key"]
+        restored = self._pool()
+        restored.load_state(state)
+        before = dict(physical._WINDOW_MEMO)
+        got = restored.alloc_frames(2 * 4096).tolist()
+        assert physical._WINDOW_MEMO.keys() == before.keys()
+        assert got == source.alloc_frames(2 * 4096).tolist()
+
+    def test_memo_windows_are_read_only(self):
+        self._pool().alloc_frames(10)
+        for window, _state in physical._WINDOW_MEMO.values():
+            with pytest.raises(ValueError):
+                window[0] = 0
+
+    def test_memo_never_grows_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(physical, "_WINDOW_MEMO_MAX", 2)
+        frames = self._pool().alloc_frames(self.N_FRAMES).tolist()
+        assert len(physical._WINDOW_MEMO) == 2
+        again = self._pool().alloc_frames(self.N_FRAMES).tolist()
+        assert len(physical._WINDOW_MEMO) == 2
+        assert again == frames
