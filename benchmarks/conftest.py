@@ -7,23 +7,27 @@ same rows/series the paper reports, asserts the paper's shape claims, and
 attaches the headline numbers to ``benchmark.extra_info``.
 
 The emitted tables go to two places: the live stdout (visible with
-``pytest -s``) and ``bench_results.txt`` at the repository root, which is
-truncated at session start — so a plain ``pytest benchmarks/
---benchmark-only`` always leaves the full set of regenerated tables on
-disk even though pytest captures stdout.
+``pytest -s``) and ``.bench_build/bench_results.txt`` under the
+repository root (git-ignored), which the first `emit` of a run truncates — so
+a plain ``pytest benchmarks/ --benchmark-only`` always leaves the full
+set of regenerated tables on disk even though pytest captures stdout,
+without dirtying the tree.
 """
 
 import pathlib
 import sys
 
-RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench_results.txt"
+RESULTS_PATH = (pathlib.Path(__file__).resolve().parent.parent
+                / ".bench_build" / "bench_results.txt")
 _truncated = False
 
 
 def emit(text: str) -> None:
-    """Record a regenerated table/series (stdout + bench_results.txt)."""
+    """Record a regenerated table/series (stdout + the results file)."""
     global _truncated
     mode = "a" if _truncated else "w"
+    if not _truncated:
+        RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     _truncated = True
     with open(RESULTS_PATH, mode) as fh:
         fh.write(text + "\n")

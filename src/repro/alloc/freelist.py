@@ -84,15 +84,10 @@ class ChunkFreeList:
                 return False
         return self._starts == [e.start for e in self._extents]
 
-    # -- checkpointing ----------------------------------------------------
+    # -- snapshot view ----------------------------------------------------
     def dump_state(self) -> list:
         """Picklable snapshot: ``(start, n_chunks)`` in address order."""
         return [(e.start, e.n_chunks) for e in self._extents]
-
-    def load_state(self, state: list) -> None:
-        """Restore a :meth:`dump_state` snapshot."""
-        self._extents = [FreeExtent(start=s, n_chunks=n) for s, n in state]
-        self._starts = [e.start for e in self._extents]
 
     # -- allocation ----------------------------------------------------------
     def take_first_fit(self, n_chunks: int) -> Tuple[Optional[int], int]:

@@ -31,9 +31,9 @@ class CounterSet:
 
     Keys are normalised to exact ``str`` before interning: ``sys.intern``
     raises TypeError on ``str`` subclasses, and counter names routinely
-    arrive from deserialisers (checkpoint restore, JSON plan files)
-    whose string types are not guaranteed.  Without the normalisation a
-    restored run crashes — or worse, stores a subclass key that compares
+    arrive from deserialisers (unpickled snapshots, JSON plan files)
+    whose string types are not guaranteed.  Without the normalisation
+    such a run crashes — or worse, stores a subclass key that compares
     equal to but is not the interned key an uninterrupted run stores.
     """
 
@@ -101,19 +101,6 @@ class CounterSet:
         snapshots — and every report built from one — diff cleanly
         across runs regardless of increment order)."""
         return dict(sorted(self._counts.items()))
-
-    def restore(self, mapping: Mapping[str, int]) -> None:
-        """Replace all counters with *mapping* (checkpoint restore).
-
-        Restored keys intern to the same objects an uninterrupted run's
-        :meth:`add` calls produce, so post-restore increments land on
-        the same entries and :meth:`snapshot` is identical either way.
-        """
-        self._counts.clear()
-        for name, value in mapping.items():
-            if type(name) is not str:
-                name = str(name)
-            self._counts[intern(name)] = value  # detlint: ignore[intern-str] — normalised above
 
     def diff(self, baseline: Mapping[str, int]) -> Dict[str, int]:
         """Counters accumulated since *baseline* (a prior snapshot)."""

@@ -1,4 +1,4 @@
-"""Versioned snapshot/restore of the whole simulator, plus run harnessing.
+"""Versioned snapshot files, the run ledger and the hang watchdog.
 
 Three cooperating pieces:
 
@@ -9,26 +9,15 @@ pickle body.  Files are written atomically (temp file + ``fsync`` +
 ``os.replace``), so a crash mid-write never leaves a truncated snapshot
 behind, and the checksum catches bit rot or hand-editing on read.
 
-**Cluster state capture** — :func:`capture_cluster` walks every layer of
-a :class:`~repro.systems.machine.Cluster` — engine clock and event heap,
-physical frames / page tables / VMAs / the HugeTLB pool, TLB / data
-cache / ATT LRU order, both allocator heaps, MR/QP/CQ bookkeeping,
+**Post-mortem capture** — :func:`capture_cluster` dumps every layer of a
+:class:`~repro.systems.machine.Cluster` — engine clock and pending
+events, physical frames / page tables / VMAs / the HugeTLB pool, TLB /
+data cache / ATT LRU order, both allocator heaps, MR/QP/CQ bookkeeping,
 counters and the fault injector's RNG stream — into one picklable
-payload, and :func:`restore_cluster` rebuilds a live cluster from it
-that continues **bit-identically**: same tick arithmetic, same LRU
-evictions, same fault-RNG draws, same allocator placement.
-
-The simulator's processes are Python generators, which cannot be
-pickled, so full restores work at *quiescent boundaries*: the event heap
-drained, no DMA in flight, no un-acked wire messages (the state every
-driver is in between ``world.run()`` calls — in-flight MPI protocol
-state never exists there).  The HCA's per-QP send engines are the one
-kind of live process a quiescent cluster still owns; restore recreates
-them through :meth:`~repro.ib.hca.HCA.create_qp` and then forces the
-captured identity (QP numbers, verbs state, peer wiring) back onto
-them.  Non-quiescent captures are still allowed for *forensics* (the
-hang watchdog's post-mortem) — they summarise pending events instead of
-pickling them and are refused by :func:`restore_cluster`.
+payload for the hang watchdog.  It is forensic only: pending events are
+summarised rather than pickled (generators cannot be), and nothing
+reads a capture back into a live cluster.  Every resume replays
+hermetic units from the run ledger instead.
 
 **Run harnessing** — :class:`RunCheckpointer` is the driver-facing unit
 ledger: a CLI run decomposes into named units (one benchmark curve, one
@@ -44,7 +33,6 @@ best-effort snapshot of every live cluster and exits non-zero.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -63,7 +51,7 @@ SCHEMA = "repro-checkpoint/1"
 
 
 class CheckpointError(Exception):
-    """Raised for unreadable, corrupt or non-restorable snapshots."""
+    """Raised for unreadable or corrupt snapshots."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +134,12 @@ def read_snapshot(path: str):
 
 
 # ---------------------------------------------------------------------------
-# cluster capture
+# post-mortem capture
 # ---------------------------------------------------------------------------
 
-def _count_next(counter) -> int:
-    """The next value an ``itertools.count`` will yield, without
-    consuming it (``count(n)`` reduces to ``(count, (n,))``)."""
-    return counter.__reduce__()[1][0]
-
-
 def pending_work(cluster) -> List[str]:
-    """Human-readable reasons *cluster* is not at a quiescent boundary
-    (empty list means it is)."""
+    """Human-readable list of what *cluster* still has in flight (empty
+    at a quiescent boundary)."""
     issues = []
     if cluster.kernel._queue:
         issues.append(
@@ -174,11 +156,6 @@ def pending_work(cluster) -> List[str]:
                     f"node {i}: QP {qp.qp_num} has {len(qp.send_q.items)} queued WRs"
                 )
     return issues
-
-
-def is_quiescent(cluster) -> bool:
-    """True when *cluster* can be captured for a full restore."""
-    return not pending_work(cluster)
 
 
 def _describe_event(entry) -> dict:
@@ -279,7 +256,7 @@ def _capture_machine(cluster, index: int) -> dict:
             "max_send_wr": qp.max_send_wr,
             "wr_in_use": qp.wr_slots.in_use,
             "recv_queue": list(qp.recv_q.items),
-            "send_queue_len": len(qp.send_q.items),  # forensic; 0 when quiescent
+            "send_queue_len": len(qp.send_q.items),
         })
     return {
         "name": node.name,
@@ -291,11 +268,7 @@ def _capture_machine(cluster, index: int) -> dict:
             "rx_seen": dict(hca._rx_seen),
             "rdma_landed": dict(hca.rdma_landed),
             "rdma_exposed": dict(hca.rdma_exposed),
-            # two lists over the same MR objects: pickle keeps the
-            # sharing, so restore rebuilds both maps faithfully even
-            # after partial deregistration
-            "mrs_by_lkey": list(hca._mrs_by_lkey.values()),
-            "mrs_by_rkey": list(hca._mrs_by_rkey.values()),
+            "mrs": list(hca._mrs_by_lkey.values()),
             "cqs": sorted(cqs.values(), key=lambda c: c["cq_id"]),
             "qps": sorted(qps, key=lambda q: q["qp_num"]),
         },
@@ -303,23 +276,11 @@ def _capture_machine(cluster, index: int) -> dict:
     }
 
 
-def capture_cluster(cluster, require_quiescent: bool = True) -> dict:
-    """Snapshot every layer of *cluster* into one picklable payload.
-
-    With ``require_quiescent=True`` (the default) the cluster must be at
-    a quiescent boundary — otherwise :class:`CheckpointError` lists what
-    is still in flight.  ``require_quiescent=False`` produces a forensic
-    capture (pending events summarised, not pickled) that
-    :func:`restore_cluster` will refuse.
-    """
-    from repro.ib import hca as hca_mod
-    from repro.ib import registration, verbs
-
-    issues = pending_work(cluster)
-    if require_quiescent and issues:
-        raise CheckpointError(
-            "cluster is not at a quiescent boundary: " + "; ".join(issues)
-        )
+def capture_cluster(cluster) -> dict:
+    """Forensic dump of every layer of *cluster* into one picklable
+    payload (the hang watchdog's post-mortem).  Works at any point of a
+    run: pending events are summarised, not pickled, and
+    ``pending_work`` lists what is still in flight."""
     kernel = cluster.kernel
     faults = None
     if cluster.faults is not None:
@@ -330,7 +291,7 @@ def capture_cluster(cluster, require_quiescent: bool = True) -> dict:
         }
     return {
         "kind": "cluster",
-        "quiescent": not issues,
+        "pending_work": pending_work(cluster),
         "spec": cluster.spec,
         "n_nodes": len(cluster.nodes),
         "fault_plan": cluster.faults.plan if cluster.faults is not None else None,
@@ -340,187 +301,9 @@ def capture_cluster(cluster, require_quiescent: bool = True) -> dict:
             "queue_length": len(kernel._queue),
             "pending": [_describe_event(e) for e in sorted(kernel._queue)[:256]],
         },
-        "module_ids": {
-            "verbs": _count_next(verbs._ids),
-            "hca": _count_next(hca_mod._seq),
-            "registration": _count_next(registration._keys),
-        },
         "faults": faults,
         "nodes": [_capture_machine(cluster, i) for i in range(len(cluster.nodes))],
     }
-
-
-# ---------------------------------------------------------------------------
-# cluster restore
-# ---------------------------------------------------------------------------
-
-def _restore_stats(stats, mapping: dict) -> None:
-    for key, value in mapping.items():
-        setattr(stats, key, value)
-
-
-def _restore_libc(libc, state: dict) -> None:
-    from repro.alloc.libc import _Block
-
-    libc._blocks = {}
-    for addr, size, free, in_fastbin, prev, nxt in state["blocks"]:
-        block = _Block(addr, size)
-        block.free = free
-        block.in_fastbin = in_fastbin
-        block.prev = prev
-        block.next = nxt
-        libc._blocks[addr] = block
-    libc._fastbins = {size: list(addrs) for size, addrs in state["fastbins"].items()}
-    libc._sorted_bin = [tuple(t) for t in state["sorted_bin"]]
-    libc._mmapped = dict(state["mmapped"])
-    libc._heap_end = state["heap_end"]
-    libc._sizes = dict(state["sizes"])
-    _restore_stats(libc.stats, state["stats"])
-
-
-def _restore_aspace(aspace, state: dict) -> None:
-    from repro.mem.address_space import VMA
-
-    # surgical rebuild: frames are accounted for by the restored
-    # PhysicalMemory state, so nothing here may allocate
-    aspace._vmas = {
-        start: VMA(start=start, length=length, page_size=page_size,
-                   kind=kind, name=name)
-        for start, length, page_size, kind, name in state["vmas"]
-    }
-    aspace._brk = state["brk"]
-    aspace._mmap_cursor = state["mmap_cursor"]
-    aspace._huge_cursor = state["huge_cursor"]
-    aspace._vma_starts = []
-    aspace._vma_index_dirty = True
-    aspace.page_table.load_state(
-        {"small": state["pt_small"], "huge": state["pt_huge"]})
-
-
-def _restore_machine(cluster, index: int, state: dict) -> None:
-    node = cluster.nodes[index]
-    node.counters.restore(state["counters"])
-    node.physical.load_state(state["physical"])
-    node.hugetlbfs._acquired = state["hugetlbfs_acquired"]
-    node.att.load_state(state["att"])
-    for pstate in state["procs"]:
-        proc = node.new_process(name=pstate["name"])
-        proc.counters.restore(pstate["counters"])
-        _restore_aspace(proc.aspace, pstate["aspace"])
-        proc.engine.tlb.load_state(pstate["tlb"])
-        proc.engine.cache.load_state(pstate["cache"])
-        _restore_libc(proc.libc, pstate["libc"])
-        hp = pstate["hugepage_lib"]
-        if hp is not None:
-            from repro.alloc.hugepage_lib import HugepageLibraryAllocator
-
-            lib = HugepageLibraryAllocator(
-                proc.aspace,
-                libc=proc.libc,
-                config=hp["config"],
-                cost_model=node.spec.alloc_costs,
-                counters=proc.counters,
-            )
-            lib.mapping.pages_mapped = hp["pages_mapped"]
-            lib.management.freelist.load_state(hp["freelist"])
-            lib.management._live = dict(hp["live"])
-            lib._sizes = dict(hp["sizes"])
-            _restore_stats(lib.stats, hp["stats"])
-            proc.allocator = lib
-    hca = node.hca
-    hstate = state["hca"]
-    hca._rx_seen = dict(hstate["rx_seen"])
-    hca.rdma_landed = dict(hstate["rdma_landed"])
-    hca.rdma_exposed = dict(hstate["rdma_exposed"])
-    hca._mrs_by_lkey = {mr.lkey: mr for mr in hstate["mrs_by_lkey"]}
-    hca._mrs_by_rkey = {mr.rkey: mr for mr in hstate["mrs_by_rkey"]}
-
-
-def restore_cluster(payload: dict):
-    """Rebuild a live cluster from a :func:`capture_cluster` payload.
-
-    The restored cluster continues bit-identically to the captured one:
-    same clock/seq, same LRU orders, same allocator layout, same fault
-    RNG stream, and the global verbs/HCA/registration id counters are
-    rewound to the captured values so newly created objects get the
-    same ids an uninterrupted run would have handed out.
-    """
-    from repro.ib import hca as hca_mod
-    from repro.ib import registration, verbs
-    from repro.systems.machine import Cluster
-
-    if payload.get("kind") != "cluster":
-        raise CheckpointError(f"not a cluster snapshot (kind={payload.get('kind')!r})")
-    if not payload.get("quiescent", False):
-        raise CheckpointError(
-            "snapshot is a non-quiescent post-mortem capture; it is "
-            "forensic only and cannot be restored into a live cluster"
-        )
-    cluster = Cluster(
-        payload["spec"], n_nodes=payload["n_nodes"],
-        fault_plan=payload["fault_plan"],
-    )
-    for index, state in enumerate(payload["nodes"]):
-        _restore_machine(cluster, index, state)
-
-    # QPs are recreated through create_qp so each gets a live send-engine
-    # process; identity and connection state are forced afterwards.
-    qp_by_key: Dict[tuple, Any] = {}
-    for index, state in enumerate(payload["nodes"]):
-        node = cluster.nodes[index]
-        cq_map: Dict[int, Any] = {}
-        for cstate in state["hca"]["cqs"]:
-            cq = verbs.CompletionQueue(cluster.kernel)
-            cq.cq_id = cstate["cq_id"]
-            cq.store._items.extend(cstate["completions"])
-            cq_map[cstate["cq_id"]] = cq
-        for qstate in state["hca"]["qps"]:
-            qp = node.hca.create_qp(
-                qstate["pd"],
-                cq_map.get(qstate["send_cq_id"]),
-                cq_map.get(qstate["recv_cq_id"]),
-                max_sge=qstate["max_sge"],
-                max_send_wr=qstate["max_send_wr"],
-            )
-            node.hca._qps.pop(qp.qp_num, None)
-            qp.qp_num = qstate["qp_num"]
-            node.hca._qps[qp.qp_num] = qp
-            qp_by_key[(index, qp.qp_num)] = qp
-    # park every send engine on its (empty) send queue
-    cluster.kernel.run()
-    if cluster.kernel._queue:
-        # the clock and seq are about to be forced to the snapshot's: a
-        # still-pending event would sit in the past with a stale seq
-        raise CheckpointError(
-            f"restored kernel has {len(cluster.kernel._queue)} events "
-            "pending after parking the send engines"
-        )
-    for index, state in enumerate(payload["nodes"]):
-        for qstate in state["hca"]["qps"]:
-            qp = qp_by_key[(index, qstate["qp_num"])]
-            qp.state = qstate["state"]
-            qp.retry_cnt = qstate["retry_cnt"]
-            qp.rnr_retry = qstate["rnr_retry"]
-            qp.ack_timeout_ns = qstate["ack_timeout_ns"]
-            qp.wr_slots._in_use = qstate["wr_in_use"]
-            qp.peer_qp_num = qstate["peer_qp_num"]
-            if qstate["peer_node"] is not None:
-                qp.peer_hca = cluster.nodes[qstate["peer_node"]].hca
-            qp.recv_q._items.extend(qstate["recv_queue"])
-
-    kernel_state = payload["kernel"]
-    cluster.kernel._now = kernel_state["now"]
-    cluster.kernel._seq = kernel_state["seq"]
-    fstate = payload["faults"]
-    if fstate is not None and cluster.faults is not None:
-        cluster.faults.rng.setstate(fstate["rng_state"])
-        cluster.faults._hugepage_acquires = fstate["hugepage_acquires"]
-        cluster.faults.counters.restore(fstate["counters"])
-    ids = payload["module_ids"]
-    verbs._ids = itertools.count(ids["verbs"])
-    hca_mod._seq = itertools.count(ids["hca"])
-    registration._keys = itertools.count(ids["registration"])
-    return cluster
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +562,7 @@ class HangWatchdog:
         for i, cluster in enumerate(clusters):
             path = os.path.join(self.snapshot_dir, f"postmortem-cluster{i}.snap")
             try:
-                snap = capture_cluster(cluster, require_quiescent=False)
+                snap = capture_cluster(cluster)
                 write_snapshot(path, snap, meta={"kind": "post-mortem"})
                 self.snapshot_paths.append(path)
             except Exception as exc:

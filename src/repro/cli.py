@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -161,6 +162,24 @@ def _parse_fault_plan(args):
         raise SystemExit(2)
 
 
+def _check_harness_flags(args) -> None:
+    """Exit with code 2 and a one-line error on a ``--hang-timeout`` or
+    ``--checkpoint-every`` value that would crash the run or silently
+    switch the feature off."""
+    # NaN fails every comparison, so it would start a watchdog that
+    # never fires; 0 would start none at all
+    timeout = getattr(args, "hang_timeout", None)
+    if timeout is not None and not 0 < timeout < math.inf:
+        print("error: --hang-timeout: must be a finite number of "
+              f"seconds > 0, got {timeout}", file=sys.stderr)
+        raise SystemExit(2)
+    every = getattr(args, "checkpoint_every", None)
+    if every is not None and every < 0:
+        print("error: --checkpoint-every: must be a number of ticks >= 0, "
+              f"got {every}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 @contextlib.contextmanager
 def _harness(args):
     """Per-run checkpoint ledger plus the optional hang watchdog.
@@ -180,7 +199,7 @@ def _harness(args):
     )
     watchdog = None
     timeout = getattr(args, "hang_timeout", None)
-    if timeout:
+    if timeout is not None:
         watchdog = HangWatchdog(
             timeout,
             snapshot_dir=getattr(args, "checkpoint_dir", None) or "checkpoints",
@@ -644,6 +663,7 @@ def _dispatch(args) -> None:
         # all three re-enter _dispatch themselves with the target command
         fn(args)
         return
+    _check_harness_flags(args)
     ckpt_dir = getattr(args, "checkpoint_dir", None)
     if ckpt_dir:
         _ensure_dir(ckpt_dir, "--checkpoint-dir")

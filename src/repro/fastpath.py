@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 _enabled: bool = os.environ.get("REPRO_NO_FASTPATH", "").strip().lower() not in (
     "1",
@@ -161,7 +161,7 @@ class RunLRU:
     not the keys.
 
     The runs stay canonical (no run continues the run before it: same
-    tag, next grid key), so a :meth:`load` of :meth:`keys` rebuilds them.
+    tag, next grid key), so equal contents always have equal runs.
     """
 
     __slots__ = ("capacity", "stride", "_runs", "_size")
@@ -321,11 +321,3 @@ class RunLRU:
     def runs(self) -> List[Tuple[int, int, int]]:
         """The ``(tag, first, n)`` runs, oldest first."""
         return [(tag, first, n) for tag, first, n in self._runs]
-
-    def load(self, keys: Iterable[Tuple[int, int]]) -> None:
-        """Replace the content by ``(tag, key)`` pairs in LRU order,
-        oldest first (the :meth:`keys` form)."""
-        self.clear()
-        for tag, key in keys:
-            self._append(tag, key, 1)
-        self._size = sum(run[2] for run in self._runs)

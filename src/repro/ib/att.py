@@ -113,12 +113,8 @@ class ATTCache:
         """Drop everything."""
         self._cache.clear()
 
-    # -- checkpointing ------------------------------------------------------
+    # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> list:
         """Picklable snapshot: ``(mr_id, entry_index)`` keys in LRU
         order (oldest first)."""
         return self._cache.keys()
-
-    def load_state(self, state: list) -> None:
-        """Restore a :meth:`dump_state` snapshot."""
-        self._cache.load(state)

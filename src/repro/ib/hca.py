@@ -268,20 +268,15 @@ class HCA:
 
         Use as ``mr = yield from hca.register_memory(...)``.
         """
-        tracer = trace.active()
-        if tracer is None:
-            return (yield from self._register_impl(aspace, pd, vaddr, length))
-        with tracer.span("ib.mr.register", track=self.name, bytes=length):
-            return (yield from self._register_impl(aspace, pd, vaddr, length))
-
-    def _register_impl(
-        self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int, length: int
-    ) -> Generator:
-        mr, ns = self.reg.register(aspace, pd, vaddr, length)
-        self._mrs_by_lkey[mr.lkey] = mr
-        self._mrs_by_rkey[mr.rkey] = mr
-        yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        return mr
+        span = trace.begin("ib.mr.register", track=self.name, bytes=length)
+        try:
+            mr, ns = self.reg.register(aspace, pd, vaddr, length)
+            self._mrs_by_lkey[mr.lkey] = mr
+            self._mrs_by_rkey[mr.rkey] = mr
+            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
+            return mr
+        finally:
+            trace.end(span)
 
     def register_then(
         self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int,
@@ -307,18 +302,14 @@ class HCA:
 
     def deregister_memory(self, aspace: AddressSpace, mr: MemoryRegion) -> Generator:
         """Deregister *mr* (timed)."""
-        tracer = trace.active()
-        if tracer is None:
-            yield from self._deregister_impl(aspace, mr)
-            return
-        with tracer.span("ib.mr.deregister", track=self.name, bytes=mr.length):
-            yield from self._deregister_impl(aspace, mr)
-
-    def _deregister_impl(self, aspace: AddressSpace, mr: MemoryRegion) -> Generator:
-        ns = self.reg.deregister(aspace, mr)
-        self._mrs_by_lkey.pop(mr.lkey, None)
-        self._mrs_by_rkey.pop(mr.rkey, None)
-        yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
+        span = trace.begin("ib.mr.deregister", track=self.name, bytes=mr.length)
+        try:
+            ns = self.reg.deregister(aspace, mr)
+            self._mrs_by_lkey.pop(mr.lkey, None)
+            self._mrs_by_rkey.pop(mr.rkey, None)
+            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
+        finally:
+            trace.end(span)
 
     def deregister_then(self, aspace: AddressSpace, mr: MemoryRegion,
                         then: Callable[[], None]) -> None:
@@ -384,20 +375,16 @@ class HCA:
     def post_send(self, qp: QueuePair, wr: SendWR) -> Generator:
         """Post a send WR: WQE build + doorbell (the paper's near-constant
         'post' cost), then hand off to the adapter."""
-        tracer = trace.active()
-        if tracer is None:
-            yield from self._post_send_impl(qp, wr)
-            return
-        with tracer.span("ib.post_send", track=self.name, opcode=wr.opcode,
-                         bytes=wr.total_bytes, sges=len(wr.sges)):
-            yield from self._post_send_impl(qp, wr)
-
-    def _post_send_impl(self, qp: QueuePair, wr: SendWR) -> Generator:
-        ticks = self._post_send_ticks(qp, wr)
-        if not qp.wr_slots.try_acquire():  # blocks while the queue is full
-            yield qp.wr_slots.request()
-        yield self.kernel.timeout(ticks)
-        qp.send_q.put_nowait(wr)
+        span = trace.begin("ib.post_send", track=self.name, opcode=wr.opcode,
+                           bytes=wr.total_bytes, sges=len(wr.sges))
+        try:
+            ticks = self._post_send_ticks(qp, wr)
+            if not qp.wr_slots.try_acquire():  # blocks while the queue is full
+                yield qp.wr_slots.request()
+            yield self.kernel.timeout(ticks)
+            qp.send_q.put_nowait(wr)
+        finally:
+            trace.end(span)
 
     def post_send_then(self, qp: QueuePair, wr: SendWR,
                        then: Callable[[], None]) -> None:
@@ -549,7 +536,7 @@ class HCA:
         )
 
     def _tx_launch(self, qp: QueuePair, wr: SendWR) -> None:
-        # mirrors the body of _handle_send_impl between its two bus
+        # mirrors the body of _handle_send between its two bus
         # holds: same costs, same ATT walk point, same delivery instant
         cfg = self.config
         self.bus.read_channel.release()
@@ -650,77 +637,73 @@ class HCA:
         return max(0.0, ns)
 
     def _handle_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        tracer = trace.active()
-        if tracer is None:
-            yield from self._handle_send_impl(qp, wr)
-            return
-        with tracer.span("ib.tx", track=self.name, opcode=wr.opcode,
-                         bytes=wr.total_bytes, sges=len(wr.sges)):
-            yield from self._handle_send_impl(qp, wr)
-
-    def _handle_send_impl(self, qp: QueuePair, wr: SendWR) -> Generator:
-        cfg = self.config
-        if not qp.connected:
-            # the QP left RTS (SQE/ERROR after retry exhaustion) while
-            # this WR sat in the send queue: flush it with an error CQE,
-            # as real RC QPs do for queued work in an error state
-            yield from self._flush_send(qp, wr)
-            return
-        # WQE fetch is a short exclusive bus read
-        yield self.bus.read_channel.request()
+        span = trace.begin("ib.tx", track=self.name, opcode=wr.opcode,
+                           bytes=wr.total_bytes, sges=len(wr.sges))
         try:
-            yield self.kernel.timeout(
-                self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges)))
+            cfg = self.config
+            if not qp.connected:
+                # the QP left RTS (SQE/ERROR after retry exhaustion) while
+                # this WR sat in the send queue: flush it with an error CQE,
+                # as real RC QPs do for queued work in an error state
+                yield from self._flush_send(qp, wr)
+                return
+            # WQE fetch is a short exclusive bus read
+            yield self.bus.read_channel.request()
+            try:
+                yield self.kernel.timeout(
+                    self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges)))
+                )
+            finally:
+                self.bus.read_channel.release()
+            # data gather streams over the bus *while* the link serializes;
+            # the wire carries the first bytes after pipeline + latency, and
+            # the message keeps streaming for max(gather, serialization).
+            # An RDMA-read WR carries no local data outbound: it is a small
+            # request packet; the data streams back in the response.
+            if wr.opcode == "rdma_read":
+                gather_ns = 0.0
+                ser_ns = self.link.serialization_ns(16)
+            else:
+                gather_ns = self._gather_ns(wr)
+                ser_ns = self.link.serialization_ns(wr.total_bytes)
+            stream_ns = max(gather_ns, ser_ns)
+            seq = next(_seq)
+            self._outstanding[seq] = (qp, wr)
+            packet = _Packet(
+                kind=wr.opcode,
+                src_qp=qp.qp_num,
+                dst_qp=qp.peer_qp_num,
+                seq=seq,
+                wr_id=wr.wr_id,
+                nbytes=wr.total_bytes,
+                payload=wr.payload,
+                remote_addr=wr.remote_addr,
+                rkey=wr.rkey,
+                stream_ns=stream_ns,
             )
-        finally:
-            self.bus.read_channel.release()
-        # data gather streams over the bus *while* the link serializes;
-        # the wire carries the first bytes after pipeline + latency, and
-        # the message keeps streaming for max(gather, serialization).
-        # An RDMA-read WR carries no local data outbound: it is a small
-        # request packet; the data streams back in the response.
-        if wr.opcode == "rdma_read":
-            gather_ns = 0.0
-            ser_ns = self.link.serialization_ns(16)
-        else:
-            gather_ns = self._gather_ns(wr)
-            ser_ns = self.link.serialization_ns(wr.total_bytes)
-        stream_ns = max(gather_ns, ser_ns)
-        seq = next(_seq)
-        self._outstanding[seq] = (qp, wr)
-        packet = _Packet(
-            kind=wr.opcode,
-            src_qp=qp.qp_num,
-            dst_qp=qp.peer_qp_num,
-            seq=seq,
-            wr_id=wr.wr_id,
-            nbytes=wr.total_bytes,
-            payload=wr.payload,
-            remote_addr=wr.remote_addr,
-            rkey=wr.rkey,
-            stream_ns=stream_ns,
-        )
-        self.counters.add("hca.tx_messages")
-        if wr.opcode != "rdma_read":
-            self.counters.add("hca.tx_bytes", wr.total_bytes)
-        wire = self.wire_to(qp.peer_hca)
-        self._deliver(
-            wire,
-            packet,
-            self.clock.ns_to_ticks(cfg.process_ns + self.link.config.latency_ns),
-        )
-        if self.faults is not None:
-            self.kernel.process(
-                self._retry_watchdog(qp, packet, wire),
-                name=f"{self.name}-watchdog-{packet.seq}",
+            self.counters.add("hca.tx_messages")
+            if wr.opcode != "rdma_read":
+                self.counters.add("hca.tx_bytes", wr.total_bytes)
+            wire = self.wire_to(qp.peer_hca)
+            self._deliver(
+                wire,
+                packet,
+                self.clock.ns_to_ticks(cfg.process_ns + self.link.config.latency_ns),
             )
-        # the send engine (and the bus read channel) stay busy for the
-        # whole gather; the next WR on this QP starts after it
-        yield self.bus.read_channel.request()
-        try:
-            yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
+            if self.faults is not None:
+                self.kernel.process(
+                    self._retry_watchdog(qp, packet, wire),
+                    name=f"{self.name}-watchdog-{packet.seq}",
+                )
+            # the send engine (and the bus read channel) stay busy for the
+            # whole gather; the next WR on this QP starts after it
+            yield self.bus.read_channel.request()
+            try:
+                yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
+            finally:
+                self.bus.read_channel.release()
         finally:
-            self.bus.read_channel.release()
+            trace.end(span)
 
     def _flush_send(self, qp: QueuePair, wr: SendWR) -> Generator:
         """Complete a queued WR with a flush error (QP not in RTS)."""
@@ -918,27 +901,24 @@ class HCA:
                 self._send_ack(packet, self._rx_seen[packet.seq], wire)
                 return
             self._rx_inflight.add(packet.seq)
-        tracer = trace.active()
-        if tracer is None or packet.kind == "ack":
-            yield from self._receive_dispatch(packet, wire)
-            return
-        with tracer.span("ib.rx", track=self.name, kind=packet.kind,
-                         bytes=packet.nbytes):
-            yield from self._receive_dispatch(packet, wire)
-
-    def _receive_dispatch(self, packet: _Packet, wire: Wire) -> Generator:
-        if packet.kind == "ack":
+        if packet.kind == "ack":  # acks carry no span
             yield from self._complete_send(packet)
-        elif packet.kind == "send":
-            yield from self._receive_send(packet, wire)
-        elif packet.kind == "rdma_write":
-            yield from self._receive_rdma_write(packet, wire)
-        elif packet.kind == "rdma_read":
-            yield from self._receive_read_request(packet, wire)
-        elif packet.kind == "read_response":
-            yield from self._receive_read_response(packet)
-        else:  # pragma: no cover - defensive
-            raise IBVerbsError(f"unknown packet kind {packet.kind!r}")
+            return
+        span = trace.begin("ib.rx", track=self.name, kind=packet.kind,
+                           bytes=packet.nbytes)
+        try:
+            if packet.kind == "send":
+                yield from self._receive_send(packet, wire)
+            elif packet.kind == "rdma_write":
+                yield from self._receive_rdma_write(packet, wire)
+            elif packet.kind == "rdma_read":
+                yield from self._receive_read_request(packet, wire)
+            elif packet.kind == "read_response":
+                yield from self._receive_read_response(packet)
+            else:  # pragma: no cover - defensive
+                raise IBVerbsError(f"unknown packet kind {packet.kind!r}")
+        finally:
+            trace.end(span)
 
     def _complete_send(self, packet: _Packet) -> Generator:
         entry = self._outstanding.pop(packet.seq, None)

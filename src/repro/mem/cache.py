@@ -110,14 +110,10 @@ class DataCache:
         """Invalidate everything."""
         self._lines.clear()
 
-    # -- checkpointing ------------------------------------------------------
+    # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> list:
         """Picklable snapshot: line keys in LRU order (oldest first)."""
         return [line for _, line in self._lines.keys()]
-
-    def load_state(self, state: list) -> None:
-        """Restore a :meth:`dump_state` snapshot."""
-        self._lines.load((0, line) for line in state)
 
 
 class Prefetcher:

@@ -508,7 +508,7 @@ class PageTable:
             child._count[page_size] = self._count[page_size]
         return child
 
-    # -- checkpointing ------------------------------------------------------
+    # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> Dict[str, List[Tuple[int, int, int, bool]]]:
         """Picklable leaf list per page size: ``(vaddr, paddr,
         pin_count, cow)`` tuples of plain Python values, address order."""
@@ -521,21 +521,3 @@ class PageTable:
                               run.cow.tolist())
             state[key] = leaves
         return state
-
-    def load_state(self, state: Dict[str, List[Tuple[int, int, int, bool]]]) -> None:
-        """Replace every mapping with a :meth:`dump_state` snapshot."""
-        for key, page_size in (("small", PAGE_4K), ("huge", PAGE_2M)):
-            runs: List[PageRun] = []
-            leaves = np.array(state[key], dtype=np.int64).reshape(-1, 4)
-            # maximal stretches of consecutive pages become one run each
-            cuts = np.flatnonzero(np.diff(leaves[:, 0]) != page_size) + 1
-            for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(leaves)]):
-                if a == b:
-                    continue
-                runs.append(PageRun(
-                    int(leaves[a, 0]), page_size, leaves[a:b, 1].copy(),
-                    leaves[a:b, 2].astype(np.int32),
-                    leaves[a:b, 3].astype(bool)))
-            self._runs[page_size] = runs
-            self._starts[page_size] = [run.start for run in runs]
-            self._count[page_size] = len(leaves)

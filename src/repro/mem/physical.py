@@ -29,7 +29,7 @@ exactly what drawing the window would have left.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -128,9 +128,9 @@ class PhysicalMemory:
         self._returned = np.empty(_WINDOW_FRAMES, dtype=np.int64)
         self._n_returned = 0
         self._rng = np.random.default_rng(seed)
-        #: window-memo key prefix; None once the RNG state is not the
-        #: seed's (a snapshot without a key was restored)
-        self._memo_key: Optional[tuple] = (seed, fragmentation, self._total_small)
+        #: window-memo key prefix: the RNG state after the same refills
+        #: is the same for every pool built from these arguments
+        self._memo_key = (seed, fragmentation, self._total_small)
         # CoW sharing: refcounts > 1 for frames mapped by several address
         # spaces after a fork; freeing a shared frame just drops a ref
         self._shared: dict = {}
@@ -150,14 +150,12 @@ class PhysicalMemory:
         if n <= 0:
             raise OutOfMemoryError("4 KB frame pool exhausted")
         self._window_pos = 0
-        key = None
-        if self._memo_key is not None:
-            key = self._memo_key + (self._cursor // _WINDOW_FRAMES,)
-            memo = _WINDOW_MEMO.get(key)
-            if memo is not None:
-                self._window, self._rng.bit_generator.state = memo
-                self._cursor += n
-                return
+        key = self._memo_key + (self._cursor // _WINDOW_FRAMES,)
+        memo = _WINDOW_MEMO.get(key)
+        if memo is not None:
+            self._window, self._rng.bit_generator.state = memo
+            self._cursor += n
+            return
         order = np.arange(self._cursor, self._cursor + n, dtype=np.int64)
         self._cursor += n
         if self.fragmentation > 0.0 and n > 1:
@@ -166,7 +164,7 @@ class PhysicalMemory:
                 idx = self._rng.choice(n, size=n_shuffle, replace=False)
                 order[np.sort(idx)] = order[self._rng.permutation(np.sort(idx))]
         self._window = order * PAGE_4K
-        if key is not None and len(_WINDOW_MEMO) < _WINDOW_MEMO_MAX:
+        if len(_WINDOW_MEMO) < _WINDOW_MEMO_MAX:
             self._window.setflags(write=False)
             _WINDOW_MEMO[key] = (self._window, self._rng.bit_generator.state)
 
@@ -298,11 +296,11 @@ class PhysicalMemory:
         """True if *paddr* lies in the hugepage pool region."""
         return paddr >= self._huge_base
 
-    # -- checkpointing ------------------------------------------------------
+    # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> dict:
         """Picklable snapshot of the mutable pool state (geometry —
-        total bytes, pool sizes — is reconstructed from the MachineSpec,
-        not stored here)."""
+        total bytes, pool sizes — comes from the MachineSpec and is not
+        repeated here)."""
         return {
             "cursor": self._cursor,
             # snapshot format: the remaining window in reverse hand-out order
@@ -311,19 +309,4 @@ class PhysicalMemory:
             "free_huge": list(self._free_huge),
             "shared": dict(self._shared),
             "rng_state": self._rng.bit_generator.state,
-            "memo_key": self._memo_key,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`dump_state` snapshot onto identical geometry."""
-        self._cursor = state["cursor"]
-        self._window = np.array(state["window"][::-1], dtype=np.int64)
-        self._window_pos = 0
-        self._returned = np.array(state["returned"], dtype=np.int64)
-        self._n_returned = len(self._returned)
-        self._free_huge = list(state["free_huge"])
-        self._shared = dict(state["shared"])
-        self._rng.bit_generator.state = state["rng_state"]
-        # the RNG state is the seed's after the same refills whenever the
-        # dumped pool's was, so its later windows still match the memo
-        self._memo_key = state.get("memo_key")

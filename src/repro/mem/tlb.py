@@ -139,16 +139,11 @@ class SplitTLB:
         """Cached virtual pages of the *page_size* array, oldest first."""
         return [vpage for _, vpage in self._arrays[page_size].keys()]
 
-    # -- checkpointing ------------------------------------------------------
+    # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> dict:
         """Picklable snapshot: per-array entry keys in LRU order
-        (oldest first), so a restore reproduces eviction order exactly."""
+        (oldest first)."""
         return {size: self.keys(size) for size in self._arrays}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`dump_state` snapshot."""
-        for size, keys in state.items():
-            self._arrays[size].load((0, key) for key in keys)
 
     # -- analytic steady-state helpers ------------------------------------
     def analytic_stream_misses(self, nbytes: int, page_size: int) -> int:

@@ -219,8 +219,8 @@ class Cluster:
                     self.nodes[i].hca, self.nodes[j].hca, self.kernel
                 )
         # weak registration so the hang watchdog can find live clusters
-        # for its post-mortem snapshot (function-local import: checkpoint
-        # builds clusters during restore)
+        # for its post-mortem snapshot (function-local import: runs that
+        # build single machines only never load the checkpoint module)
         from repro.checkpoint import note_cluster
 
         note_cluster(self)

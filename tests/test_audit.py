@@ -110,7 +110,7 @@ class TestSeededCorruptionIsDetected:
         assert "no" in v.message and "PTE" in v.message
 
     def test_overlapping_free_blocks(self):
-        from repro.alloc.freelist import CHUNK_SIZE, FreeExtent
+        from repro.alloc.freelist import FreeExtent
 
         cluster = Cluster(presets.opteron_infinihost_pcie(), 1)
         proc = cluster.nodes[0].new_process()
@@ -119,7 +119,10 @@ class TestSeededCorruptionIsDetected:
         addr = proc.malloc(max(lib.config.cutoff_bytes, 64 * KB))
         assert addr in lib.management._live  # chunk-managed, not libc
         fl = lib.management.freelist
-        fl.load_state(fl.dump_state() + [(addr, 1)])  # free extent over a live block
+        # a free extent over a live block, kept in address order
+        fl._extents = sorted(fl._extents + [FreeExtent(start=addr, n_chunks=1)],
+                             key=lambda e: e.start)
+        fl._starts = [e.start for e in fl._extents]
         violations = audit_cluster(cluster)
         assert "alloc-overlap" in _checks(violations)
         v = next(v for v in violations if v.check == "alloc-overlap")

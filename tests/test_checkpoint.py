@@ -1,11 +1,9 @@
-"""Checkpoint/restore: snapshot files, cluster capture, run ledger,
+"""Checkpointing: snapshot files, post-mortem capture, run ledger,
 watchdog.
 
-The load-bearing guarantee under test: a cluster captured at a quiescent
-boundary and restored continues **bit-identically** to the uninterrupted
-original — same clock, same CQE sequences, same counters, same fault-RNG
-draws — and a checkpointed CLI-style run resumed from any snapshot
-reproduces the uninterrupted run's results exactly.
+The load-bearing guarantee under test: a checkpointed CLI-style run
+resumed from any run-ledger snapshot reproduces the uninterrupted run's
+results exactly.
 """
 
 import io
@@ -22,24 +20,19 @@ from repro.checkpoint import (
     CheckpointError,
     HangWatchdog,
     RunCheckpointer,
-    _count_next,
     capture_cluster,
-    is_quiescent,
+    pending_work,
     read_snapshot,
-    restore_cluster,
     write_snapshot,
 )
 from repro.engine import core as engine_core
 from repro.faults import FaultPlan
-from repro.ib.hca import HCA
-from repro.ib.verbs import SGE, CompletionQueue, ProtectionDomain, SendWR
 from repro.systems import Cluster, presets
 from repro.workloads.imb import SendRecvBenchmark
 from repro.workloads.nas import KERNELS
 from repro.workloads.nas.common import run_nas
 
 KB = 1024
-MB = 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +95,32 @@ class TestSnapshotFiles:
 # ---------------------------------------------------------------------------
 
 class TestQuiescence:
-    def test_capture_refuses_pending_events(self):
+    def test_forensic_capture_lists_pending_work(self, tmp_path):
+        """The post-mortem capture works mid-run: it lists what is still
+        in flight, summarises pending events instead of pickling them,
+        and survives the snapshot-file round trip."""
         cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
 
         def proc():
             yield cluster.kernel.timeout(10)
 
         cluster.kernel.process(proc())
-        assert not is_quiescent(cluster)
-        with pytest.raises(CheckpointError, match="not at a quiescent boundary"):
-            capture_cluster(cluster)
-        # forensic capture is allowed, but restore refuses it
-        snap = capture_cluster(cluster, require_quiescent=False)
-        assert snap["quiescent"] is False
+        snap = capture_cluster(cluster)
+        assert snap["pending_work"] == pending_work(cluster)
+        assert "events pending in the event heap" in snap["pending_work"][0]
         assert snap["kernel"]["queue_length"] >= 1
-        with pytest.raises(CheckpointError, match="forensic only"):
-            restore_cluster(snap)
+        path = str(tmp_path / "post.snap")
+        write_snapshot(path, snap, meta={"kind": "post-mortem"})
+        manifest, payload = read_snapshot(path)
+        assert manifest["meta"] == {"kind": "post-mortem"}
+        assert payload == snap
         cluster.kernel.run()  # drain so the cluster dies quiescent
+        assert pending_work(cluster) == []
 
     def test_drained_run_until_stamps_real_tick(self):
         """Regression: ``run(until=T)`` used to fast-forward the clock to
         T even when the queue drained earlier, so a snapshot taken after
-        such a run stamped a tick no event ever reached — and a resumed
-        run disagreed with an uninterrupted one on every later timestamp."""
+        such a run stamped a tick no event ever reached."""
         cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
         k = cluster.kernel
 
@@ -134,143 +130,6 @@ class TestQuiescence:
         k.process(proc())
         k.run(until=1_000_000)
         assert k.now == 10  # not 1_000_000
-        snap = capture_cluster(cluster)
-        assert snap["kernel"]["now"] == 10
-        restored = restore_cluster(snap)
-        assert restored.kernel.now == 10
-
-    def test_restore_refuses_pending_events(self, monkeypatch):
-        """The restored clock and seq are forced to the snapshot's, so an
-        event still pending after the send engines are parked would sit
-        in the past with a stale seq: restore must refuse it."""
-        # under a fault plan each send engine is a process, started by
-        # an event the park step in restore_cluster dispatches
-        cluster = _verbs_pair(FaultPlan(link_loss=0.05, seed=3))[0]
-        cluster.kernel.run()
-        snap = capture_cluster(cluster)
-        # a park step that dispatches nothing leaves those events pending
-        monkeypatch.setattr(engine_core.SimKernel, "run",
-                            lambda self, until=None: None)
-        with pytest.raises(CheckpointError, match="pending"):
-            restore_cluster(snap)
-
-    def test_restore_refuses_wrong_kind(self):
-        with pytest.raises(CheckpointError, match="not a cluster snapshot"):
-            restore_cluster({"kind": "run-ledger"})
-
-
-# ---------------------------------------------------------------------------
-# capture -> restore -> continue bit-identically
-# ---------------------------------------------------------------------------
-
-def _verbs_pair(fault_plan=None):
-    cluster = Cluster(presets.opteron_infinihost_pcie(), 2,
-                      fault_plan=fault_plan)
-    k = cluster.kernel
-    a, b = cluster.nodes
-    pa, pb = a.new_process(), b.new_process()
-    buf_a = pa.aspace.mmap(MB).start
-    buf_b = pb.aspace.mmap(MB).start
-    pd_a, pd_b = ProtectionDomain.fresh(), ProtectionDomain.fresh()
-    cqs = {name: CompletionQueue(k) for name in ("sa", "ra", "sb", "rb")}
-    qa = a.hca.create_qp(pd_a, cqs["sa"], cqs["ra"])
-    qb = b.hca.create_qp(pd_b, cqs["sb"], cqs["rb"])
-    HCA.connect_pair(qa, a.hca, qb, b.hca)
-    return cluster, (a, pa, buf_a, pd_a, qa), (b, pb, buf_b, pd_b, qb), cqs
-
-
-def _run_writes(cluster, qp_num, lkey, rkey, buf_a, buf_b, wr_ids):
-    """Post rdma_writes on node-0's QP *qp_num* and drain to quiescence;
-    works on an original or a restored cluster alike."""
-    a = cluster.nodes[0]
-    qp = a.hca._qps[qp_num]
-    k = cluster.kernel
-    statuses = []
-
-    def sender():
-        for wr_id in wr_ids:
-            yield from a.hca.post_send(qp, SendWR(
-                wr_id=wr_id, sges=[SGE(buf_a, 4 * KB, lkey)],
-                opcode="rdma_write", remote_addr=buf_b, rkey=rkey,
-            ))
-            wc = yield from a.hca.wait_completion(qp.send_cq)
-            statuses.append((wc.wr_id, wc.status))
-
-    k.process(sender())
-    k.run()
-    return statuses, k.now, cluster.aggregate_counters()
-
-
-class TestClusterRestore:
-    @pytest.mark.parametrize("plan", [
-        None,
-        FaultPlan(link_loss=0.05, seed=3, retry_cnt=7, ack_timeout_ns=20_000.0),
-    ], ids=["no-faults", "lossy-link"])
-    def test_restored_cluster_continues_bit_identically(self, tmp_path, plan):
-        cluster, (a, pa, buf_a, pd_a, qa), (b, pb, buf_b, pd_b, qb), cqs = \
-            _verbs_pair(plan)
-        k = cluster.kernel
-        mrs = {}
-
-        def setup():
-            mrs["a"] = yield from a.hca.register_memory(pa.aspace, pd_a, buf_a, MB)
-            mrs["b"] = yield from b.hca.register_memory(pb.aspace, pd_b, buf_b, MB)
-
-        k.process(setup())
-        k.run()
-        lkey, rkey = mrs["a"].lkey, mrs["b"].rkey
-        # phase 1: traffic before the checkpoint
-        _run_writes(cluster, qa.qp_num, lkey, rkey, buf_a, buf_b, [1, 2])
-
-        assert is_quiescent(cluster)
-        snap = capture_cluster(cluster)
-        # full fidelity: through the on-disk pickle, not just in memory
-        path = str(tmp_path / "mid.snap")
-        write_snapshot(path, snap)
-        _, payload = read_snapshot(path)
-
-        # phase 2 on the uninterrupted original...
-        original = _run_writes(cluster, qa.qp_num, lkey, rkey,
-                               buf_a, buf_b, [3, 4])
-        # ...and the identical continuation on the restored cluster
-        restored_cluster = restore_cluster(payload)
-        assert restored_cluster.kernel.now == snap["kernel"]["now"]
-        restored = _run_writes(restored_cluster, qa.qp_num, lkey, rkey,
-                               buf_a, buf_b, [3, 4])
-
-        assert restored == original  # statuses, final clock, all counters
-
-    def test_module_id_counters_rewound(self):
-        from repro.ib import verbs
-
-        cluster, *_ = _verbs_pair(None)
-        cluster.kernel.run()
-        snap = capture_cluster(cluster)
-        at_capture = _count_next(verbs._ids)
-        ProtectionDomain.fresh()  # consume ids after the capture
-        ProtectionDomain.fresh()
-        assert _count_next(verbs._ids) == at_capture + 2
-        restore_cluster(snap)
-        assert _count_next(verbs._ids) == at_capture
-
-    def test_restored_qp_keeps_send_queue_depth(self):
-        """Regression (found by simlint checkpoint-coverage): restore
-        rebuilt every QP with the default send-queue depth, so a QP
-        checkpointed with a small ``max_send_wr`` resumed with 128
-        slots and stopped back-pressuring where the original blocked."""
-        cluster, (a, pa, buf_a, pd_a, qa), _bside, cqs = _verbs_pair(None)
-        cluster.kernel.run()
-        # a supported configuration: a shallow send queue, as exercised
-        # by the QP-depth sweep in test_ft_and_qp_depth
-        qa.max_send_wr = 2
-        qa.wr_slots.capacity = 2
-        assert is_quiescent(cluster)
-        snap = capture_cluster(cluster)
-        restored = restore_cluster(snap)
-        rqa = restored.nodes[0].hca._qps[qa.qp_num]
-        assert rqa.max_send_wr == 2
-        assert rqa.wr_slots.capacity == 2
-        assert rqa.max_sge == qa.max_sge
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +292,9 @@ class TestHangWatchdog:
             dog.stop()
         assert dog.fired
         assert fired and "repro hang post-mortem" in fired[0]
-        assert dog.report_path and os.path.exists(dog.report_path)
+        assert dog.report_path == str(tmp_path / "postmortem-report.txt")
         assert "kernel: now=0" in open(dog.report_path).read()
-        assert dog.snapshot_paths
+        assert str(tmp_path / "postmortem-cluster0.snap") in dog.snapshot_paths
         manifest, payload = read_snapshot(dog.snapshot_paths[0])
         assert manifest["meta"]["kind"] == "post-mortem"
         assert payload["kind"] == "cluster"
@@ -450,11 +309,11 @@ class TestHangWatchdog:
 
 
 class TestCounterSetRestore:
-    """CounterSet keys must survive the checkpoint round trip even when
-    the deserialiser hands back ``str`` subclasses: ``sys.intern``
-    raises TypeError on those, so an un-normalised restore (or the
-    first post-restore increment with a subclass key) crashed a resumed
-    run that an uninterrupted run completed fine."""
+    """CounterSet keys must survive a snapshot round trip even when the
+    deserialiser hands back ``str`` subclasses: ``sys.intern`` raises
+    TypeError on those, so an un-normalised increment with a subclass
+    key crashed a resumed run that an uninterrupted run completed
+    fine."""
 
     class StrSub(str):
         pass
@@ -477,18 +336,10 @@ class TestCounterSetRestore:
         cs.add_many([(self.StrSub("att.miss"), 5), ("att.miss", 1)])
         assert cs["att.miss"] == 6
 
-    def test_restore_accepts_str_subclass_keys(self):
-        from repro.analysis.counters import CounterSet
-
-        cs = CounterSet()
-        cs.restore({self.StrSub("hca.tx_bytes"): 42})
-        assert cs["hca.tx_bytes"] == 42
-        (key,) = [k for k, _ in cs]
-        assert type(key) is str
-
     def test_restored_set_matches_uninterrupted_run(self):
-        """Increments applied after a restore must land on the same
-        entries an uninterrupted run produces — snapshots identical."""
+        """A set rebuilt from a deserialised snapshot, then incremented,
+        must land on the same entries an uninterrupted run produces —
+        snapshots identical."""
         from repro.analysis.counters import CounterSet
 
         uninterrupted = CounterSet()
@@ -500,7 +351,7 @@ class TestCounterSetRestore:
         snap = resumed.snapshot()
         # round-trip through a deserialiser that yields str subclasses
         resumed2 = CounterSet()
-        resumed2.restore({self.StrSub(k): v for k, v in snap.items()})
+        resumed2.add_many((self.StrSub(k), v) for k, v in snap.items())
         resumed2.add_many([(self.StrSub("b.y"), 2), ("a.x", 3)])
 
         assert resumed2.snapshot() == uninterrupted.snapshot()

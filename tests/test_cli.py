@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, main
+
+RUN_LEDGER_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "run_ledger"
+FAULTS_ARGV = ["faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"]
 
 
 class TestCLI:
@@ -139,11 +145,46 @@ class TestCheckpointCLI:
         assert exc.value.code == 2
         assert "error: resume:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--hang-timeout", "-1"),
+        ("--hang-timeout", "nan"),
+        ("--hang-timeout", "0"),
+        ("--hang-timeout", "inf"),
+        ("--checkpoint-every", "-5"),
+    ])
+    def test_bad_harness_values_exit_2(self, flag, value, tmp_path,
+                                       monkeypatch, capsys):
+        """A watchdog timeout that crashes (negative), never fires (nan,
+        inf) or silently starts no watchdog (0), and a negative snapshot
+        interval, are refused before the run starts."""
+        monkeypatch.chdir(tmp_path)  # a run that slips through writes here
+        with pytest.raises(SystemExit) as exc:
+            main(FAULTS_ARGV + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("snapshot", ["ckpt-0001.snap", "latest.snap"])
+    def test_committed_ledger_resumes_byte_identical(self, snapshot, tmp_path,
+                                                     monkeypatch, capsys):
+        """Run-ledger snapshots written by an earlier build (``faults``
+        with FAULTS_ARGV plus ``--checkpoint-every 0 --checkpoint-dir
+        ck``; one unit done, then both) still resume to the bytes a
+        fresh run prints.  Breaking them needs a deliberate SCHEMA bump."""
+        monkeypatch.chdir(tmp_path)
+        assert main(FAULTS_ARGV) == 0
+        fresh = capsys.readouterr().out
+        shutil.copy(RUN_LEDGER_FIXTURES / snapshot, tmp_path / "old.snap")
+        assert main(["resume", "old.snap"]) == 0
+        assert capsys.readouterr().out == fresh
+
     def test_resume_rejects_forensic_snapshots(self, tmp_path, capsys):
         from repro.checkpoint import write_snapshot
 
         path = tmp_path / "post.snap"
-        write_snapshot(str(path), {"kind": "cluster", "quiescent": False})
+        write_snapshot(str(path), {"kind": "cluster", "pending_work": []})
         with pytest.raises(SystemExit) as exc:
             main(["resume", str(path)])
         assert exc.value.code == 2

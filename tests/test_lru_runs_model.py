@@ -1,7 +1,7 @@
 """Property tests for the run-length LRU state (:class:`repro.fastpath.RunLRU`).
 
 A state machine drives random sweeps, single accesses, region
-invalidations, flushes and checkpoint round trips through an ATT cache
+invalidations and flushes through an ATT cache
 (stride 1, one tag per memory region) and a split TLB (stride 4096 and
 2 MB), and mirrors every step in a key-by-key ``OrderedDict`` model.
 After every step the hit counts, the LRU content and order, and the
@@ -116,19 +116,6 @@ class LRURunsMachine(RuleBasedStateMachine):
         self.tlb.flush()
         for model in self.tlb_models.values():
             model.clear()
-
-    # -- checkpoints ---------------------------------------------------------
-    @rule()
-    def round_trip(self):
-        """A restored copy holds the same runs and carries on as one."""
-        att = ATTCache(self.att.config, self.att.counters)
-        att.load_state(self.att.dump_state())
-        assert att._cache.runs() == self.att._cache.runs()
-        tlb = SplitTLB(self.tlb.config, self.tlb.counters)
-        tlb.load_state(self.tlb.dump_state())
-        for page_size in PAGE_SIZES:
-            assert tlb._arrays[page_size].runs() == self.tlb._arrays[page_size].runs()
-        self.att, self.tlb = att, tlb
 
     # -- invariants ------------------------------------------------------------
     @invariant()

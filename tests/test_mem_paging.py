@@ -156,8 +156,8 @@ class TestBulkMap:
         assert pt.n_small == 2
 
 
-class TestDumpLoad:
-    def test_round_trip(self, pt):
+class TestDumpState:
+    def test_leaves_match_the_entries(self, pt):
         pt.bulk_map(0, [0x10000, 0x11000], PAGE_4K)
         pt.bulk_map(0x4000, [0x20000], PAGE_4K)
         pt.map(0x400000, 0x800000, PAGE_2M)
@@ -170,7 +170,5 @@ class TestDumpLoad:
             "huge": [(0x400000, 0x800000, 0, True)],
         }
         assert all(type(v) is int for t in state["small"] for v in t[:3])
-        other = PageTable()
-        other.load_state(state)
-        assert other.dump_state() == state
-        assert list(other.entries()) == list(pt.entries())
+        assert [(e.vaddr, e.paddr, e.pin_count, e.cow) for e in pt.entries()] \
+            == state["small"] + state["huge"]

@@ -173,35 +173,6 @@ class TestWindowMemo:
         b = self._pool(seed=2).alloc_frames(4096).tolist()
         assert a != b
 
-    def test_restored_pool_continues_as_unmemoised(self, monkeypatch):
-        source = self._pool()
-        source.alloc_frames(4096 + 1234)  # mid-way through window 1
-        source.free_frames(source.alloc_frames(7))
-        state = source.dump_state()
-        restored = self._pool(seed=99)
-        restored.load_state(state)
-        got = restored.alloc_frames(2 * 4096).tolist()
-
-        def plain():
-            pool = self._pool()
-            pool.alloc_frames(4096 + 1234)
-            pool.free_frames(pool.alloc_frames(7))
-            return pool.alloc_frames(2 * 4096).tolist()
-
-        assert got == self._unmemoised(monkeypatch, plain)
-
-    def test_old_snapshot_without_memo_key_draws_its_own_windows(self):
-        source = self._pool()
-        source.alloc_frames(100)
-        state = source.dump_state()
-        del state["memo_key"]
-        restored = self._pool()
-        restored.load_state(state)
-        before = dict(physical._WINDOW_MEMO)
-        got = restored.alloc_frames(2 * 4096).tolist()
-        assert physical._WINDOW_MEMO.keys() == before.keys()
-        assert got == source.alloc_frames(2 * 4096).tolist()
-
     def test_memo_windows_are_read_only(self):
         self._pool().alloc_frames(10)
         for window, _state in physical._WINDOW_MEMO.values():

@@ -12,7 +12,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from simlint import counterkeys, ownership, taint, checkpoint_cov  # noqa: E402
+from simlint import counterkeys, ownership, taint  # noqa: E402
 from simlint.baseline import (Baseline, BaselineError,  # noqa: E402
                               PassFinding, apply_baseline)
 from simlint.cli import ANALYSES, main  # noqa: E402
@@ -20,7 +20,6 @@ from simlint.model import Project  # noqa: E402
 
 FIXTURES = REPO / "tests" / "fixtures" / "simlint"
 BADPKG = FIXTURES / "badpkg"
-SPEC = FIXTURES / "spec.json"
 REGISTRY = FIXTURES / "registry.json"
 
 
@@ -41,21 +40,6 @@ class TestTaintPass:
         findings = taint.run(_project())
         assert not any(f.symbol.startswith("badpkg.metrics")
                        for f in findings)
-
-
-class TestCheckpointCoveragePass:
-    def _findings(self):
-        spec = json.loads(SPEC.read_text())["entries"]
-        return checkpoint_cov.run(_project(), spec)
-
-    def test_never_captured_attribute_flagged(self):
-        assert "badpkg.snapshot.Widget.scratch" in _symbols(self._findings())
-
-    def test_captured_but_not_restored_flagged(self):
-        assert "badpkg.snapshot.Widget.depth" in _symbols(self._findings())
-
-    def test_round_tripped_attribute_clean(self):
-        assert "badpkg.snapshot.Widget.items" not in _symbols(self._findings())
 
 
 class TestOwnershipPass:
@@ -137,19 +121,16 @@ class TestCliContract:
 
     def test_fixture_package_trips_every_pass(self, capsys):
         rc = main([str(BADPKG), "--no-baseline",
-                   "--checkpoint-spec", str(SPEC),
                    "--registry", str(REGISTRY),
                    "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         checks = {f["check"] for f in payload["findings"]}
-        assert {"host-taint", "checkpoint-coverage", "ownership-pairing",
-                "counter-keys"} <= checks
+        assert {"host-taint", "ownership-pairing", "counter-keys"} <= checks
         assert payload["counts"]["passes"] == len(payload["findings"])
 
     def test_baseline_silences_fixture_findings(self, tmp_path, capsys):
         rc = main([str(BADPKG), "--no-baseline",
-                   "--checkpoint-spec", str(SPEC),
                    "--registry", str(REGISTRY), "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
@@ -159,7 +140,6 @@ class TestCliContract:
              "reason": "fixture: planted defect, suppressed for this test"}
             for f in payload["findings"]]}))
         rc = main([str(BADPKG), "--baseline", str(ledger),
-                   "--checkpoint-spec", str(SPEC),
                    "--registry", str(REGISTRY)])
         assert rc == 0
 

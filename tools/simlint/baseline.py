@@ -27,10 +27,10 @@ from typing import Dict, List, Optional, Tuple
 class PassFinding:
     """One whole-program finding, attached to a project symbol."""
 
-    pass_id: str    #: e.g. ``checkpoint-coverage``
+    pass_id: str    #: e.g. ``ownership-pairing``
     path: str
     line: int
-    symbol: str     #: e.g. ``repro.ib.verbs.QueuePair.max_send_wr``
+    symbol: str     #: e.g. ``repro.ib.hca.HCA._complete_send``
     message: str
 
     def render(self) -> str:

@@ -1,14 +1,14 @@
 """Command line front end: per-line rules + whole-program passes.
 
 ``python tools/simlint [paths...]`` runs everything detlint ran (the
-per-line determinism rules, same suppression syntax) *plus* the four
+per-line determinism rules, same suppression syntax) *plus* the three
 whole-program passes, against ``src/repro`` by default.
 
 Exit codes — same contract as detlint and ``repro lint``:
 
 - ``0`` — clean (after inline suppressions and the baseline ledger),
 - ``1`` — findings,
-- ``2`` — bad invocation (unknown path, malformed baseline/spec).
+- ``2`` — bad invocation (unknown path, malformed baseline).
 
 ``--format json`` emits one machine-readable object (findings, stale
 ledger entries, counts) for the CI artifact; text format prints one
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from simlint import checkpoint_cov, counterkeys, ownership, perline, taint
+from simlint import counterkeys, ownership, perline, taint
 from simlint.baseline import (Baseline, BaselineError, PassFinding,
                               apply_baseline)
 from simlint.model import Project
@@ -32,8 +32,8 @@ from simlint.model import Project
 _HERE = Path(__file__).resolve().parent
 
 #: analysis ids accepted by ``--only`` (``perline`` = the detlint rules)
-ANALYSES = ("perline", taint.PASS_ID, checkpoint_cov.PASS_ID,
-            ownership.PASS_ID, counterkeys.PASS_ID)
+ANALYSES = ("perline", taint.PASS_ID, ownership.PASS_ID,
+            counterkeys.PASS_ID)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-counter-registry", action="store_true",
                    help="regenerate the counter-key registry from the "
                         "tree before linting")
-    p.add_argument("--checkpoint-spec", default=None, metavar="PATH",
-                   help="JSON checkpoint-coverage spec (default: the "
-                        "built-in repro spec)")
     return p
 
 
@@ -71,36 +68,18 @@ def _list_rules() -> str:
     for rule_id in sorted(perline.RULES):
         lines.append(f"  {rule_id}: {perline.RULES[rule_id]}")
     lines.append("whole-program passes:")
-    for mod in (taint, checkpoint_cov, ownership, counterkeys):
+    for mod in (taint, ownership, counterkeys):
         doc = (mod.__doc__ or "").strip().splitlines()[0]
         lines.append(f"  {mod.PASS_ID}: {doc}")
     return "\n".join(lines)
 
 
-def _load_spec(path: str) -> Optional[List[Dict[str, object]]]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if isinstance(payload, dict):
-        payload = payload.get("entries")
-    if not isinstance(payload, list):
-        return None
-    return payload
-
-
 def run_passes(project: Project, only: List[str],
-               spec: Optional[List[Dict[str, object]]],
                registry_path: Path,
                update_registry: bool) -> List[PassFinding]:
     findings: List[PassFinding] = []
     if taint.PASS_ID in only:
         findings += taint.run(project)
-    if checkpoint_cov.PASS_ID in only:
-        if spec is not None:
-            findings += checkpoint_cov.run(project, spec)
-        elif project.package == "repro":
-            findings += checkpoint_cov.run(project)
     if ownership.PASS_ID in only:
         findings += ownership.run(project)
     if counterkeys.PASS_ID in only:
@@ -145,14 +124,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"simlint: {exc}", file=sys.stderr)
                 return 2
 
-    spec: Optional[List[Dict[str, object]]] = None
-    if args.checkpoint_spec:
-        spec = _load_spec(args.checkpoint_spec)
-        if spec is None:
-            print(f"simlint: cannot read checkpoint spec "
-                  f"{args.checkpoint_spec}", file=sys.stderr)
-            return 2
-
     registry_path = Path(args.registry) if args.registry \
         else _HERE / counterkeys.REGISTRY_FILE
 
@@ -170,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if (path.is_dir() and (path / "__init__.py").exists()
                     and only != ["perline"]):
                 pass_findings.extend(run_passes(
-                    Project(path), only, spec, registry_path,
+                    Project(path), only, registry_path,
                     args.update_counter_registry))
         except SyntaxError as exc:
             print(f"simlint: {raw}: syntax error: {exc}", file=sys.stderr)

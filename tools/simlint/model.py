@@ -1,10 +1,10 @@
 """Whole-program model: modules, classes, attributes and a call graph.
 
-The four analysis passes (:mod:`simlint.taint`,
-:mod:`simlint.checkpoint_cov`, :mod:`simlint.ownership`,
-:mod:`simlint.counterkeys`) all need the same substrate — every module
-of one package parsed, every class's instance-attribute inventory, every
-function under a stable qualified name, and a best-effort resolution of
+The three analysis passes (:mod:`simlint.taint`,
+:mod:`simlint.ownership`, :mod:`simlint.counterkeys`) all need the same
+substrate — every module of one package parsed, every class's method
+table and inferable attribute types, every function under a stable
+qualified name, and a best-effort resolution of
 call sites to project functions.  :class:`Project` builds all of it in
 one pass over the tree, pure stdlib.
 
@@ -51,7 +51,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class: attribute inventory and method table."""
+    """One class: attribute types and method table."""
 
     qualname: str
     module: str
@@ -59,9 +59,6 @@ class ClassInfo:
     node: ast.ClassDef
     path: str
     bases: List[str] = field(default_factory=list)
-    #: attribute name -> line of first sighting (``self.x = ...``,
-    #: ``__slots__`` entry, or plain class-level assignment)
-    attrs: Dict[str, int] = field(default_factory=dict)
     #: attribute name -> class qualname, where inferable from __init__
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: method name -> function qualname
@@ -158,21 +155,7 @@ class Project:
                          node=node, path=path,
                          bases=[d for d in (dotted(b) for b in node.bases) if d])
         for stmt in node.body:
-            # __slots__ and plain class-level state (ALL_CAPS constants
-            # and annotations without value are not instance state)
-            if isinstance(stmt, ast.Assign):
-                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-                if names == ["__slots__"] and isinstance(
-                        stmt.value, (ast.Tuple, ast.List)):
-                    for elt in stmt.value.elts:
-                        if isinstance(elt, ast.Constant) and isinstance(
-                                elt.value, str):
-                            info.attrs.setdefault(elt.value, stmt.lineno)
-                else:
-                    for n in names:
-                        if not n.isupper() and not n.startswith("__"):
-                            info.attrs.setdefault(n, stmt.lineno)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fq = f"{qual}.{stmt.name}"
                 info.methods[stmt.name] = fq
                 self._collect_function(module, path, stmt, cls=qual)
@@ -197,7 +180,6 @@ class Project:
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"):
             return
-        info.attrs.setdefault(target.attr, getattr(stmt, "lineno", 0))
         # best-effort attribute typing out of __init__-style assignments
         value = getattr(stmt, "value", None)
         if isinstance(value, ast.Call):

@@ -42,8 +42,8 @@ caused exactly that:
     ``counter.float-amount``).
 ``mutable-class-attr``
     A mutable literal (``[]``, ``{}``, ``set()`` ...) assigned at class
-    level: shared across instances, so state leaks between runs and
-    checkpoint restores.  ALL_CAPS constants and ``@dataclass`` bodies
+    level: shared across instances, so state leaks between runs.
+    ALL_CAPS constants and ``@dataclass`` bodies
     (where ``x = field(...)`` and class-level defaults are idiomatic)
     are exempt.
 ``intern-str``
