@@ -44,10 +44,14 @@ class CounterSet:
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment *name* by *amount* (may be negative for corrections)."""
-        san = _sanitize._active
-        if san is not None and san.counter:
-            san.check_amount(name, amount)
         counts = self._counts
+        san = _sanitize._active
+        if san is None:
+            if name in counts:  # the common case: a known key
+                counts[name] += amount
+                return
+        elif san.counter:
+            san.check_amount(name, amount)
         if name not in counts:
             if type(name) is not str:
                 name = str(name)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.engine.core import item_name
 from repro.mem.physical import PAGE_2M, PAGE_4K
 
 
@@ -76,7 +77,7 @@ def audit_kernel(kernel, label: str = "kernel") -> List[Violation]:
             violations.append(Violation(
                 check="event-heap", location=label,
                 message=f"event scheduled in the past (t={when} < now={kernel._now})",
-                context={"seq": seq, "priority": priority, "type": type(ev).__name__},
+                context={"seq": seq, "priority": priority, "type": item_name(ev)},
             ))
         if seq > kernel._seq:
             violations.append(Violation(

@@ -162,7 +162,9 @@ def _describe_event(entry) -> dict:
     """Forensic summary of one heap entry (never pickles the event)."""
     when, priority, seq, ev = entry
     wakes = []
-    for cb in getattr(ev, "callbacks", ()) or ():
+    # a step is a bare (fn, args) call: its function is what it wakes
+    calls = (ev[0],) if ev.__class__ is tuple else ev.callbacks or ()
+    for cb in calls:
         owner = getattr(cb, "__self__", None)
         name = getattr(owner, "name", None)
         if name:
@@ -171,7 +173,7 @@ def _describe_event(entry) -> dict:
         "when": when,
         "priority": priority,
         "seq": seq,
-        "type": type(ev).__name__,
+        "type": engine_core.item_name(ev),
         "wakes": wakes,
     }
 

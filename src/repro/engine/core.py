@@ -1,8 +1,11 @@
 """Core of the discrete-event simulation kernel.
 
-The kernel keeps pending ``(time, priority, sequence, event)`` entries in
-one binary heap (:mod:`heapq`) that it owns.  Time is an integer tick
-count; ties are broken first by an event priority (so e.g. urgent
+The kernel keeps pending ``(time, priority, sequence, item)`` entries in
+one binary heap (:mod:`heapq`) that it owns.  An item is an
+:class:`Event` or a *step*: a bare ``(fn, args)`` call scheduled by
+:meth:`SimKernel.call_after`, the primitive of callback chains, which
+dispatches as ``fn(*args)`` with no event behind it.  Time is an
+integer tick count; ties are broken first by a priority (so e.g. urgent
 interrupts run before normal timeouts at the same instant) and then by
 scheduling order, which makes every simulation fully deterministic.
 
@@ -35,7 +38,8 @@ count 1) and are never recycled behind the creator's back.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Generator, Iterable, List, Optional, Tuple,
+                    Union)
 
 #: scheduling priorities (lower runs first at equal times)
 URGENT = 0
@@ -409,8 +413,22 @@ def active_kernel() -> Optional["SimKernel"]:
     return _active_kernel
 
 
-#: one pending heap entry: (when, priority, seq, event)
-Entry = Tuple[int, int, int, Event]
+#: a scheduled bare call: ``(fn, args)``, dispatched as ``fn(*args)``
+Step = Tuple[Callable[..., None], tuple]
+
+#: one pending heap entry: ``(when, priority, seq, item)``, the item an
+#: :class:`Event` or a :data:`Step` (the dispatch loop tells them apart
+#: by class)
+Entry = Tuple[int, int, int, Any]
+
+
+def item_name(item: Union[Event, Step]) -> str:
+    """What a pending heap item is, for audits and post-mortems: an
+    event's class name, or the qualified name of a step's function."""
+    if isinstance(item, tuple):
+        fn = item[0]
+        return getattr(fn, "__qualname__", None) or repr(fn)
+    return type(item).__name__
 
 
 class SimKernel:
@@ -519,21 +537,14 @@ class SimKernel:
         ev._holds = 0
         return ev
 
-    def call_after(self, delay: int, callback: Callable[[Event], None]) -> None:
-        """Run *callback(event)* *delay* ticks from now: one pooled event
-        and no process — the step primitive of callback chains."""
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = None
-            ev._ok = True
-            ev._processed = False
-        else:
-            ev = Event(self)
-        ev._holds = 0
-        ev._triggered = True
-        ev.callbacks = [callback]
-        self._schedule(ev, delay, NORMAL)
+    def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` *delay* ticks from now: one heap entry and
+        no event or process — the step primitive of callback chains.
+
+        A step dispatches in the same ``(when, priority, seq)`` order an
+        event scheduled here would, and counts as one dispatched event.
+        """
+        self._schedule((fn, args), delay, NORMAL)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start *generator* as a simulation process."""
@@ -562,21 +573,23 @@ class SimKernel:
                 pool.append(event)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: int, priority: int) -> None:
-        self._seq += 1
+    def _schedule(self, event: Union[Event, Step], delay: int,
+                  priority: int) -> None:
+        seq = self._seq = self._seq + 1
         when = self._now + int(delay)
+        entry = (when, priority, seq, event)
         frame = self._frame
         if frame is not None and when == self._frame_when:
             if priority == self._frame_prio:
                 # same-tick fusion: join the live frame (the fresh seq is
                 # larger than anything dispatched or pending in it)
-                frame.append((self._seq, event))
+                frame.append(entry)
                 return
             if priority < self._frame_prio:
                 # an urgent event at the current tick outranks the rest
                 # of this frame: make the dispatch loop yield to it
                 self._preempt = True
-        heappush(self._queue, (when, priority, self._seq, event))
+        heappush(self._queue, entry)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
@@ -584,11 +597,16 @@ class SimKernel:
         return queue[0][0] if queue else None
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event (or step)."""
         if not self._queue:
             raise SimError("step() on an empty event queue")
         when, _prio, _seq, event = heappop(self._queue)
         self._now = when
+        self._frames += 1
+        self._events += 1
+        if event.__class__ is tuple:
+            event[0](*event[1])
+            return
         event._run_callbacks()
         crash = self._crash
         if event._holds == 0:
@@ -651,11 +669,12 @@ class SimKernel:
                     return
                 # pop one frame: every entry sharing the minimal
                 # (when, priority) key, in sequence order
-                when, prio, seq, event = heappop(queue)
-                frame = [(seq, event)]
+                entry = heappop(queue)
+                when = entry[0]
+                prio = entry[1]
+                frame = [entry]
                 while queue and queue[0][0] == when and queue[0][1] == prio:
-                    _when, _prio, seq, event = heappop(queue)
-                    frame.append((seq, event))
+                    frame.append(heappop(queue))
                 self._now = when
                 frames += 1
                 self._frame = frame
@@ -663,9 +682,18 @@ class SimKernel:
                 self._frame_prio = prio
                 i = 0
                 try:
-                    while i < len(frame):
-                        event = frame[i][1]
+                    # a list iterator also visits the entries appended to
+                    # the frame while it runs (same-tick fusion)
+                    for entry in frame:
+                        event = entry[3]
                         i += 1
+                        if event.__class__ is tuple:
+                            # a step: a bare call, nothing to recycle
+                            event[0](*event[1])
+                            if self._preempt:
+                                self._preempt = False
+                                break
+                            continue
                         callbacks = event.callbacks
                         event.callbacks = None
                         event._processed = True
@@ -693,7 +721,7 @@ class SimKernel:
                         # preempted (or crashed): the unprocessed tail
                         # goes back on the heap with its original seqs
                         for entry in frame[i:]:
-                            heappush(queue, (when, prio, entry[0], entry[1]))
+                            heappush(queue, entry)
         finally:
             self._frames += frames
             self._events += events

@@ -146,12 +146,23 @@ class Store:
         Waiting getters are served exactly as :meth:`put` would serve
         them.  On False (store full) nothing is enqueued and the caller
         must fall back to ``put()`` to queue as a putter.
+
+        Into an empty store with a callback waiting first, the item goes
+        straight to that callback (what :meth:`_dispatch` would do after
+        queueing it; an empty store has no blocked putters to admit).
         """
-        if self.capacity is not None and len(self._items) >= self.capacity:
+        items = self._items
+        if self.capacity is not None and len(items) >= self.capacity:
             return False
-        self._items.append(item)
-        if self._getters:
+        getters = self._getters
+        if getters:
+            if not items and not isinstance(getters[0], Event):
+                getters.popleft()(item)
+                return True
+            items.append(item)
             self._dispatch()
+            return True
+        items.append(item)
         return True
 
     def get(self) -> Event:
@@ -165,8 +176,16 @@ class Store:
         """Callback form of :meth:`get`: *callback(item)* runs as soon as
         an item is available — at once when one is queued and no earlier
         getter waits — in FIFO order with event getters."""
+        items = self._items
+        if items and not self._getters:
+            # served at once: what _dispatch would do for this getter
+            item = items.popleft()
+            if self._putters:
+                self._admit_putters()
+            callback(item)
+            return
         self._getters.append(callback)
-        if self._items:
+        if items:
             self._dispatch()
 
     def try_get(self) -> Optional[Any]:

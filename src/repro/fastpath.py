@@ -211,6 +211,36 @@ class RunLRU:
         stride = self.stride
         runs = self._runs
         end = first + n * stride
+        for t, f, m in runs:
+            if t == tag and f < end and first < f + m * stride:
+                hits, resident = self._sweep_resident(first, end, tag)
+                break
+        else:  # no swept key is resident: all miss, nothing to cut
+            hits = resident = 0
+        self._append(tag, first, n)
+        size = self._size - resident + n
+        excess = size - self.capacity
+        if excess > 0:
+            drop = 0
+            for run in runs:
+                if run[2] > excess:
+                    break
+                excess -= run[2]
+                drop += 1
+            del runs[:drop]
+            if excess:
+                runs[0][1] += excess * stride
+                runs[0][2] -= excess
+            size = self.capacity
+        self._size = size
+        return hits
+
+    def _sweep_resident(self, first: int, end: int, tag: int) -> Tuple[int, int]:
+        """The resident part of a sweep over ``first .. end - stride``:
+        count its hits, cut it out of the runs; returns (hits, resident
+        keys swept)."""
+        stride = self.stride
+        runs = self._runs
         hits = resident = newer = 0
         swept = []  # (lo, count) of the swept part of each newer run
         cuts = []  # (pos, lo, hi) of each run the sweep meets, newest first
@@ -236,23 +266,7 @@ class RunLRU:
         # to visit in place
         for pos, lo, hi in cuts:
             self._cut(pos, lo, hi)
-        self._append(tag, first, n)
-        size = self._size - resident + n
-        excess = size - self.capacity
-        if excess > 0:
-            drop = 0
-            for run in runs:
-                if run[2] > excess:
-                    break
-                excess -= run[2]
-                drop += 1
-            del runs[:drop]
-            if excess:
-                runs[0][1] += excess * stride
-                runs[0][2] -= excess
-            size = self.capacity
-        self._size = size
-        return hits
+        return hits, resident
 
     def _append(self, tag: int, first: int, n: int) -> None:
         """Make *n* keys from *first* the MRU run, merged into the old

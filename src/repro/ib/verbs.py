@@ -10,8 +10,8 @@ passive data; timing and movement live in :mod:`repro.ib.hca` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.engine.core import SimKernel
 from repro.engine.resources import Resource, Store
@@ -84,27 +84,60 @@ class MemoryRegion:
         return range(first, last + 1)
 
 
-@dataclass(frozen=True)
-class SGE:
-    """One scatter/gather element of a work request.
+class Record:
+    """Base of the per-message records (work requests, completions,
+    wire packets, MPI envelopes).
+
+    They are built for every message, so they are ``__slots__`` classes
+    with an explicit ``__init__`` rather than dataclasses, whose
+    generated constructors (frozen ones above all) cost several times
+    more.  They still compare field by field (records of different
+    classes never compare equal) and print as ``Name(field=value, ...)``
+    over the fields named in ``_FIELDS``.
+    """
+
+    __slots__ = ()
+    #: the fields equality, hashing and ``repr`` look at, in order
+    _FIELDS: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class SGE(Record):
+    """One scatter/gather element of a work request (hashable).
 
     A zero-length SGE is legal (the IB spec allows zero-byte messages);
     the message is then header-only on the wire and costs the link's
     per-packet time, never 0 ns.
     """
 
-    addr: int
-    length: int
-    lkey: int
+    __slots__ = ("addr", "length", "lkey")
+    _FIELDS = __slots__
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, addr: int, length: int, lkey: int):
+        if length < 0:
             raise IBVerbsError(
-                f"SGE length must be non-negative, got {self.length}")
+                f"SGE length must be non-negative, got {length}")
+        self.addr = addr
+        self.length = length
+        self.lkey = lkey
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass
-class SendWR:
+class SendWR(Record):
     """A send-queue work request.
 
     ``opcode`` is ``"send"`` (two-sided, consumes a remote RecvWR),
@@ -114,50 +147,62 @@ class SendWR:
     ``payload`` optionally carries real data (any Python object) to the
     other side — the co-simulation channel the MPI layer uses; for reads
     the payload comes back from the responder's exposure table.
+    ``total_bytes`` is the message payload size (sum over SGEs), summed
+    once at construction: the adapter reads it several times per WR.
     """
 
-    wr_id: int
-    sges: Sequence[SGE]
-    opcode: str = "send"
-    remote_addr: int = 0
-    rkey: int = 0
-    payload: Any = None
-    #: message payload size (sum over SGEs), summed once at construction:
-    #: the adapter reads it several times per WR
-    total_bytes: int = field(init=False, repr=False)
+    __slots__ = ("wr_id", "sges", "opcode", "remote_addr", "rkey", "payload",
+                 "total_bytes")
+    _FIELDS = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        if self.opcode not in ("send", "rdma_write", "rdma_read"):
-            raise IBVerbsError(f"unsupported opcode {self.opcode!r}")
-        if not self.sges:
+    def __init__(self, wr_id: int, sges: Sequence[SGE], opcode: str = "send",
+                 remote_addr: int = 0, rkey: int = 0, payload: Any = None):
+        if opcode not in ("send", "rdma_write", "rdma_read"):
+            raise IBVerbsError(f"unsupported opcode {opcode!r}")
+        if not sges:
             raise IBVerbsError("work request needs at least one SGE")
-        self.total_bytes = sum(s.length for s in self.sges)
+        self.wr_id = wr_id
+        self.sges = sges
+        self.opcode = opcode
+        self.remote_addr = remote_addr
+        self.rkey = rkey
+        self.payload = payload
+        self.total_bytes = (sges[0].length if len(sges) == 1
+                            else sum(s.length for s in sges))
 
 
-@dataclass
-class RecvWR:
-    """A receive-queue work request (scatter list for an incoming send)."""
+class RecvWR(Record):
+    """A receive-queue work request (scatter list for an incoming send);
+    ``total_bytes`` is the buffer capacity (sum over SGEs), summed once."""
 
-    wr_id: int
-    sges: Sequence[SGE]
-    #: receive buffer capacity (sum over SGEs), summed once
-    total_bytes: int = field(init=False, repr=False)
+    __slots__ = ("wr_id", "sges", "total_bytes")
+    _FIELDS = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        if not self.sges:
+    def __init__(self, wr_id: int, sges: Sequence[SGE]):
+        if not sges:
             raise IBVerbsError("receive work request needs at least one SGE")
-        self.total_bytes = sum(s.length for s in self.sges)
+        self.wr_id = wr_id
+        self.sges = sges
+        self.total_bytes = (sges[0].length if len(sges) == 1
+                            else sum(s.length for s in sges))
 
 
-@dataclass(frozen=True)
-class WorkCompletion:
-    """A completion-queue entry."""
+class WorkCompletion(Record):
+    """A completion-queue entry (hashable when its payload is)."""
 
-    wr_id: int
-    opcode: str
-    byte_len: int
-    status: str = "success"
-    payload: Any = None
+    __slots__ = ("wr_id", "opcode", "byte_len", "status", "payload")
+    _FIELDS = __slots__
+
+    def __init__(self, wr_id: int, opcode: str, byte_len: int,
+                 status: str = "success", payload: Any = None):
+        self.wr_id = wr_id
+        self.opcode = opcode
+        self.byte_len = byte_len
+        self.status = status
+        self.payload = payload
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def ok(self) -> bool:

@@ -43,6 +43,7 @@ from repro.ib.verbs import (
     MemoryRegion,
     ProtectionDomain,
     QueuePair,
+    Record,
     RecvWR,
     SendWR,
     WorkCompletion,
@@ -89,19 +90,26 @@ class MPIConfig:
                              f"{self.rndv_protocol!r}")
 
 
-@dataclass
-class Envelope:
-    """Protocol header riding on every wire/intra message."""
+class Envelope(Record):
+    """Protocol header riding on every wire/intra message; ``kind`` is
+    one of eager, rts, cts, fin and rdat."""
 
-    kind: str  # eager | rts | cts | fin | rdat
-    src: int
-    dst: int
-    tag: int
-    size: int
-    payload: Any = None
-    rndv: int = 0
-    remote_addr: int = 0
-    rkey: int = 0
+    __slots__ = ("kind", "src", "dst", "tag", "size", "payload", "rndv",
+                 "remote_addr", "rkey")
+    _FIELDS = __slots__
+
+    def __init__(self, kind: str, src: int, dst: int, tag: int, size: int,
+                 payload: Any = None, rndv: int = 0, remote_addr: int = 0,
+                 rkey: int = 0):
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.size = size
+        self.payload = payload
+        self.rndv = rndv
+        self.remote_addr = remote_addr
+        self.rkey = rkey
 
 
 class Endpoint:
@@ -118,6 +126,9 @@ class Endpoint:
         self.machine = proc.machine
         self.hca = self.machine.hca
         self.kernel: SimKernel = world.kernel
+        #: trace tracks of this rank's sending and receiving halves
+        self.tx_track = f"rank{rank}.tx"
+        self.rx_track = f"rank{rank}.rx"
         self.pd = ProtectionDomain.fresh()
         self.send_cq = CompletionQueue(self.kernel)
         self.recv_cq = CompletionQueue(self.kernel)
@@ -140,7 +151,8 @@ class Endpoint:
         self._rndv_ids = itertools.count(1)
         #: send WR id -> the continuation its completion is handed to
         self._send_waiters: Dict[int, Callable[[WorkCompletion], None]] = {}
-        self._recv_slots: Dict[int, Tuple[int, int, object]] = {}
+        #: receive WR id -> the QP and SGE list of its bounce buffer
+        self._recv_slots: Dict[int, Tuple[QueuePair, List[SGE]]] = {}
         self._ready = False
 
     # -- identity helpers ------------------------------------------------------
@@ -163,9 +175,8 @@ class Endpoint:
                       payload: Any = None, rndv: int = 0,
                       remote_addr: int = 0, rkey: int = 0) -> Envelope:
         """Build a protocol header originating at this rank."""
-        return Envelope(kind=kind, src=self.rank, dst=dest, tag=tag, size=size,
-                        payload=payload, rndv=rndv, remote_addr=remote_addr,
-                        rkey=rkey)
+        return Envelope(kind, self.rank, dest, tag, size, payload, rndv,
+                        remote_addr, rkey)
 
     def next_wr_id(self) -> int:
         return next(self._wr_ids)
@@ -209,8 +220,7 @@ class Endpoint:
     def setup(self) -> Generator:
         """Allocate and register bounce buffers, pre-post receives, start
         progress engines.  Timed (runs before the profiled window)."""
-        span = trace.begin("mpi.setup", track=f"rank{self.rank}.tx",
-                           rank=self.rank)
+        span = trace.begin("mpi.setup", track=self.tx_track, rank=self.rank)
         try:
             cfg = self.config
             n_qps = max(1, len(self.qps))
@@ -226,8 +236,8 @@ class Endpoint:
                 cursor += cfg.eager_buf_bytes
             for qp in self.qps.values():
                 for _ in range(cfg.prepost_depth):
-                    yield from self.hca.post_recv(
-                        qp, self._eager_recv_wr(qp, cursor, mr))
+                    sges = [SGE(cursor, cfg.eager_buf_bytes, mr.lkey)]
+                    yield from self.hca.post_recv(qp, self._eager_recv_wr(qp, sges))
                     cursor += cfg.eager_buf_bytes
             self._recv_progress()
             self._send_progress()
@@ -235,13 +245,11 @@ class Endpoint:
         finally:
             trace.end(span)
 
-    def _eager_recv_wr(self, qp: QueuePair, buf: int,
-                       mr: MemoryRegion) -> RecvWR:
+    def _eager_recv_wr(self, qp: QueuePair, sges: List[SGE]) -> RecvWR:
         """A receive WR for one eager bounce buffer, with its slot."""
         wr_id = self.next_wr_id()
-        self._recv_slots[wr_id] = (buf, qp.qp_num, (qp, mr))
-        return RecvWR(wr_id=wr_id,
-                      sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
+        self._recv_slots[wr_id] = (qp, sges)
+        return RecvWR(wr_id, sges)
 
     # -- progress engines -------------------------------------------------------------
     #
@@ -252,10 +260,10 @@ class Endpoint:
         self.hca.poll_then(self.recv_cq, self._on_recv_completion)
 
     def _on_recv_completion(self, wc: WorkCompletion) -> None:
-        buf, _qp_num, (qp, mr) = self._recv_slots.pop(wc.wr_id)
+        qp, sges = self._recv_slots.pop(wc.wr_id)
         # repost the bounce (the engine polls again once it is queued)
         # before the envelope wakes a receiver, which then runs after it
-        self.hca.post_recv_then(qp, self._eager_recv_wr(qp, buf, mr),
+        self.hca.post_recv_then(qp, self._eager_recv_wr(qp, sges),
                                 self._recv_progress)
         self._dispatch(wc.payload)
 

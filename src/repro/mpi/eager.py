@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 def eager_send(endpoint: Endpoint, dest: int, tag: int, size: int, addr: Optional[int],
                payload: Any) -> Generator:
     """Send one eager message (size must fit a bounce buffer)."""
-    span = trace.begin("mpi.eager.send", track=f"rank{endpoint.rank}.tx",
+    span = trace.begin("mpi.eager.send", track=endpoint.tx_track,
                        dest=dest, bytes=size)
     try:
         env = endpoint.make_envelope("eager", dest, tag, size, payload=payload)
@@ -47,8 +47,9 @@ def eager_send_then(op: Op, dest: int, tag: int, size: int, addr: Optional[int],
                     payload: Any, then: Callable[[], None]) -> None:
     """Callback form of :func:`eager_send`."""
     ep = op.ep
-    op.span = trace.begin("mpi.eager.send", f"rank{ep.rank}.tx",
-                          dest=dest, bytes=size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.eager.send", ep.tx_track,
+                              dest=dest, bytes=size)
     env = ep.make_envelope("eager", dest, tag, size, payload=payload)
     bounce_send_then(op, dest, env, size, addr, then)
 
@@ -97,55 +98,72 @@ def bounce_send_then(op: Op, dest: int, env: Envelope, wire_bytes: int,
                      addr: Optional[int], then: Callable[[], None]) -> None:
     """Callback form of :func:`send_through_bounce`: *then()* runs after
     local completion, with the bounce buffer back in the pool."""
-    op.ep.bounce_pool.get_then(lambda buf: op.call(
-        _bounce_fill, op, dest, env, wire_bytes, addr, buf, then))
+    op.ep.bounce_pool.get_then(
+        _BounceSend(op, dest, env, wire_bytes, addr, then).fill)
 
 
-def _bounce_fill(op: Op, dest: int, env: Envelope, wire_bytes: int,
-                 addr: Optional[int], buf: tuple, then: Callable[[], None]) -> None:
-    if addr is not None and wire_bytes > 0:
+class _BounceSend:
+    """One message through a bounce buffer, as the steps of
+    :func:`bounce_send_then`: the pool hands :meth:`fill` a buffer, the
+    copy's delay leads to :meth:`post`, and the send completion to
+    :meth:`done`.  A step that raises fails the operation, after putting
+    the buffer back if the completion will not."""
+
+    __slots__ = ("op", "dest", "env", "wire_bytes", "addr", "then", "buf")
+
+    def __init__(self, op: Op, dest: int, env: Envelope, wire_bytes: int,
+                 addr: Optional[int], then: Callable[[], None]):
+        self.op = op
+        self.dest = dest
+        self.env = env
+        self.wire_bytes = wire_bytes
+        self.addr = addr
+        self.then = then
+
+    def fill(self, buf: tuple) -> None:
+        self.buf = buf
+        if self.addr is not None and self.wire_bytes > 0:
+            ep = self.op.ep
+            try:
+                cost = ep.proc.engine.copy(self.addr, buf[0], self.wire_bytes)
+            except Exception as exc:
+                ep.bounce_pool.put_nowait(buf)
+                self.op.fail(exc)
+                return
+            ep.kernel.call_after(cost.ticks, self.post)
+        else:
+            self.post()
+
+    def post(self) -> None:
+        op = self.op
         ep = op.ep
+        buf_addr, mr = self.buf
         try:
-            cost = ep.proc.engine.copy(addr, buf[0], wire_bytes)
-        except Exception:
-            ep.bounce_pool.put_nowait(buf)
-            raise
-        op.after(cost.ticks, _bounce_post, op, dest, env, wire_bytes, buf, then)
-    else:
-        _bounce_post(op, dest, env, wire_bytes, buf, then)
+            qp = ep.qp_for(self.dest)
+            wr_id = ep.next_wr_id()
+            ep.on_send_completion(wr_id, self.done)
+            wr = SendWR(wr_id, [SGE(buf_addr, self.wire_bytes, mr.lkey)],
+                        payload=self.env)
+            ep.hca.post_send_then(qp, wr, _posted)
+        except Exception as exc:
+            ep.bounce_pool.put_nowait(self.buf)
+            op.fail(exc)
 
-
-def _bounce_post(op: Op, dest: int, env: Envelope, wire_bytes: int, buf: tuple,
-                 then: Callable[[], None]) -> None:
-    ep = op.ep
-    buf_addr, mr = buf
-    try:
-        qp = ep.qp_for(dest)
-        wr_id = ep.next_wr_id()
-        ep.on_send_completion(wr_id, lambda wc: op.call(
-            _bounce_done, op, dest, env, wire_bytes, buf, then, wc))
-        wr = SendWR(
-            wr_id=wr_id,
-            sges=[SGE(buf_addr, wire_bytes, mr.lkey)],
-            payload=env,
-        )
-        ep.hca.post_send_then(qp, wr, _posted)
-    except Exception:
-        ep.bounce_pool.put_nowait(buf)
-        raise
+    def done(self, wc: WorkCompletion) -> None:
+        op = self.op
+        ep = op.ep
+        ep.bounce_pool.put_nowait(self.buf)
+        try:
+            if not wc.ok:
+                raise _bounce_aborted(ep, self.dest, self.env, self.wire_bytes,
+                                      ep.completion_error(wc))
+            self.then()
+        except Exception as exc:
+            op.fail(exc)
 
 
 def _posted() -> None:
     """A posted WR needs nothing more: its completion carries on."""
-
-
-def _bounce_done(op: Op, dest: int, env: Envelope, wire_bytes: int, buf: tuple,
-                 then: Callable[[], None], wc: WorkCompletion) -> None:
-    ep = op.ep
-    ep.bounce_pool.put_nowait(buf)
-    if not wc.ok:
-        raise _bounce_aborted(ep, dest, env, wire_bytes, ep.completion_error(wc))
-    then()
 
 
 def send_ctrl(endpoint: Endpoint, dest: int, env: Envelope) -> Generator:
@@ -161,7 +179,7 @@ def send_ctrl_then(op: Op, dest: int, env: Envelope, then: Callable[[], None]) -
 def copy_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
                          addr: Optional[int], payload: Any) -> Generator:
     """RTS/CTS handshake, then the payload chunked through bounce bufs."""
-    span = trace.begin("mpi.rndv.copy.send", track=f"rank{endpoint.rank}.tx",
+    span = trace.begin("mpi.rndv.copy.send", track=endpoint.tx_track,
                        dest=dest, bytes=size)
     try:
         rndv = endpoint.next_rndv_id()
@@ -189,8 +207,9 @@ def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
                               then: Callable[[], None]) -> None:
     """Callback form of :func:`copy_rendezvous_send`."""
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.copy.send", f"rank{ep.rank}.tx",
-                          dest=dest, bytes=size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.copy.send", ep.tx_track,
+                              dest=dest, bytes=size)
     rndv = ep.next_rndv_id()
     rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
     chunk = ep.config.eager_buf_bytes
@@ -215,7 +234,7 @@ def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
 
 def copy_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
     """Receiver half of the copy rendezvous; returns the payload."""
-    span = trace.begin("mpi.rndv.copy.recv", track=f"rank{endpoint.rank}.rx",
+    span = trace.begin("mpi.rndv.copy.recv", track=endpoint.rx_track,
                        src=env.src, bytes=env.size)
     try:
         cts = endpoint.make_envelope("cts", env.src, env.tag, env.size,
@@ -246,8 +265,9 @@ def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
                               then: Callable[[Any], None]) -> None:
     """Callback form of :func:`copy_rendezvous_recv`; *then(payload)*."""
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.copy.recv", f"rank{ep.rank}.rx",
-                          src=env.src, bytes=env.size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.copy.recv", ep.rx_track,
+                              src=env.src, bytes=env.size)
     cts = ep.make_envelope("cts", env.src, env.tag, env.size, rndv=env.rndv)
     rndv = env.rndv
 
@@ -275,7 +295,7 @@ def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
 
 def eager_recv_copy_out(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
     """Charge the receiver-side copy from the bounce to the user buffer."""
-    span = trace.begin("mpi.eager.recv", track=f"rank{endpoint.rank}.rx",
+    span = trace.begin("mpi.eager.recv", track=endpoint.rx_track,
                        src=env.src, bytes=env.size)
     try:
         if addr is not None and env.size > 0:
@@ -290,8 +310,9 @@ def eager_recv_copy_out_then(op: Op, env: Envelope, addr: Optional[int],
                              then: Callable[[Any], None]) -> None:
     """Callback form of :func:`eager_recv_copy_out`; *then(payload)*."""
     ep = op.ep
-    op.span = trace.begin("mpi.eager.recv", f"rank{ep.rank}.rx",
-                          src=env.src, bytes=env.size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.eager.recv", ep.rx_track,
+                              src=env.src, bytes=env.size)
     if addr is not None and env.size > 0:
         cost = ep.proc.engine.stream(addr, env.size, write=True)
         op.after(cost.ticks, then, env.payload)

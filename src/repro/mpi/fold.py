@@ -71,7 +71,7 @@ class Op:
 
     def after(self, ticks: int, fn: Callable[..., None], *args: Any) -> None:
         """Run one step *ticks* from now (one kernel event)."""
-        self.ep.kernel.call_after(ticks, lambda _ev: self.call(fn, *args))
+        self.ep.kernel.call_after(ticks, self.call, fn, *args)
 
     def finish(self, value: Any = None) -> None:
         """Complete the operation with *value*."""

@@ -88,7 +88,7 @@ def rdma_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
     """Sender half (see module docstring); *addr* must be a real mapped
     buffer — the RDMA path cannot send from nowhere."""
     _need_addr(addr, "a source buffer address")
-    span = trace.begin("mpi.rndv.write.send", track=f"rank{endpoint.rank}.tx",
+    span = trace.begin("mpi.rndv.write.send", track=endpoint.tx_track,
                        dest=dest, bytes=size)
     try:
         rndv = endpoint.next_rndv_id()
@@ -124,8 +124,9 @@ def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
     """Callback form of :func:`rdma_rendezvous_send`."""
     _need_addr(addr, "a source buffer address")
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.write.send", f"rank{ep.rank}.tx",
-                          dest=dest, bytes=size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.write.send", ep.tx_track,
+                              dest=dest, bytes=size)
     rndv = ep.next_rndv_id()
     rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
 
@@ -158,7 +159,7 @@ def rdma_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> Genera
     """Receiver half; *addr* is the user receive buffer (required)."""
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
-    span = trace.begin("mpi.rndv.write.recv", track=f"rank{endpoint.rank}.rx",
+    span = trace.begin("mpi.rndv.write.recv", track=endpoint.rx_track,
                        src=env.src, bytes=env.size)
     try:
         mr = yield from endpoint.regcache.acquire(addr, env.size)
@@ -185,8 +186,9 @@ def rdma_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.write.recv", f"rank{ep.rank}.rx",
-                          src=env.src, bytes=env.size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.write.recv", ep.rx_track,
+                              src=env.src, bytes=env.size)
     rndv = env.rndv
 
     def _cts(mr: MemoryRegion) -> None:
@@ -209,7 +211,7 @@ def rdma_read_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int
     """Sender half of the read rendezvous: expose the buffer, announce
     it in the RTS, wait for the receiver's FIN."""
     _need_addr(addr, "a source buffer address")
-    span = trace.begin("mpi.rndv.read.send", track=f"rank{endpoint.rank}.tx",
+    span = trace.begin("mpi.rndv.read.send", track=endpoint.tx_track,
                        dest=dest, bytes=size)
     try:
         rndv = endpoint.next_rndv_id()
@@ -237,8 +239,9 @@ def rdma_read_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
     """Callback form of :func:`rdma_read_rendezvous_send`."""
     _need_addr(addr, "a source buffer address")
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.read.send", f"rank{ep.rank}.tx",
-                          dest=dest, bytes=size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.read.send", ep.tx_track,
+                              dest=dest, bytes=size)
     rndv = ep.next_rndv_id()
 
     def _rts(mr: MemoryRegion) -> None:
@@ -263,7 +266,7 @@ def rdma_read_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> G
     """Receiver half: pull the announced buffer with one RDMA read."""
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
-    span = trace.begin("mpi.rndv.read.recv", track=f"rank{endpoint.rank}.rx",
+    span = trace.begin("mpi.rndv.read.recv", track=endpoint.rx_track,
                        src=env.src, bytes=env.size)
     try:
         mr = yield from endpoint.regcache.acquire(addr, env.size)
@@ -296,8 +299,9 @@ def rdma_read_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
     ep = op.ep
-    op.span = trace.begin("mpi.rndv.read.recv", f"rank{ep.rank}.rx",
-                          src=env.src, bytes=env.size)
+    if trace.active() is not None:
+        op.span = trace.begin("mpi.rndv.read.recv", ep.rx_track,
+                              src=env.src, bytes=env.size)
 
     def _read(mr: MemoryRegion) -> None:
         op.mr = mr

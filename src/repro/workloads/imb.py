@@ -56,6 +56,18 @@ class IMBResult:
         raise KeyError(f"no row for size {size}")
 
 
+def _check_sweep(sizes: List[int], iterations: int, warmup: int) -> None:
+    """Refuse a sweep that cannot time anything, before a cluster is
+    built: every size is measured over ``iterations >= 1`` timed rounds
+    after ``warmup >= 0`` untimed ones."""
+    if not sizes or min(sizes) < 1:
+        raise ValueError("sizes must be positive")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup}")
+
+
 class PingPongBenchmark:
     """IMB PingPong: one-way latency / unidirectional bandwidth.
 
@@ -82,8 +94,7 @@ class PingPongBenchmark:
         fault_plan: Optional[FaultPlan] = None,
     ) -> IMBResult:
         """One PingPong sweep on a fresh 2-node cluster."""
-        if not sizes or min(sizes) < 1:
-            raise ValueError("sizes must be positive")
+        _check_sweep(sizes, iterations, warmup)
         spec = self.spec_factory()
         if driver_hugepage_aware is not None:
             spec = spec.with_driver(driver_hugepage_aware)
@@ -158,8 +169,7 @@ class SendRecvBenchmark:
     ) -> IMBResult:
         """One sweep: a fresh cluster, one buffer placement, one
         registration-cache mode, all *sizes*."""
-        if not sizes or min(sizes) < 1:
-            raise ValueError("sizes must be positive")
+        _check_sweep(sizes, iterations, warmup)
         spec = self.spec_factory()
         if driver_hugepage_aware is not None:
             spec = spec.with_driver(driver_hugepage_aware)

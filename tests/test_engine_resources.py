@@ -1,6 +1,8 @@
 """Unit tests for Resource, Store and Channel (repro.engine.resources)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Channel, Resource, SimError, SimKernel, Store
 
@@ -132,6 +134,91 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.items == (1, 2)
+
+
+class _QueueThenDispatchStore(Store):
+    """The model: every item is queued, then matched by ``_dispatch``
+    (the forms the direct hand-offs in :meth:`Store.put_nowait` and
+    :meth:`Store.get_then` shortcut)."""
+
+    __slots__ = ()
+
+    def put_nowait(self, item):
+        if self.capacity is not None and len(self._items) >= self.capacity:
+            return False
+        self._items.append(item)
+        if self._getters:
+            self._dispatch()
+        return True
+
+    def get_then(self, callback):
+        self._getters.append(callback)
+        if self._items:
+            self._dispatch()
+
+
+def _drive_store(store_cls, capacity, program):
+    """Run *program* on a fresh store; returns the delivery log and the
+    final state.  Getters are numbered in creation order, so the log
+    shows which getter received which item, and when."""
+    kernel = SimKernel()
+    store = store_cls(kernel, capacity=capacity)
+    log = []
+    ids = iter(range(10**6))
+
+    def callback_getter(mode):
+        gid = next(ids)
+
+        def got(item):
+            log.append(("cb", gid, item, kernel.now))
+            if mode == 0:  # a chain step that feeds the store again
+                if not store.put_nowait(item + 1000):
+                    store.put(item + 1000)
+            elif mode == 1:  # a chain that re-arms, like a send engine
+                store.get_then(callback_getter(2))
+        return got
+
+    for op, arg in program:
+        if op == "put_nowait":
+            log.append(("put_nowait", arg, store.put_nowait(arg)))
+        elif op == "put":
+            gid = next(ids)
+            store.put(arg).callbacks.append(
+                lambda _ev, gid=gid: log.append(("accepted", gid, kernel.now)))
+        elif op == "get":
+            gid = next(ids)
+            store.get().callbacks.append(
+                lambda ev, gid=gid: log.append(("ev", gid, ev.value, kernel.now)))
+        elif op == "get_then":
+            store.get_then(callback_getter(arg % 3))
+        elif op == "try_get":
+            log.append(("try_get", store.try_get()))
+        else:  # let queued events fire, then move the clock on
+            kernel.run()
+            kernel.timeout(arg)
+            kernel.run()
+    kernel.run()
+    return log, store.items, len(store._getters), len(store._putters)
+
+
+_store_programs = st.lists(
+    st.tuples(
+        st.sampled_from(["put_nowait", "put", "get", "get_then", "try_get", "run"]),
+        st.integers(0, 20),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), st.integers(1, 3)), _store_programs)
+def test_store_hand_off_keeps_fifo_order(capacity, program):
+    """Model-based: the direct hand-offs deliver every item to the same
+    getter at the same tick as queue-then-dispatch, across event
+    getters, callback getters (some of which put again or re-arm) and
+    putters blocked on a full store."""
+    assert (_drive_store(Store, capacity, program)
+            == _drive_store(_QueueThenDispatchStore, capacity, program))
 
 
 class TestChannel:

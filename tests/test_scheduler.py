@@ -4,9 +4,11 @@ Four layers of guarantees:
 
 - property-based dispatch order (hypothesis): arbitrary kernel programs
   (timeouts, same-tick ties and cascades, urgent interrupts and urgent
-  schedules mid-frame, zero-delay completions, ``run(until=...)`` then
+  schedules mid-frame, zero-delay completions, ``call_after`` steps and
+  step chains, steps that schedule urgent work, ``run(until=...)`` then
   resume, ``step()``) dispatch in exactly the order of an oracle that
-  always picks the minimal ``(when, priority, seq)`` pending event;
+  always picks the minimal ``(when, priority, seq)`` pending item, and
+  every dispatched event or step counts once;
 - same-tick fusion and urgent preemption of the live dispatch frame;
 - explicit event ownership (``hold``/``release`` instead of a
   refcount-recycling heuristic), ``run(until=...)`` never
@@ -37,28 +39,41 @@ def kernel():
 class OracleKernel(SimKernel):
     """A kernel that mirrors every schedule into an oracle.
 
-    Each scheduled event gets an observer as its first callback, so the
-    observer runs the moment the kernel dispatches the event.  At that
-    moment the oracle's choice is the minimal ``(when, priority, seq)``
-    among all events scheduled and not yet dispatched; the kernel's
-    choice is the event being dispatched, stamped with the clock.
+    Each scheduled event gets an observer as its first callback, and
+    each scheduled step is wrapped in one, so the observer runs the
+    moment the kernel dispatches the item.  At that moment the oracle's
+    choice is the minimal ``(when, priority, seq)`` among all items
+    scheduled and not yet dispatched; the kernel's choice is the item
+    being dispatched, stamped with the clock.
     """
 
     def __init__(self):
         super().__init__()
-        self.pending = {}  # event -> (when, priority, seq)
+        self.pending = {}  # event or step token -> (when, priority, seq)
         self.dispatched = []
         self.expected = []
+        self.steps = 0  # dispatched call_after steps
 
     def _schedule(self, event, delay, priority):
+        if event.__class__ is tuple:  # a call_after step
+            key = object()
+            event = (self._observe_step, (key, *event))
+        else:
+            key = event
         super()._schedule(event, delay, priority)
-        self.pending[event] = (self._now + int(delay), priority, self._seq)
-        event.callbacks.insert(0, self._observe)
+        self.pending[key] = (self._now + int(delay), priority, self._seq)
+        if key is event:
+            event.callbacks.insert(0, self._observe)
 
-    def _observe(self, event):
+    def _observe(self, key):
         self.expected.append(min(self.pending.values()))
-        _when, priority, seq = self.pending.pop(event)
+        _when, priority, seq = self.pending.pop(key)
         self.dispatched.append((self._now, priority, seq))
+
+    def _observe_step(self, key, fn, args):
+        self._observe(key)
+        self.steps += 1
+        fn(*args)
 
 
 def _run_program(ops, control):
@@ -84,6 +99,17 @@ def _run_program(ops, control):
         except RuntimeError:
             pass
 
+    def step_chain(n):
+        # each step schedules the next, often for the tick it runs in
+        if n:
+            k.call_after(n % 3, step_chain, n - 1)
+
+    def urgent_from_step(delay):
+        ev = k.event()
+        ev._triggered = True
+        k._schedule(ev, 0 if delay % 2 else delay, URGENT)
+        k.call_after(0, step_chain, 1)
+
     def driver():
         for kind, delay, gap in ops:
             if kind == 0:
@@ -108,6 +134,10 @@ def _run_program(ops, control):
                     ev.fail(RuntimeError("boom"))
                 else:
                     ev.succeed(value=delay)
+            elif kind == 6:  # a chain of call_after steps
+                k.call_after(delay % 7, step_chain, delay % 4)
+            elif kind == 7:  # a step scheduling urgent work: preemption
+                k.call_after(delay % 5, urgent_from_step, delay)
             else:  # a raw urgent schedule: now (mid-frame) or later
                 ev = k.event()
                 ev._triggered = True
@@ -131,7 +161,7 @@ def _run_program(ops, control):
 # a gap of 0 keeps the driver scheduling within one tick, where the
 # priority and sequence tie-breaks decide the order
 _programs = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 400),
+    st.tuples(st.integers(0, 7), st.integers(0, 400),
               st.one_of(st.just(0), st.integers(0, 50))),
     min_size=1,
     max_size=25,
@@ -153,6 +183,7 @@ def test_dispatch_order_matches_oracle(ops, control):
     k = _run_program(ops, control)
     assert k.dispatched == k.expected
     assert not k.pending and k.peek() is None
+    assert k._events == len(k.dispatched) == k._seq
 
 
 def test_dispatch_order_matches_oracle_reference_program():
@@ -173,12 +204,20 @@ def test_dispatch_order_matches_oracle_reference_program():
         (3, 0, 0),
         (0, 0, 30),
         (2, 1, 0),
+        (6, 3, 0),  # steps at tick 33, 35 and 36 ...
+        (7, 2, 0),  # ... a step at 32 scheduling urgent work at 32 ...
+        (0, 0, 0),  # ... while a process starts at the current tick
+        (6, 14, 3),
+        (7, 3, 1),
+        (5, 0, 0),
     ]
     k = _run_program(ops, [("step", 3), ("until", 6), ("step", 2),
-                           ("until", 25)])
+                           ("until", 25), ("step", 5), ("until", 34)])
     assert k.dispatched == k.expected
     assert not k.pending
-    assert len(k.dispatched) > 30  # the program actually did something
+    assert k._events == len(k.dispatched) == k._seq
+    assert len(k.dispatched) > 40  # the program actually did something
+    assert k.steps >= 10
     # the oracle ran across several priorities and ticks
     assert {prio for _when, prio, _seq in k.dispatched} == {0, 1}
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.systems import presets
-from repro.workloads.imb import SendRecvBenchmark
+from repro.workloads.imb import PingPongBenchmark, SendRecvBenchmark
 from repro.workloads.verbs_micro import measure_send, sweep_offsets, sweep_sges
 
 KB = 1024
@@ -68,6 +68,22 @@ class TestIMBSendRecv:
             bench.run([], hugepages=False, lazy_dereg=True)
         with pytest.raises(ValueError):
             SendRecvBenchmark(presets.opteron_infinihost_pcie, n_nodes=4)
+
+    @pytest.mark.parametrize("bench_cls", [SendRecvBenchmark, PingPongBenchmark])
+    @pytest.mark.parametrize("counts", [
+        {"iterations": 0},
+        {"iterations": -1},
+        {"warmup": -1},
+    ], ids=["iterations=0", "iterations=-1", "warmup=-1"])
+    def test_bad_iteration_counts_refused_up_front(self, bench_cls, counts):
+        """A sweep with no timed round (or a negative warm-up) used to
+        build and run a cluster, then die with ``UnboundLocalError: t0``
+        when reading the start tick it never took.  It is refused before
+        any cluster is built."""
+        bench = bench_cls(presets.opteron_infinihost_pcie)
+        with pytest.raises(ValueError, match="iterations|warmup"):
+            bench.run([1 * KB], hugepages=False, lazy_dereg=True, **counts)
+        assert bench.last_cluster is None
 
 
 class TestVerbsMicro:
