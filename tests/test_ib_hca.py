@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import fastpath
 from repro.ib.hca import HCA
 from repro.ib.verbs import (
     SGE,
@@ -176,6 +177,50 @@ class TestValidation:
             SGE(addr=0, length=-1, lkey=1)
         with pytest.raises(IBVerbsError):
             SendWR(wr_id=1, sges=[SGE(0, 8, 1)], opcode="atomic_cas")
+
+
+class TestATTWalk:
+    """``HCA._att_range_ns``: the fast-path sweep and the reference
+    per-entry walk give the same stalls and leave the same ATT state,
+    and both refuse what :meth:`MemoryRegion.entries_for` refuses."""
+
+    def _region(self):
+        cluster, (a, pa, buf_a, pd_a, _), _, _ = make_pair()
+        got = {}
+
+        def reg():
+            got["mr"] = yield from a.hca.register_memory(
+                pa.aspace, pd_a, buf_a, 8 * 4096)
+
+        cluster.kernel.process(reg())
+        cluster.kernel.run()
+        return a.hca, got["mr"]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_rejects_what_entries_for_rejects(self, fast):
+        hca, mr = self._region()
+        end = mr.base + mr.n_entries * mr.entry_page_size
+        with fastpath.forced(fast):
+            assert hca._att_range_ns(mr, mr.base, 0) == 0.0
+            for addr, nbytes in ((mr.base, -1), (mr.base - 1, 8),
+                                 (end, 8), (end - 4, 8), (end - 8, 9)):
+                with pytest.raises(IBVerbsError) as walk:
+                    hca._att_range_ns(mr, addr, nbytes)
+                with pytest.raises(IBVerbsError) as geometry:
+                    mr.entries_for(addr, nbytes)
+                assert str(walk.value) == str(geometry.value)
+
+    def test_fast_and_reference_walks_agree(self):
+        dmas = [(0, 4096), (100, 9000), (4096, 4096), (0, 8 * 4096),
+                (5 * 4096 + 7, 1), (3 * 4096, 2 * 4096 + 1)]
+        runs = []
+        for fast in (True, False):
+            hca, mr = self._region()
+            with fastpath.forced(fast):
+                stalls = [hca._att_range_ns(mr, mr.base + off, n)
+                          for off, n in dmas]
+            runs.append((stalls, [e for _, e in hca.att.keys()]))
+        assert runs[0] == runs[1]
 
 
 class TestRDMAWrite:
