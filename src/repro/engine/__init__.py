@@ -10,8 +10,7 @@ Public surface:
 - :class:`~repro.engine.core.SimKernel` — event loop and clock.
 - :class:`~repro.engine.core.Event`, :class:`~repro.engine.core.Timeout`,
   :class:`~repro.engine.core.Process` — waitables.
-- :class:`~repro.engine.core.AllOf`, :class:`~repro.engine.core.AnyOf` —
-  combinators.
+- :class:`~repro.engine.core.AllOf` — the one combinator (wait for all).
 - :class:`~repro.engine.resources.Resource`,
   :class:`~repro.engine.resources.Store`,
   :class:`~repro.engine.resources.Channel` — synchronisation primitives.
@@ -21,9 +20,7 @@ Public surface:
 from repro.engine.clock import TickClock
 from repro.engine.core import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimError,
     SimKernel,
@@ -33,10 +30,8 @@ from repro.engine.resources import Channel, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimError",

@@ -187,12 +187,19 @@ class Endpoint:
 
     def on_send_completion(self, wr_id: int,
                            callback: Callable[[WorkCompletion], None]) -> None:
-        """Hand the completion of send WR *wr_id* to *callback(wc)*."""
+        """Hand the completion of send WR *wr_id* to *callback(wc)*.
+
+        Register after the post returns (the completion is always a
+        later step), so a post that raises leaves no waiter behind.
+        """
         self._send_waiters[wr_id] = callback
 
     def expect_send_completion(self, wr_id: int) -> Event:
         """Event that fires when the send WR *wr_id* completes locally
-        (failing with :class:`MPITransportError` on an error CQE)."""
+        (failing with :class:`MPITransportError` on an error CQE).
+
+        Like :meth:`on_send_completion`, call it after the post returns.
+        """
         ev = self.kernel.event()
 
         def _settle(wc: WorkCompletion) -> None:
@@ -378,10 +385,9 @@ class Endpoint:
             env = self.make_envelope("eager", dest, tag, total, payload=payload)
             qp = self.qp_for(dest)
             wr_id = self.next_wr_id()
-            done = self.expect_send_completion(wr_id)
             wr = SendWR(wr_id=wr_id, sges=pack_sges(blocks, lkey_mr.lkey), payload=env)
             yield from self.hca.post_send(qp, wr)
-            yield done
+            yield self.expect_send_completion(wr_id)
         else:
             # CPU pack: copy each block into a held pack buffer, release
             # it, then eager-send the contiguous result

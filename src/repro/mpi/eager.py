@@ -68,7 +68,6 @@ def send_through_bounce(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes
             yield endpoint.kernel.timeout(cost.ticks)
         qp = endpoint.qp_for(dest)
         wr_id = endpoint.next_wr_id()
-        done = endpoint.expect_send_completion(wr_id)
         # zero-byte messages ride a zero-length SGE: the wire then costs
         # exactly one header-only packet (serialization_ns(0)), not the
         # one-byte cost max(1, wire_bytes) used to smuggle in here
@@ -79,7 +78,7 @@ def send_through_bounce(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes
         )
         yield from endpoint.hca.post_send(qp, wr)
         try:
-            yield done
+            yield endpoint.expect_send_completion(wr_id)
         except MPITransportError as exc:
             raise _bounce_aborted(endpoint, dest, env, wire_bytes, exc) from exc
     finally:
@@ -141,10 +140,10 @@ class _BounceSend:
         try:
             qp = ep.qp_for(self.dest)
             wr_id = ep.next_wr_id()
-            ep.on_send_completion(wr_id, self.done)
             wr = SendWR(wr_id, [SGE(buf_addr, self.wire_bytes, mr.lkey)],
                         payload=self.env)
             ep.hca.post_send_then(qp, wr, _posted)
+            ep.on_send_completion(wr_id, self.done)
         except Exception as exc:
             ep.bounce_pool.put_nowait(self.buf)
             op.fail(exc)

@@ -51,8 +51,8 @@ class Op:
         #: where the result goes when the operation is part of a
         #: :class:`Join`; otherwise it fires :attr:`done`
         self.notify = notify
-        #: the result event; creator-owned, so a request handle may read
-        #: its value after it fired
+        #: the result event; a request handle may read its value after
+        #: it fired (the kernel never reissues an event)
         self.done = Event(ep.kernel) if notify is None else None
         #: the open protocol span (:func:`repro.trace.begin`), closed
         #: when the operation ends

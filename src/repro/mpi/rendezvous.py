@@ -99,11 +99,10 @@ def rdma_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
         try:
             qp = endpoint.qp_for(dest)
             wr_id = endpoint.next_wr_id()
-            done = endpoint.expect_send_completion(wr_id)
             wr = _rdma_wr(endpoint, wr_id, "rdma_write", addr, size, mr,
                           cts.remote_addr, cts.rkey, payload)
             yield from endpoint.hca.post_send(qp, wr)
-            yield done
+            yield endpoint.expect_send_completion(wr_id)
         except MPITransportError as exc:
             # release the cached registration before surfacing the abort,
             # or the MR leaks a reference for the life of the rank
@@ -136,10 +135,10 @@ def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
     def _write(cts: Envelope, mr: MemoryRegion) -> None:
         op.mr = mr
         wr_id = ep.next_wr_id()
-        ep.on_send_completion(wr_id, lambda wc: op.call(_written, wc))
         wr = _rdma_wr(ep, wr_id, "rdma_write", addr, size, mr,
                       cts.remote_addr, cts.rkey, payload)
         ep.hca.post_send_then(ep.qp_for(dest), wr, _posted)
+        ep.on_send_completion(wr_id, lambda wc: op.call(_written, wc))
 
     def _written(wc: WorkCompletion) -> None:
         if not wc.ok:
@@ -273,11 +272,10 @@ def rdma_read_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> G
         try:
             qp = endpoint.qp_for(env.src)
             wr_id = endpoint.next_wr_id()
-            done = endpoint.expect_send_completion(wr_id)
             wr = _rdma_wr(endpoint, wr_id, "rdma_read", addr, env.size, mr,
                           env.remote_addr, env.rkey)
             yield from endpoint.hca.post_send(qp, wr)
-            wc = yield done
+            wc = yield endpoint.expect_send_completion(wr_id)
         except MPITransportError as exc:
             yield from endpoint.regcache.release(mr)
             raise _read_aborted(endpoint, env, exc) from exc
@@ -306,10 +304,10 @@ def rdma_read_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
     def _read(mr: MemoryRegion) -> None:
         op.mr = mr
         wr_id = ep.next_wr_id()
-        ep.on_send_completion(wr_id, lambda wc: op.call(_pulled, wc))
         wr = _rdma_wr(ep, wr_id, "rdma_read", addr, env.size, mr,
                       env.remote_addr, env.rkey)
         ep.hca.post_send_then(ep.qp_for(env.src), wr, _posted)
+        ep.on_send_completion(wr_id, lambda wc: op.call(_pulled, wc))
 
     def _pulled(wc: WorkCompletion) -> None:
         if not wc.ok:

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    SimError,
-    SimKernel,
-)
+from repro.engine import SimError, SimKernel
 
 
 @pytest.fixture
@@ -201,33 +194,6 @@ class TestProcesses:
         kernel.run()
         assert p.value == "handled"
 
-    def test_interrupt(self, kernel):
-        log = []
-
-        def sleeper():
-            try:
-                yield kernel.timeout(1000)
-            except Interrupt as i:
-                log.append((kernel.now, i.cause))
-
-        def interrupter(target):
-            yield kernel.timeout(5)
-            target.interrupt("wake up")
-
-        t = kernel.process(sleeper())
-        kernel.process(interrupter(t))
-        kernel.run()
-        assert log == [(5, "wake up")]
-
-    def test_interrupt_finished_process_rejected(self, kernel):
-        def quick():
-            yield kernel.timeout(1)
-
-        p = kernel.process(quick())
-        kernel.run()
-        with pytest.raises(SimError):
-            p.interrupt()
-
     def test_non_generator_rejected(self, kernel):
         with pytest.raises(SimError):
             kernel.process(lambda: None)
@@ -253,21 +219,6 @@ class TestCombinators:
         p = kernel.process(proc())
         kernel.run()
         assert p.value == (0, [])
-
-    def test_any_of_returns_first(self, kernel):
-        def proc():
-            idx, val = yield kernel.any_of(
-                [kernel.timeout(30, "slow"), kernel.timeout(5, "fast")]
-            )
-            return (kernel.now, idx, val)
-
-        p = kernel.process(proc())
-        kernel.run()
-        assert p.value == (5, 1, "fast")
-
-    def test_any_of_empty_rejected(self, kernel):
-        with pytest.raises(SimError):
-            kernel.any_of([])
 
 
 class TestDeterminism:

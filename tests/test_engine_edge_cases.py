@@ -1,84 +1,13 @@
-"""Engine edge cases: interrupts interacting with resources and stores."""
+"""Engine edge cases: store ordering and run semantics."""
 
 import pytest
 
-from repro.engine import Interrupt, Resource, SimError, SimKernel, Store
+from repro.engine import SimError, SimKernel, Store
 
 
 @pytest.fixture
 def kernel():
     return SimKernel()
-
-
-class TestInterruptWithResources:
-    def test_interrupted_waiter_releases_nothing(self, kernel):
-        """A process interrupted while *waiting* for a resource never
-        held a slot, so the holder's release must not double-free."""
-        res = Resource(kernel, capacity=1)
-        log = []
-
-        def holder():
-            yield res.request()
-            yield kernel.timeout(100)
-            res.release()
-            log.append(("released", kernel.now))
-
-        def waiter():
-            try:
-                yield res.request()
-                log.append(("acquired", kernel.now))
-                res.release()
-            except Interrupt:
-                log.append(("interrupted", kernel.now))
-
-        kernel.process(holder())
-        w = kernel.process(waiter())
-
-        def interrupter():
-            yield kernel.timeout(50)
-            w.interrupt("go away")
-
-        kernel.process(interrupter())
-        kernel.run()
-        assert ("interrupted", 50) in log
-        assert ("released", 100) in log
-        assert res.in_use == 0
-
-    def test_interrupt_mid_timeout_preserves_clock(self, kernel):
-        def sleeper():
-            try:
-                yield kernel.timeout(1000)
-            except Interrupt:
-                return kernel.now
-
-        p = kernel.process(sleeper())
-
-        def interrupter():
-            yield kernel.timeout(123)
-            p.interrupt()
-
-        kernel.process(interrupter())
-        kernel.run()
-        assert p.value == 123
-
-    def test_double_interrupt_second_wins_error(self, kernel):
-        def quick():
-            try:
-                yield kernel.timeout(10)
-            except Interrupt:
-                return "caught"
-
-        p = kernel.process(quick())
-
-        def interrupter():
-            yield kernel.timeout(1)
-            p.interrupt()
-
-        kernel.process(interrupter())
-        kernel.run()
-        assert p.value == "caught"
-        with pytest.raises(SimError):
-            p.interrupt()
 
 
 class TestStoreEdgeCases:

@@ -5,7 +5,8 @@ protocol as a callback chain; ``fastpath.fold_forced(False)`` (or a
 fault plan) runs the generator protocols as processes instead.  Both
 must give the same results, profiler records, final tick and counters,
 and the same trace spans.  The chains and the oracle must also release
-a rendezvous registration (and an RDMA-read exposure) when a post fails.
+a rendezvous registration (and an RDMA-read exposure) when a post fails,
+and leave no send-completion waiter behind for it.
 """
 
 import numpy as np
@@ -346,3 +347,34 @@ def test_failed_post_releases_registration(protocol, rank, lazy, fold):
     assert not ep.regcache.pinned(pinned[0])
     assert ep.hca.rdma_exposed == {}
     assert pinned[0].registered == lazy
+    assert ep._send_waiters == {}
+
+
+@pytest.mark.parametrize("fold", [True, False], ids=["folded", "oracle"])
+def test_failed_eager_post_leaves_no_send_waiter(fold):
+    """Eager sends on a QP forced to ERROR raise at the post; the
+    completion continuation is registered only after a post returns, so
+    none of them stays in the endpoint's send-waiter table."""
+    cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
+    world = MPIWorld(cluster, ppn=1)
+    ep = world.endpoint(0)
+    failures = []
+
+    def program(comm):
+        if comm.rank == 1:
+            return None
+        ep.qp_for(1).modify("ERROR")
+        buf = comm.proc.malloc(64)
+        for size in (0, 64, 1 * KB):
+            try:
+                yield from comm.send(1, 5, size, addr=buf, payload="x")
+            except IBVerbsError:
+                failures.append(size)
+        return None
+        yield
+
+    # the closing barrier's send fails the same way and ends the run
+    with fastpath.fold_forced(fold), pytest.raises(IBVerbsError):
+        world.run(program)
+    assert failures == [0, 64, 1 * KB]
+    assert ep._send_waiters == {}

@@ -1,19 +1,20 @@
-"""The event kernel's dispatch order, frames, ownership and pools.
+"""The event kernel's dispatch order, frames and pending work.
 
-Four layers of guarantees:
+Three layers of guarantees:
 
 - property-based dispatch order (hypothesis): arbitrary kernel programs
-  (timeouts, same-tick ties and cascades, urgent interrupts and urgent
-  schedules mid-frame, zero-delay completions, ``call_after`` steps and
-  step chains, steps that schedule urgent work, ``run(until=...)`` then
-  resume, ``step()``) dispatch in exactly the order of an oracle that
-  always picks the minimal ``(when, priority, seq)`` pending item, and
-  every dispatched event or step counts once;
-- same-tick fusion and urgent preemption of the live dispatch frame;
-- explicit event ownership (``hold``/``release`` instead of a
-  refcount-recycling heuristic), ``run(until=...)`` never
-  fast-forwarding past a drained queue, and pooled ``Timeout`` reset
-  being indistinguishable from construction.
+  (timeouts, same-tick ties and cascades, urgent schedules now and
+  later, urgent cascades, zero-delay completions, ``call_after`` steps
+  and step chains, steps that schedule urgent work, ``run(until=...)``
+  then resume, ``step()``) dispatch in exactly the order of an oracle
+  that always picks the minimal ``(when, priority, seq)`` pending item,
+  and every dispatched event or step counts once;
+- the frame count (runs of one ``(when, priority)`` key) and urgent
+  work running first within a tick;
+- every pending item visible in the heap while a dispatch runs
+  (``peek()``, ``checkpoint.pending_work``), events keeping their
+  identity and value after dispatch, and ``run(until=...)`` never
+  fast-forwarding past a drained queue.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Event, Interrupt, SimError, SimKernel, Timeout
+from repro import checkpoint
+from repro.engine import Event, SimError, SimKernel
 from repro.engine.core import URGENT
+from repro.systems import Cluster, presets
 
 
 @pytest.fixture
@@ -80,14 +83,9 @@ def _run_program(ops, control):
     """Execute one op-list program under *control*, then drain; return
     the kernel so the caller can compare its two dispatch logs."""
     k = OracleKernel()
-    live = []
-    interrupted = set()
 
     def sleeper(delay):
-        try:
-            yield k.timeout(delay)
-        except Interrupt:
-            pass
+        yield k.timeout(delay)
 
     def cascade(n):
         for _ in range(n):
@@ -104,29 +102,35 @@ def _run_program(ops, control):
         if n:
             k.call_after(n % 3, step_chain, n - 1)
 
-    def urgent_from_step(delay):
+    def urgent(delay, then=None):
         ev = k.event()
         ev._triggered = True
-        k._schedule(ev, 0 if delay % 2 else delay, URGENT)
+        if then is not None:
+            ev.callbacks.append(then)
+        k._schedule(ev, delay, URGENT)
+
+    def urgent_from_step(delay):
+        urgent(0 if delay % 2 else delay)
+        k.call_after(0, step_chain, 1)
+
+    def urgent_cascade(_ev):
+        # urgent work scheduled by urgent work at the same tick, with a
+        # NORMAL step queued behind both
+        urgent(0)
         k.call_after(0, step_chain, 1)
 
     def driver():
         for kind, delay, gap in ops:
             if kind == 0:
-                live.append(k.process(sleeper(delay)))
+                k.process(sleeper(delay))
             elif kind == 1:  # same-tick tie: two sleepers, one wake tick
-                live.append(k.process(sleeper(delay)))
-                live.append(k.process(sleeper(delay)))
+                k.process(sleeper(delay))
+                k.process(sleeper(delay))
             elif kind == 2:  # same-tick cascade of zero-delay timeouts
                 k.process(cascade(delay % 5 + 1))
-            elif kind == 3:  # urgent interrupt of the oldest live sleeper
-                target = next(
-                    (p for p in live if p.is_alive and p not in interrupted),
-                    None,
-                )
-                if target is not None:
-                    interrupted.add(target)
-                    target.interrupt(cause=delay)
+            elif kind == 3:  # urgent schedules at one tick, one cascading
+                urgent(delay % 3, urgent_cascade)
+                urgent(delay % 3)
             elif kind == 4:  # zero-delay completion racing the frame
                 ev = k.event()
                 k.process(waiter(ev))
@@ -223,11 +227,11 @@ def test_dispatch_order_matches_oracle_reference_program():
 
 
 # ---------------------------------------------------------------------------
-# same-tick fusion and urgent preemption
+# frames and urgent-first order
 # ---------------------------------------------------------------------------
 
 
-def test_same_tick_cascade_fuses_into_one_frame(kernel):
+def test_same_tick_cascade_counts_as_one_frame(kernel):
     done = []
 
     def chain(n):
@@ -239,13 +243,12 @@ def test_same_tick_cascade_fuses_into_one_frame(kernel):
     kernel.run()
     assert done == [0]
     # one URGENT frame (the Initialize) plus one NORMAL frame holding
-    # all ten zero-delay timeouts and the process-completion event —
-    # fusion keeps the heap out of the cascade entirely
+    # all ten zero-delay timeouts and the process-completion event
     assert kernel._frames == 2
     assert kernel._events == 12
 
 
-def test_urgent_preempts_live_frame(kernel):
+def test_urgent_runs_first_within_a_tick(kernel):
     order = []
 
     def a():
@@ -263,9 +266,11 @@ def test_urgent_preempts_live_frame(kernel):
     kernel.process(a())
     kernel.process(b())
     kernel.run()
-    # the urgent event outranks the rest of the tick-5 NORMAL frame: B's
-    # wake is requeued and runs after it
+    # the urgent event outranks B's NORMAL wake at the same tick
     assert order == ["A", "U", "B"]
+    # the tick-5 NORMAL run is split by the urgent one: the starts, A,
+    # U, then B and both completions
+    assert kernel._frames == 4
 
 
 def test_fused_events_observe_monotonic_clock(kernel):
@@ -283,114 +288,78 @@ def test_fused_events_observe_monotonic_clock(kernel):
     assert stamps == [3, 3, 3, 3]
 
 
-# ---------------------------------------------------------------------------
-# regression: interrupts detach the process when they fire
-# ---------------------------------------------------------------------------
-
-
-class TestInterrupt:
-    """``interrupt()`` used to detach the process from the event it was
-    waiting on at the *call*.  A process that had not started yet (or
-    that a same-instant urgent event resumed first) waited on another
-    event by the time the interrupt fired; that event kept its resume
-    callback and later resumed the process a second time.  Detaching
-    happens when the interrupt fires now."""
-
-    def test_interrupt_before_start(self, kernel):
-        log = []
-
-        def sleeper():
-            try:
-                yield kernel.timeout(5)
-                log.append("woke")
-            except Interrupt as exc:
-                log.append(("interrupted", kernel.now, exc.cause))
-                yield kernel.timeout(10)
-                log.append(("slept", kernel.now))
-
-        proc = kernel.process(sleeper())
-        proc.interrupt(cause="early")
-        kernel.run()
-        # old kernel: the stale tick-5 wake resumed the second sleep
-        assert log == [("interrupted", 0, "early"), ("slept", 10)]
-        assert proc.ok
-
-    def test_interrupt_detaches_an_immediate_resume(self, kernel):
-        done = Event(kernel)
-        done.succeed("v")
-        kernel.run()
-        log = []
-
-        def waiter():
-            try:
-                yield done  # already processed: resumed by an urgent event
-                log.append("got")
-            except Interrupt:
-                log.append(("interrupted", kernel.now))
-                yield kernel.timeout(10)
-                log.append(("slept", kernel.now))
-
-        proc = kernel.process(waiter())
-        proc.interrupt()
-        kernel.run()
-        assert log == [("interrupted", 0), ("slept", 10)]
-        assert proc.ok
-
-    def test_interrupt_of_process_that_finishes_first_is_dropped(self, kernel):
-        def instant():
-            return "done"
-            yield  # a generator that finishes on its first resume
-
-        proc = kernel.process(instant())
-        proc.interrupt()  # fires after the start event has finished it
-        kernel.run()  # old kernel: Interrupt escaped from run()
-        assert proc.ok and proc.value == "done"
+def test_step_counts_one_frame_per_call(kernel):
+    kernel.timeout(1)
+    kernel.timeout(1)
+    kernel.step()
+    kernel.step()
+    assert kernel._frames == kernel._events == 2
 
 
 # ---------------------------------------------------------------------------
-# regression: explicit event ownership (hold/release)
+# pending work is visible mid-dispatch
+# ---------------------------------------------------------------------------
+
+
+class TestPendingWork:
+    """Every pending item sits in the heap while a dispatch runs: a
+    same-tick step scheduled by the running one shows in ``peek()`` and
+    in the post-mortem's pending work before it runs."""
+
+    def test_peek_sees_same_tick_step(self, kernel):
+        seen = []
+
+        def b():
+            seen.append(("b", kernel.now))
+
+        def a():
+            kernel.call_after(0, b)
+            seen.append((kernel.peek(), len(kernel._queue)))
+
+        kernel.call_after(5, a)
+        kernel.run()
+        assert seen == [(5, 1), ("b", 5)]
+
+    def test_pending_work_sees_same_tick_step(self):
+        cluster = Cluster(presets.opteron_infinihost_pcie(), 1)
+        k = cluster.kernel
+        seen = []
+
+        def a():
+            k.call_after(0, seen.append, "b")
+            seen.append(checkpoint.pending_work(cluster))
+
+        k.call_after(5, a)
+        k.run()
+        assert seen == [["1 events pending in the event heap"], "b"]
+
+
+# ---------------------------------------------------------------------------
+# events keep their identity and value
 # ---------------------------------------------------------------------------
 
 
 class TestEventOwnership:
-    """The seed kernel recycled any event whose ``sys.getrefcount``
-    dropped to 2 — a heuristic that broke the moment a callback stashed
-    the event somewhere the counter couldn't see (a closure cell, a C
-    extension, a debugger).  The kernel now recycles on an explicit
-    ``_holds`` count; these tests pin both directions of that contract
-    and fail on the heuristic kernel."""
+    """The kernel never reissues an event: whoever keeps a reference to
+    one — a callback's stash, a closure cell — reads the value it fired
+    with, however much later work runs."""
 
-    def test_unheld_kernel_events_are_recycled(self, kernel):
-        ev = kernel.timeout(3)
-        kernel.run()
-        # LIFO pool: the spent timeout is reissued even though this
-        # frame still holds a local reference to it (the refcount
-        # heuristic would have refused — `ev` keeps the count above 2)
-        assert kernel.timeout(1) is ev
-
-    def test_held_event_value_survives_pool_churn(self, kernel):
-        held = []
+    def test_processed_event_keeps_identity_and_value(self, kernel):
+        kept = []
         first = kernel.timeout(5, value="original")
-        first.callbacks.append(lambda ev: held.append(ev.hold()))
+        first.callbacks.append(kept.append)
         kernel.run()
 
         def churn():
-            for i in range(3 * SimKernel._POOL_MAX):
+            for i in range(3 * 256):
                 yield kernel.timeout(1, value=("churn", i))
 
         kernel.process(churn())
         kernel.run()
-        [ev] = held
+        [ev] = kept
         assert ev is first
-        assert ev.value == "original"  # heuristic kernel: clobbered by reuse
-        ev.release()
-        # released and processed: back in the pool, reissued next
-        assert kernel.timeout(1) is ev
-
-    def test_release_without_hold_raises(self, kernel):
-        ev = kernel.timeout(1)  # kernel-owned: zero holds to give back
-        with pytest.raises(SimError, match="release"):
-            ev.release()
+        assert ev.value == "original" and ev.processed
+        assert kernel.timeout(1) is not ev
 
     def test_directly_constructed_events_are_creator_owned(self, kernel):
         ev = Event(kernel)
@@ -398,12 +367,6 @@ class TestEventOwnership:
         kernel.run()
         assert ev.value == 7
         assert kernel.event() is not ev
-
-    def test_pools_are_bounded(self, kernel):
-        for _ in range(2 * SimKernel._POOL_MAX):
-            kernel.timeout(1)
-        kernel.run()
-        assert len(kernel._timeout_pool) <= SimKernel._POOL_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -472,70 +435,3 @@ class TestRunUntil:
         kernel.process(early())
         kernel.run()
         assert hits == [1005, 2000]
-
-
-# ---------------------------------------------------------------------------
-# property: pooled Timeouts are indistinguishable from fresh ones
-# ---------------------------------------------------------------------------
-
-_churn_ops = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 7)),
-    min_size=1,
-    max_size=40,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_churn_ops, st.integers(0, 5), st.booleans())
-def test_recycled_timeout_indistinguishable_from_fresh(ops, delay, use_value):
-    """Drive the pool through varied lifecycles — plain fires, waited
-    timeouts, interrupted waits, failed events, held survivors — then
-    check the next factory timeout against a from-scratch construction."""
-    k = SimKernel()
-    for kind, d in ops:
-        if kind == 0:
-            k.timeout(d, value=("plain", d))
-        elif kind == 1:
-            def sleep(d=d):
-                try:
-                    yield k.timeout(d)
-                except Interrupt:
-                    pass
-
-            proc = k.process(sleep())
-            if d % 2:
-                proc.interrupt(cause="churn")
-        elif kind == 2:
-            ev = k.event()
-
-            def wait(ev=ev):
-                try:
-                    yield ev
-                except RuntimeError:
-                    pass
-
-            k.process(wait())
-            if d % 2:
-                ev.fail(RuntimeError("churn"))
-            else:
-                ev.succeed(value=d)
-        else:
-            k.timeout(d, value="held").hold()  # never recycled
-        k.run()
-
-    value = ("fresh", delay) if use_value else None
-    pooled = k.timeout(delay, value)
-    fresh = Timeout(SimKernel(), delay, value)
-    assert type(pooled) is Timeout
-    for attr in ("delay", "_value", "_ok", "_triggered", "_processed"):
-        assert getattr(pooled, attr) == getattr(fresh, attr), attr
-    assert pooled.callbacks == []
-    assert pooled._holds == 0  # factory events are kernel-owned
-
-
-def test_pooled_timeout_rejects_negative_delay(kernel):
-    kernel.timeout(1)
-    kernel.run()
-    assert kernel._timeout_pool  # the pooled path is the one under test
-    with pytest.raises(SimError, match="negative"):
-        kernel.timeout(-1)

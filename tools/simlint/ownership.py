@@ -1,10 +1,10 @@
 """Pass ``ownership-pairing``: hold/release and pin/unpin must balance.
 
-Event ownership (:meth:`repro.engine.core.Event.hold` / ``release``)
-and MR pinning (:meth:`repro.mpi.regcache.RegistrationCache._pin` /
+Resource slots (:meth:`repro.engine.resources.Resource.request` /
+``release``) and MR pinning (:meth:`repro.mpi.regcache.RegistrationCache._pin` /
 ``_unpin``) are manual protocols: the type system does not enforce
 them, the sanitizer only sees the paths a given run takes, and an
-unbalanced error path surfaces as a leak (or a premature recycle)
+unbalanced error path surfaces as a leak (or a premature free)
 thousands of events later.  This pass checks them statically, per
 function, with enough path sensitivity to catch the classic bug shape:
 *acquired on one path, forgotten on another*.
@@ -19,8 +19,7 @@ Mechanics — a small abstract interpreter over each function body:
 - ownership *transfers* end the obligation: returning the receiver,
   storing it into an attribute/container, or yielding it;
 - a receiver whose balance changes inside a loop is skipped (bulk
-  ownership of collections — e.g. ``AllOf`` holding all its children —
-  is a different protocol, checked at runtime by the kernel itself);
+  ownership of collections is a different protocol);
 - effects of **direct callees** are inlined one level deep: a project
   function whose every normal path applies the same ±1 to one of its
   parameters acts as that delta at each call site.
@@ -42,7 +41,7 @@ from simlint.model import FunctionInfo, Project, dotted
 PASS_ID = "ownership-pairing"
 
 #: method name -> (pair kind, delta).  ``hold``-kind methods take no
-#: arguments (Event.hold/release, Resource.request/release) and act on
+#: arguments (hold/release, Resource.request/release) and act on
 #: their receiver; ``pin``-kind helpers act on their first argument
 #: (``self._pin(mr)``) or, argless, on their receiver (``mr.pin()``).
 _ACQUIRE = {"hold": ("hold", +1), "request": ("hold", +1),
