@@ -370,8 +370,8 @@ class RunCheckpointer:
 
         *fn* returns ``(result, ticks, cluster)``: the unit's picklable
         result, how many simulated ticks it consumed, and its finished
-        cluster (a single cluster, a list of them, or None) for
-        auditing — clusters never enter the ledger.
+        cluster (a single cluster, a list of them, or None) for the
+        snapshot sweep — clusters never enter the ledger.
         """
         from repro import trace
 
@@ -389,10 +389,10 @@ class RunCheckpointer:
         clusters = list(cluster) if isinstance(cluster, (list, tuple)) else (
             [cluster] if cluster is not None else [])
         if (self.audit or self.enabled) and clusters:
-            from repro.audit import assert_clean
+            from repro.sanitize import check_snapshot
 
             for i, c in enumerate(clusters):
-                assert_clean(c, label=name if len(clusters) == 1 else f"{name}[{i}]")
+                check_snapshot(c, label=name if len(clusters) == 1 else f"{name}[{i}]")
             if self.audit:
                 self._log(f"audit: {name}: clean")
         self.units[name] = {"result": result, "ticks": int(ticks)}

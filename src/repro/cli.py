@@ -32,8 +32,8 @@ also be a path to a JSON file of the same knobs.
 
 ``fig5``, ``fig6``, ``tlb`` and ``faults`` additionally accept
 ``--checkpoint-every N`` / ``--checkpoint-dir DIR`` (snapshot the run
-ledger every N simulated ticks), ``--audit`` (run the cross-layer
-invariant auditor after every unit) and ``--hang-timeout SECONDS`` (a
+ledger every N simulated ticks), ``--audit`` (sweep each unit's
+finished cluster with :func:`repro.sanitize.check_snapshot`) and ``--hang-timeout SECONDS`` (a
 wall-clock watchdog that dumps a post-mortem and exits non-zero if the
 event loop stalls).  ``repro resume <snapshot>`` re-runs a checkpointed
 command, replaying completed units from the snapshot — see
@@ -654,10 +654,10 @@ def _dispatch(args) -> None:
     """Dispatch one parsed command: output-path preflight, then the
     command itself, wrapped in a capturing tracer when ``--trace`` /
     ``--trace-out`` ask for one and a capturing sanitizer when
-    ``--sanitize`` / ``REPRO_SANITIZE`` ask for one.  Shared by
-    :func:`main` and the ``resume`` / ``trace`` / ``sanitize``
-    re-dispatch paths, so a resumed traced run traces exactly like the
-    original."""
+    ``--sanitize`` / ``REPRO_SANITIZE`` ask for one.  A violation of
+    either trigger exits 3 on every path.  Shared by :func:`main` and
+    the ``resume`` / ``trace`` / ``sanitize`` re-dispatch paths, so a
+    resumed traced run traces exactly like the original."""
     fn = COMMANDS[args.command][0]
     if args.command in ("trace", "resume", "sanitize"):
         # all three re-enter _dispatch themselves with the target command
@@ -667,19 +667,15 @@ def _dispatch(args) -> None:
     ckpt_dir = getattr(args, "checkpoint_dir", None)
     if ckpt_dir:
         _ensure_dir(ckpt_dir, "--checkpoint-dir")
+    from repro import sanitize as sanitize_mod
+
     sanitizer = _make_sanitizer(args)
     out = getattr(args, "trace_out", None)
-    tracing = bool(out or getattr(args, "trace", False))
-    if sanitizer is None and not tracing:
-        fn(args)
-        return
     tracer = None
     with contextlib.ExitStack() as stack:
         if sanitizer is not None:
-            from repro import sanitize as sanitize_mod
-
             stack.enter_context(sanitize_mod.capturing(sanitizer))
-        if tracing:
+        if out or getattr(args, "trace", False):
             from repro import trace as trace_mod
 
             if out:
@@ -688,11 +684,7 @@ def _dispatch(args) -> None:
             stack.enter_context(trace_mod.capturing(tracer))
         try:
             fn(args)
-        except Exception as exc:
-            from repro import sanitize as sanitize_mod
-
-            if not isinstance(exc, sanitize_mod.SanitizerError):
-                raise
+        except sanitize_mod.SanitizerError as exc:
             # keep the timeline: its last event is this violation
             if tracer is not None:
                 _write_trace(args, tracer, out)
@@ -804,8 +796,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=None, metavar="DIR",
                            help="snapshot directory (default: checkpoints)")
             p.add_argument("--audit", action="store_true",
-                           help="run the cross-layer invariant auditor after "
-                                "every unit")
+                           help="sweep every unit's finished cluster for "
+                                "broken cross-layer invariants")
             p.add_argument("--hang-timeout", dest="hang_timeout", type=float,
                            default=None, metavar="SECONDS",
                            help="watchdog: dump a post-mortem and exit 2 if "

@@ -1,14 +1,16 @@
-"""SimSan: continuous shadow-state sanitizers for the simulated stack.
+"""SimSan: the simulator's one invariant checker, with two triggers.
 
-The cross-layer auditor (:mod:`repro.audit`) proves invariants at
-*snapshot boundaries*; the bug classes PR 4 fixed (pinned-MR eviction,
-zero-byte WRs, str-subclass interning) all manifest **between**
-boundaries and were invisible to it.  This module is the continuous
-counterpart — ASAN/MSAN for the simulated allocators and verbs stack:
-per-operation checks that fire *at the faulting access*, with the exact
-address/key in hand.
+The *access* trigger is ASAN/MSAN for the simulated allocators and
+verbs stack: shadow state plus per-operation hooks that fire at the
+faulting access, with the exact address/key in hand.  The *snapshot*
+trigger (:func:`sweep_cluster`, run by ``--audit`` and at every
+checkpoint) sweeps the state of a finished cluster for the
+relationships between layers that no single layer can see broken.
+Rules both triggers check share one predicate, so a corruption gets the
+same rule id whichever trigger finds it.
 
-Rule groups (``--sanitize=heap,mr,tlb,counter`` / ``REPRO_SANITIZE``):
+Rule groups (``--sanitize=heap,mr,tlb,counter`` / ``REPRO_SANITIZE``)
+select the access hooks:
 
 ``heap`` — shadow intervals over every outermost allocation of
 :class:`repro.alloc.base.Allocator` (libc and the hugepage library),
@@ -26,18 +28,17 @@ with freed ranges quarantined until the allocator reuses them:
 ``mr`` — rkey/lkey lifetime tracking mirroring every registration:
 
 - ``mr.use-after-dereg`` — a posted SGE or an inbound RDMA resolves a
-  key whose region was deregistered (checked at ``post_send``/rx time,
-  not at the next snapshot).
+  key whose region was deregistered (checked at ``post_send``/rx time).
 - ``mr.duplicate-registration`` — two *live* registrations of the
   identical range in one address space.  Mere overlap is **legal**: the
   lazy-dereg registration cache keeps MRs over ranges the application
   has freed, and a later wider registration may overlap them.
-- ``mr.unmapped-frame`` / ``mr.unpinned-page`` — a DMA walks a page of
-  a live MR that has lost its mapping or its pin (the adapter's ATT
-  would point at a stale frame).
-- ``att.stale-entry`` / ``att.out-of-range`` — the ATT cache is asked
-  to translate through an entry of a dead region, or an entry index
-  past the region's uploaded translation count.
+- ``mr.unmapped-frame`` / ``mr.unpinned-page`` — a page of a live MR
+  has lost its mapping or its pin (the adapter's ATT would point at a
+  stale frame); checked per DMA and per snapshot.
+- ``att.stale-entry`` / ``att.out-of-range`` — an ATT entry of a dead
+  region, or an entry index past the region's uploaded translation
+  count; checked per translation and per snapshot.
 
 ``tlb`` — page-table/TLB consistency at each translated access:
 
@@ -45,7 +46,9 @@ with freed ranges quarantined until the allocator reuses them:
   disagrees with the page-table walk (vaddr, frame or page size).
 - ``tlb.unbacked-frame`` — a PTE's frame is misaligned or outside
   physical memory.
-- ``tlb.dangling-entry`` — the TLB holds a virtual page with no PTE.
+- ``tlb.dangling-entry`` — the TLB holds a page inside a live VMA that
+  no PTE of its size backs (checked per faulting access and per
+  snapshot; an entry left after ``munmap`` is benign staleness).
 - ``tlb.unmapped-range`` — an access shape touches unmapped memory.
 
 ``counter`` — ``counter.float-amount``: a non-integer amount entering a
@@ -53,18 +56,31 @@ with freed ranges quarantined until the allocator reuses them:
 platforms and break byte-identical reports; the ``float-counter``
 rule of ``tools/simlint`` is the static version of this rule).
 
+The snapshot trigger always runs every shared rule above plus these,
+which no access can see and no group selects:
+
+- ``engine.event-heap`` — the event heap is not time-monotonic, has
+  duplicate or future sequence numbers, or breaks the heap property.
+- ``cache.unbacked-line`` — a data-cache line outside physical memory.
+- ``alloc.overlap`` / ``alloc.linkage`` / ``alloc.freelist`` — libc
+  blocks overlap or link asymmetrically, a bin names a missing block,
+  or the hugepage library's free list is unsorted or overlaps a live
+  block.
+- ``qp.balance`` — QP slot accounting does not balance posted against
+  completed work, or a queue holds items while getters block.
+
 The enablement pattern is :mod:`repro.trace`'s: a module-level
 ``_active`` handle, hook sites paying one attribute read + ``None``
 check when sanitizing is off, and :func:`capturing` for scoped
-installs.  Sanitizers only *read* model state (plus their own shadow)
-and never touch clocks, RNG streams or counters, so a clean sanitized
-run is **byte-identical** to an unsanitized one — pinned by hypothesis
-tests in ``tests/test_sanitize.py``.
+installs.  Both triggers only *read* model state (plus the shadow) and
+never touch clocks, RNG streams or counters, so a clean checked run is
+**byte-identical** to an unchecked one — pinned by hypothesis tests in
+``tests/test_sanitize.py``.
 
 Violations raise :class:`SanitizerError` carrying the rule id, the
-faulting address/key and a context dict; when a tracer is installed a
-``sanitize.violation`` instant is emitted first, so the report links
-into the Chrome trace timeline at the exact simulated tick (see
+faulting address/key, the tick and a context dict; when a tracer is
+installed a ``sanitize.violation`` instant is emitted first, so the
+report links into the Chrome trace timeline (see
 ``docs/static_analysis.md``).
 """
 
@@ -72,7 +88,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NoReturn, Optional, Tuple
 
 from repro import trace
 
@@ -153,8 +169,9 @@ class SanitizerError(Exception):
     rule: the rule id (``"heap.use-after-free"``, ``"mr.use-after-dereg"``…).
     address: faulting virtual address, when the rule has one.
     key: faulting lkey/rkey/mr_id, when the rule has one.
-    tick: simulated tick of the faulting operation (0 when no tracer
-        clock is attached).
+    tick: simulated tick of the violation: the tracer's clock at a
+        faulting access (0 when no tracer is attached), the cluster's
+        clock at a snapshot.
     context: extra structured detail (sizes, page addresses, op names).
     """
 
@@ -180,6 +197,28 @@ class SanitizerError(Exception):
         for name, value in sorted(self.context.items()):
             parts.append(f"{name}={value}")
         return " ".join(parts)
+
+
+def _error(rule: str, message: str, *, address: Optional[int] = None,
+           key: Optional[int] = None, **context: Any) -> SanitizerError:
+    """An unraised violation (tick 0 until its trigger sets it)."""
+    return SanitizerError(rule, message, address=address, key=key,
+                          context=context)
+
+
+def _report(err: SanitizerError) -> NoReturn:
+    """Raise *err*, first emitting its ``sanitize.violation`` trace
+    instant when a tracer is installed."""
+    tracer = trace.active()
+    if tracer is not None:
+        attrs = dict(err.context)
+        if err.address is not None:
+            attrs["address"] = err.address
+        if err.key is not None:
+            attrs["key"] = err.key
+        tracer.instant("sanitize.violation", track="sanitize",
+                       rule=err.rule, **attrs)
+    raise err
 
 
 class _Alloc:
@@ -260,20 +299,16 @@ class Sanitizer:
 
     def _violate(self, rule: str, message: str, *,
                  address: Optional[int] = None, key: Optional[int] = None,
-                 **context: Any) -> None:
-        tick = 0
+                 **context: Any) -> NoReturn:
+        self._raise(_error(rule, message, address=address, key=key,
+                           **context))
+
+    @staticmethod
+    def _raise(err: SanitizerError) -> NoReturn:
+        """Report *err* at the faulting access, on the tracer's clock."""
         tracer = trace.active()
-        if tracer is not None:
-            tick = tracer._now()
-            attrs = dict(context)
-            if address is not None:
-                attrs["address"] = address
-            if key is not None:
-                attrs["key"] = key
-            tracer.instant("sanitize.violation", track="sanitize",
-                           rule=rule, **attrs)
-        raise SanitizerError(rule, message, address=address, key=key,
-                             tick=tick, context=context)
+        err.tick = tracer._now() if tracer is not None else 0
+        _report(err)
 
     def report(self) -> str:
         """One-line per-group summary of checks performed."""
@@ -429,12 +464,9 @@ class Sanitizer:
             for page_size in (PAGE_4K, PAGE_2M):
                 base = fault_vaddr - fault_vaddr % page_size
                 if base in engine.tlb.keys(page_size):
-                    self._violate(
-                        "tlb.dangling-entry",
-                        f"TLB holds {base:#x} ({page_size}-byte page) "
-                        f"but the page table has no PTE for it",
-                        address=base, op=op,
-                    )
+                    err = _tlb_dangling(aspace, base, page_size, op=op)
+                    if err is not None:
+                        self._raise(err)
             self._violate(
                 "tlb.unmapped-range",
                 f"{nbytes}-byte {op} at {vaddr:#x} touches unmapped "
@@ -531,32 +563,13 @@ class Sanitizer:
         """A DMA over a live MR: every page must still be mapped and
         pinned (otherwise the adapter's translations point at frames the
         OS may have reused)."""
-        from repro.mem.paging import TranslationFault
-
         self.checks["mr"] += 1
-        if nbytes <= 0:
-            return
         rec = self._mrs.get(mr.mr_id)
         if rec is None or rec.aspace is None:
             return  # registered before the sanitizer was installed
-        try:
-            for page in rec.aspace.page_table.pages_in_range(addr, nbytes):
-                if page.pin_count < 1:
-                    self._violate(
-                        "mr.unpinned-page",
-                        f"{op} DMA walks page {page.vaddr:#x} of MR "
-                        f"{mr.mr_id} whose pin count is {page.pin_count}",
-                        address=page.vaddr, key=mr.mr_id, op=op,
-                    )
-        except TranslationFault as fault:
-            fault_vaddr = getattr(fault, "vaddr", addr)
-            self._violate(
-                "mr.unmapped-frame",
-                f"{op} DMA over MR {mr.mr_id} touches unmapped address "
-                f"{fault_vaddr:#x} (mapping dropped under a live "
-                f"registration)",
-                address=fault_vaddr, key=mr.mr_id, op=op,
-            )
+        err = _mr_pages(rec.aspace, mr.mr_id, addr, nbytes, op=op)
+        if err is not None:
+            self._raise(err)
 
     def check_att(self, mr_id: int, first_entry: int, n_entries: int) -> None:
         """An ATT translation must belong to a live region and stay
@@ -565,21 +578,9 @@ class Sanitizer:
         rec = self._mrs.get(mr_id)
         if rec is None:
             return  # registered before the sanitizer was installed
-        if not rec.registered:
-            self._violate(
-                "att.stale-entry",
-                f"ATT translates entry {first_entry} of deregistered MR "
-                f"{mr_id} [{rec.vaddr:#x}+{rec.length}]",
-                address=rec.vaddr, key=mr_id, entry=first_entry,
-            )
-        if first_entry < 0 or first_entry + n_entries > rec.n_entries:
-            self._violate(
-                "att.out-of-range",
-                f"ATT entry range [{first_entry}, "
-                f"{first_entry + n_entries}) exceeds MR {mr_id}'s "
-                f"{rec.n_entries} uploaded entries",
-                key=mr_id, entry=first_entry, n_entries=rec.n_entries,
-            )
+        err = _att_entries(mr_id, first_entry, n_entries, rec)
+        if err is not None:
+            self._raise(err)
 
     # -- counter integrity --------------------------------------------------
 
@@ -593,3 +594,283 @@ class Sanitizer:
                 f"{amount!r} ({type(amount).__name__})",
                 counter=str(name), amount=repr(amount),
             )
+
+
+# -- rules both triggers check ------------------------------------------------
+
+def _tlb_dangling(aspace: Any, vpage: int, page_size: int,
+                  **context: Any) -> Optional[SanitizerError]:
+    """``tlb.dangling-entry`` for a page the TLB holds: inside a live VMA
+    with no *page_size* PTE.  A page outside every VMA is benign
+    staleness — real hardware keeps entries after munmap until eviction
+    or shootdown."""
+    if vpage in aspace.page_table.leaf_table(page_size):
+        return None
+    vma = aspace.find_vma(vpage)
+    if vma is None:
+        return None
+    return _error(
+        "tlb.dangling-entry",
+        f"TLB holds {vpage:#x} inside live VMA [{vma.start:#x}, "
+        f"+{vma.length}) but no {page_size}-byte PTE backs it",
+        address=vpage, vma_kind=vma.kind, page_size=page_size, **context)
+
+
+def _mr_pages(aspace: Any, mr_id: int, addr: int, nbytes: int,
+              **context: Any) -> Optional[SanitizerError]:
+    """``mr.unpinned-page`` / ``mr.unmapped-frame`` for ``[addr,
+    addr+nbytes)`` of live MR *mr_id* in *aspace*."""
+    from repro.mem.paging import TranslationFault
+
+    if nbytes <= 0:
+        return None
+    try:
+        for page in aspace.page_table.pages_in_range(addr, nbytes):
+            if page.pin_count < 1:
+                return _error(
+                    "mr.unpinned-page",
+                    f"page {page.vaddr:#x} of MR {mr_id} is not pinned "
+                    f"(pin count {page.pin_count})",
+                    address=page.vaddr, key=mr_id, **context)
+    except TranslationFault as fault:
+        return _error(
+            "mr.unmapped-frame",
+            f"MR {mr_id} covers unmapped address {fault.vaddr:#x} "
+            f"(mapping dropped under a live registration)",
+            address=fault.vaddr, key=mr_id, **context)
+    return None
+
+
+def _att_entries(mr_id: int, first: int, n: int, region: Any,
+                 **context: Any) -> Optional[SanitizerError]:
+    """``att.stale-entry`` / ``att.out-of-range`` for ATT entries
+    ``[first, first+n)`` of *mr_id*; *region* is its registration record
+    (None when no live region has the id)."""
+    if region is None or not region.registered:
+        return _error(
+            "att.stale-entry",
+            f"ATT translates entry {first} of unknown or deregistered "
+            f"MR {mr_id}",
+            address=getattr(region, "vaddr", None), key=mr_id, entry=first,
+            **context)
+    if first < 0 or first + n > region.n_entries:
+        return _error(
+            "att.out-of-range",
+            f"ATT entry range [{first}, {first + n}) outside MR {mr_id}'s "
+            f"{region.n_entries} uploaded entries",
+            key=mr_id, entry=first, n_entries=region.n_entries, **context)
+    return None
+
+
+# -- snapshot trigger: a state sweep of a finished cluster ------------------
+
+def sweep_cluster(cluster: Any,
+                  label: str = "cluster") -> List[SanitizerError]:
+    """Every snapshot rule over *cluster*, most severe first.  The
+    violations are returned, not raised; each one's tick is the
+    cluster's clock and its ``location`` context names the object."""
+    found = _sweep_kernel(cluster.kernel, f"{label}/kernel")
+    for node in cluster.nodes:
+        found += _sweep_machine(node, f"{label}/{node.name}")
+    for err in found:
+        err.tick = cluster.kernel.now
+    return found
+
+
+def check_snapshot(cluster: Any, label: str = "cluster") -> None:
+    """Raise the first violation :func:`sweep_cluster` finds."""
+    found = sweep_cluster(cluster, label)
+    if found:
+        _report(found[0])
+
+
+def _sweep_kernel(kernel: Any, location: str) -> List[SanitizerError]:
+    from repro.engine.core import item_name
+
+    found: List[SanitizerError] = []
+    queue = kernel._queue
+    for when, priority, seq, item in queue:
+        if when < kernel._now:
+            found.append(_error(
+                "engine.event-heap",
+                f"event scheduled in the past (t={when} < now={kernel._now})",
+                location=location, seq=seq, priority=priority,
+                type=item_name(item)))
+        if seq > kernel._seq:
+            found.append(_error(
+                "engine.event-heap",
+                f"event seq {seq} exceeds kernel seq {kernel._seq}",
+                location=location, when=when))
+    if len({entry[2] for entry in queue}) != len(queue):
+        found.append(_error(
+            "engine.event-heap",
+            "duplicate event sequence numbers in the event heap",
+            location=location, entries=len(queue)))
+    for i in range(len(queue)):
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(queue) and queue[child][:3] < queue[i][:3]:
+                found.append(_error(
+                    "engine.event-heap",
+                    f"heap property broken at index {i} (child {child} "
+                    f"sorts first)",
+                    location=location, parent=queue[i][:3],
+                    child=queue[child][:3]))
+    return found
+
+
+def _sweep_machine(machine: Any, label: str) -> List[SanitizerError]:
+    from repro.mem.physical import PAGE_2M, PAGE_4K
+
+    live = {mr.mr_id: mr for mr in machine.hca._mrs_by_lkey.values()
+            if mr.registered}
+    found: List[SanitizerError] = []
+    for mr in live.values():
+        # separate per-process address spaces may reuse virtual
+        # addresses, so the MR passes if *any* process fully maps and
+        # pins its range
+        err: Optional[SanitizerError] = None
+        for proc in machine.processes:
+            if proc.aspace.find_vma(mr.vaddr) is None:
+                continue
+            err = _mr_pages(proc.aspace, mr.mr_id, mr.vaddr, mr.length,
+                            location=f"{label}/MR{mr.mr_id}")
+            if err is None:
+                break
+        else:
+            found.append(err or _error(
+                "mr.unmapped-frame",
+                f"no process maps MR {mr.mr_id}'s registered range",
+                address=mr.vaddr, key=mr.mr_id,
+                location=f"{label}/MR{mr.mr_id}"))
+    for mr_id, entry in machine.att.keys():
+        err = _att_entries(mr_id, entry, 1, live.get(mr_id),
+                           location=f"{label}/att")
+        if err is not None:
+            found.append(err)
+    found += _sweep_qps(machine.hca, label)
+    total = machine.physical.total_bytes
+    for proc in machine.processes:
+        where = f"{label}/{proc.name}"
+        for size in (PAGE_4K, PAGE_2M):
+            for vpage in proc.engine.tlb.keys(size):
+                err = _tlb_dangling(proc.aspace, vpage, size,
+                                    location=f"{where}/tlb")
+                if err is not None:
+                    found.append(err)
+        line_size = proc.engine.cache.config.line_size
+        for line in proc.engine.cache.keys():
+            if not 0 <= line * line_size < total:
+                found.append(_error(
+                    "cache.unbacked-line",
+                    f"cached line at paddr {line * line_size:#x} outside "
+                    f"physical memory ({total} bytes)",
+                    location=f"{where}/cache"))
+        found += _sweep_libc(proc.libc, f"{where}/libc")
+        if proc.allocator is not proc.libc:
+            found += _sweep_hugepage_lib(proc.allocator,
+                                         f"{where}/hugepage_lib")
+    return found
+
+
+def _sweep_libc(libc: Any, location: str) -> List[SanitizerError]:
+    found: List[SanitizerError] = []
+    blocks = libc._blocks
+    ordered = sorted(blocks.values(), key=lambda b: b.addr)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.addr + a.size > b.addr:
+            found.append(_error(
+                "alloc.overlap",
+                f"heap blocks {a.addr:#x}(+{a.size}) and {b.addr:#x} overlap",
+                location=location, a_free=a.free, b_free=b.free))
+    for block in ordered:
+        for direction, neighbour in (("next", block.next),
+                                     ("prev", block.prev)):
+            if neighbour is None:
+                continue
+            other = blocks.get(neighbour)
+            back = None if other is None else (
+                other.prev if direction == "next" else other.next)
+            if other is None or back != block.addr:
+                found.append(_error(
+                    "alloc.linkage",
+                    f"block {block.addr:#x}.{direction} -> {neighbour:#x} "
+                    + ("points at a missing block" if other is None else
+                       "has no matching back-link"),
+                    location=location))
+    for size, addrs in libc._fastbins.items():
+        for addr in addrs:
+            block = blocks.get(addr)
+            if block is None or not block.in_fastbin:
+                found.append(_error(
+                    "alloc.freelist",
+                    f"fastbin[{size}] references "
+                    f"{'missing' if block is None else 'non-fastbin'} "
+                    f"block {addr:#x}",
+                    location=location))
+    for size, addr in libc._sorted_bin:
+        block = blocks.get(addr)
+        if block is None or not block.free or block.size != size:
+            found.append(_error(
+                "alloc.freelist",
+                f"sorted bin entry ({size}, {addr:#x}) does not match a "
+                f"free block of that size",
+                location=location))
+    return found
+
+
+def _sweep_hugepage_lib(alloc: Any, location: str) -> List[SanitizerError]:
+    from repro.alloc.freelist import CHUNK_SIZE
+
+    found: List[SanitizerError] = []
+    freelist = alloc.management.freelist
+    if not freelist.invariant_ok():
+        found.append(_error(
+            "alloc.freelist",
+            "chunk free list is unsorted, misaligned or self-overlapping",
+            location=location))
+    for start, n_chunks in sorted(alloc.management._live.items()):
+        end = start + n_chunks * CHUNK_SIZE
+        for extent in freelist.extents:
+            if extent.start < end and start < extent.end:
+                found.append(_error(
+                    "alloc.overlap",
+                    f"free extent [{extent.start:#x}, {extent.end:#x}) "
+                    f"overlaps live block [{start:#x}, {end:#x})",
+                    location=location))
+    return found
+
+
+def _sweep_qps(hca: Any, label: str) -> List[SanitizerError]:
+    found: List[SanitizerError] = []
+    outstanding: Dict[int, int] = {}
+    for qp, _wr in hca._outstanding.values():
+        outstanding[qp.qp_num] = outstanding.get(qp.qp_num, 0) + 1
+    for qp in hca._qps.values():
+        location = f"{label}/QP{qp.qp_num}"
+        in_use = qp.wr_slots.in_use
+        if in_use > qp.max_send_wr:
+            found.append(_error(
+                "qp.balance",
+                f"{in_use} WR slots in use exceeds queue depth "
+                f"{qp.max_send_wr}",
+                location=location))
+        queued = len(qp.send_q.items)
+        accounted = queued + outstanding.get(qp.qp_num, 0)
+        if in_use < accounted:
+            found.append(_error(
+                "qp.balance",
+                f"{accounted} WRs queued or outstanding but only {in_use} "
+                f"send slots held: completions outran posts",
+                location=location, queued=queued))
+        stores = [("send_q", qp.send_q), ("recv_q", qp.recv_q)]
+        stores += [(name, cq.store) for name, cq in
+                   (("send_cq", qp.send_cq), ("recv_cq", qp.recv_cq))
+                   if cq is not None]
+        for name, store in stores:
+            if store._items and store._getters:
+                found.append(_error(
+                    "qp.balance",
+                    f"{len(store._items)} items waiting while "
+                    f"{len(store._getters)} getters block: dispatch wedged",
+                    location=f"{location}/{name}"))
+    return found

@@ -9,7 +9,6 @@ from repro.alloc import (
 )
 from repro.mem import (
     AddressSpace,
-    HugePagePoolExhausted,
     HugeTLBfs,
     PAGE_2M,
     PAGE_4K,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc import AllocationError, LibcAllocator
-from repro.alloc.libc import FASTBIN_MAX, HEADER, MMAP_THRESHOLD
+from repro.alloc.libc import HEADER, MMAP_THRESHOLD
 from repro.mem import AddressSpace, HugeTLBfs, PhysicalMemory
 
 MB = 1024 * 1024

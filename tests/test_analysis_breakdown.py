@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.breakdown import (
-    MessageBreakdown,
     breakdown_rdma_message,
     placement_comparison,
 )

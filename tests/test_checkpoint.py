@@ -180,14 +180,15 @@ class TestRunCheckpointer:
         ck = RunCheckpointer("demo", [], directory=str(tmp_path),
                              every_ticks=0, stream=io.StringIO())
         ck.run_unit("ok", lambda: (1, 0, cluster))  # clean: no raise
-        from repro.audit import AuditError
+        from repro.sanitize import SanitizerError
         import heapq
 
         bad = Cluster(presets.opteron_infinihost_pcie(), 1)
         bad.kernel._now = 100
         heapq.heappush(bad.kernel._queue, (50, 1, 0, bad.kernel.event()))
-        with pytest.raises(AuditError):
+        with pytest.raises(SanitizerError) as exc:
             ck.run_unit("bad", lambda: (1, 0, bad))
+        assert exc.value.rule == "engine.event-heap"
         bad.kernel._queue.clear()
 
 

@@ -471,6 +471,41 @@ class TestExitCodeContract:
         assert "sanitize[heap.use-after-free]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["plain", "trace-out"])
+    def test_snapshot_violation_exits_3(self, traced, tmp_path, monkeypatch,
+                                        capsys):
+        """A broken invariant in a finished unit's cluster, found by the
+        ``--audit`` sweep, takes the sanitizer's exit: code 3, a one-line
+        report, and the trace still written, ending in the violation."""
+        import json
+
+        from repro.workloads.imb import SendRecvBenchmark
+
+        run = SendRecvBenchmark.run
+
+        def run_then_leak_a_slot(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            qp = next(iter(self.last_cluster.nodes[0].hca._qps.values()))
+            qp.wr_slots._in_use = qp.max_send_wr + 1
+            return result
+
+        monkeypatch.setattr(SendRecvBenchmark, "run", run_then_leak_a_slot)
+        out = tmp_path / "t.json"
+        argv = ["fig5", "--audit"] + (["--trace-out", str(out)] if traced
+                                      else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: sanitize[qp.balance]: ")
+        if traced:
+            events = json.loads(out.read_text())["traceEvents"]
+            assert events[-1]["name"] == "sanitize.violation"
+            assert events[-1]["args"]["rule"] == "qp.balance"
+
     def test_lint_findings_exit_1(self, tmp_path, capsys):
         mod = tmp_path / "wallclock.py"
         mod.write_text("import time\n\ndef now():\n    return time.time()\n")

@@ -4,8 +4,6 @@ The shape assertions in benchmarks/ are only meaningful if the simulator
 is bit-stable; these tests pin that property at the highest level.
 """
 
-import pytest
-
 from repro.engine import SimKernel
 from repro.engine.resources import Store
 from repro.systems import presets

@@ -29,7 +29,6 @@ from repro.ib.verbs import (
 )
 from repro.mpi.api import MPIConfig, MPIWorld
 from repro.systems import Cluster, presets
-from repro.systems.machine import Machine
 from repro.engine import SimKernel
 
 KB = 1024

@@ -1,7 +1,5 @@
 """Tests for the FT extension kernel and QP send-queue depth limits."""
 
-import pytest
-
 from repro.ib.hca import HCA
 from repro.ib.verbs import SGE, CompletionQueue, ProtectionDomain, RecvWR, SendWR
 from repro.systems import Cluster, presets

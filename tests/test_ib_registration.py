@@ -4,7 +4,7 @@ import pytest
 
 from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.driver import OpenIBDriver
-from repro.ib.registration import RegistrationCosts, RegistrationEngine
+from repro.ib.registration import RegistrationEngine
 from repro.ib.verbs import IBVerbsError, ProtectionDomain
 from repro.mem import AddressSpace, HugeTLBfs, PAGE_2M, PAGE_4K, PhysicalMemory
 

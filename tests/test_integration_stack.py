@@ -1,8 +1,6 @@
 """Cross-layer integration tests: placement decisions propagating through
 allocators, registration, the MPI protocols and timing."""
 
-import pytest
-
 from repro.core import preload_hugepage_library
 from repro.mpi import MPIConfig, MPIWorld
 from repro.systems import Cluster, presets

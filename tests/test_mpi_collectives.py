@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import MPIConfig, MPIWorld
+from repro.mpi import MPIWorld
 from repro.systems import Cluster, presets
 
 KB = 1024

@@ -1,8 +1,5 @@
 """Tests for the nonblocking MPI operations (isend/irecv/wait/waitall)."""
 
-import numpy as np
-import pytest
-
 from repro.mpi import MPIConfig, MPIWorld
 from repro.systems import Cluster, presets
 

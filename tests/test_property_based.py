@@ -1,17 +1,14 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.alloc.freelist import CHUNK_SIZE, ChunkFreeList
 from repro.alloc.libc import LibcAllocator
-from repro.analysis import CounterSet
 from repro.engine import SimKernel, TickClock
 from repro.ib.att import ATTCache, ATTConfig
 from repro.mem import (
     AddressSpace,
-    CacheConfig,
     HugeTLBfs,
     PAGE_2M,
     PAGE_4K,

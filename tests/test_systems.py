@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import SimKernel
-from repro.systems import Cluster, Machine, connect_hcas, presets
+from repro.systems import Cluster, Machine, presets
 
 MB = 1024 * 1024
 

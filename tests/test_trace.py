@@ -5,7 +5,6 @@ checkpoint resume) the observability docs promise."""
 import io
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

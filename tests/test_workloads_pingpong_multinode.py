@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi import MPIConfig, MPIWorld
+from repro.mpi import MPIWorld
 from repro.systems import Cluster, presets
 from repro.workloads.imb import PingPongBenchmark
 

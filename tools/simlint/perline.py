@@ -56,8 +56,9 @@ caused exactly that:
     debugger frames, C extensions and CPython version, so logic keyed
     on them is nondeterministic by construction.  The event kernel once
     recycled pooled events when ``getrefcount(ev) == 2`` and corrupted
-    any event a callback had stashed; ownership must be explicit
-    (``Event.hold``/``release``), never inferred from the interpreter.
+    any event a callback had stashed; an object's lifetime must follow
+    from the code that creates and drops it, never be inferred from the
+    interpreter.
 
 Any finding can be suppressed on its line with ``# detlint: ignore``
 (all rules) or ``# detlint: ignore[rule,...]`` (listed rules only) —
@@ -236,9 +237,9 @@ class _Linter(ast.NodeVisitor):
             elif dotted in ("sys.getrefcount", "getrefcount"):
                 self._flag(node, "refcount-probe",
                            "refcounts shift with closure cells, debuggers "
-                           "and C extensions; own objects explicitly "
-                           "(Event.hold/release), never by counting "
-                           "references")
+                           "and C extensions; let an object's lifetime "
+                           "follow from the code that owns it, never from "
+                           "counting references")
             elif dotted in ("sys.intern", "intern") and node.args:
                 if not _is_str_expr(node.args[0]):
                     self._flag(node, "intern-str",
