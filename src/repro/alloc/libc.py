@@ -25,6 +25,7 @@ hugepage mappings exactly like the real libhugetlbfs does.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Tuple
 
 from repro.alloc.base import AllocationError, Allocator, AllocatorCostModel
@@ -113,6 +114,9 @@ class LibcAllocator(Allocator):
         self._sorted_bin: List[Tuple[int, int]] = []  # (size, addr), sorted
         self._mmapped: Dict[int, int] = {}  # vaddr -> vma start length implied
         self._heap_end: Optional[int] = None  # current top of brk-backed heap
+        # the block ending at ``_heap_end`` (None before the first growth);
+        # kept through split, coalesce and trim so growth stitches in O(1)
+        self._top: Optional[_Block] = None
 
     # -- bin helpers --------------------------------------------------------
     @staticmethod
@@ -121,16 +125,12 @@ class LibcAllocator(Allocator):
 
     def _bin_insert(self, block: _Block) -> int:
         """Insert into the size-sorted bin; returns nodes visited."""
-        import bisect
-
         key = (block.size, block.addr)
         i = bisect.bisect_left(self._sorted_bin, key)
         self._sorted_bin.insert(i, key)
         return max(1, i + 1)
 
     def _bin_remove(self, block: _Block) -> None:
-        import bisect
-
         key = (block.size, block.addr)
         i = bisect.bisect_left(self._sorted_bin, key)
         if i >= len(self._sorted_bin) or self._sorted_bin[i] != key:
@@ -139,8 +139,6 @@ class LibcAllocator(Allocator):
 
     def _bin_best_fit(self, need: int) -> Tuple[Optional[_Block], int]:
         """Smallest free block with size >= need; returns (block, visited)."""
-        import bisect
-
         i = bisect.bisect_left(self._sorted_bin, (need, 0))
         if i >= len(self._sorted_bin):
             return None, max(1, len(self._sorted_bin))
@@ -163,6 +161,8 @@ class LibcAllocator(Allocator):
             block.next = rest.addr
             block.size = need
             self._blocks[rest.addr] = rest
+            if block is self._top:
+                self._top = rest
             ns += self.cost.header_ns
             ns += self._bin_insert(rest) * self.cost.node_visit_ns
         return ns
@@ -181,6 +181,8 @@ class LibcAllocator(Allocator):
                 if nxt.next is not None:
                     self._blocks[nxt.next].prev = block.addr
                 del self._blocks[nxt.addr]
+                if nxt is self._top:
+                    self._top = block
         # merge with prev
         if block.prev is not None:
             prv = self._blocks[block.prev]
@@ -192,6 +194,8 @@ class LibcAllocator(Allocator):
                 if block.next is not None:
                     self._blocks[block.next].prev = prv.addr
                 del self._blocks[block.addr]
+                if block is self._top:
+                    self._top = prv
                 block = prv
         return block, ns
 
@@ -220,13 +224,14 @@ class LibcAllocator(Allocator):
             ns += grow_ns
             fresh = _Block(start, length)
             fresh.free = True
-            if self._heap_end == start:
-                # contiguous growth: stitch to the previous last block
-                last = self._last_block_before(start)
+            if self._heap_end in (None, start):
+                # first or contiguous growth: stitch to the old top block
+                last = self._top
                 if last is not None:
                     last.next = fresh.addr
                     fresh.prev = last.addr
-            self._heap_end = start + length if self._heap_end in (None, start) else self._heap_end
+                self._heap_end = start + length
+                self._top = fresh
             self._blocks[start] = fresh
             ns += self._bin_insert(fresh) * self.cost.node_visit_ns
             fresh, merge_ns = self._coalesce_free_into_bin(fresh)
@@ -236,15 +241,6 @@ class LibcAllocator(Allocator):
         block.free = False
         ns += self._split(block, need)
         return block.addr + HEADER, ns
-
-    def _last_block_before(self, addr: int) -> Optional[_Block]:
-        best = None
-        for b in self._blocks.values():
-            if b.addr + b.size == addr:
-                return b
-            if b.addr < addr and (best is None or b.addr > best.addr):
-                best = b
-        return None if best is None or best.addr + best.size != addr else best
 
     def _coalesce_free_into_bin(self, block: _Block) -> Tuple[_Block, float]:
         """Coalesce a block that is currently in the bin with neighbours,

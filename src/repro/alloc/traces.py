@@ -8,16 +8,17 @@ arrays (wavefunction/FFT scratch), uses them, and frees them — the exact
 "allocate and deallocate buffers with the same size in a short time
 frame" pattern §3.2 item 5 targets — plus steady small-object churn.
 
-:func:`abinit_like_trace` generates such a trace deterministically;
-:func:`replay` runs any trace against any allocator and reports the
-simulated allocator time.
+:func:`abinit_like_records` generates such a trace deterministically as
+plain tuples, and :func:`abinit_like_trace` wraps the same records in
+:class:`TraceOp`; :func:`replay` runs any trace against any allocator and
+reports the simulated allocator time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -59,15 +60,20 @@ class ReplayResult:
         return self.alloc_ns + self.free_ns
 
 
-def abinit_like_trace(
+#: one plain trace record, ``(op, handle, size)``; *size* is 0 on a free
+Record = Tuple[str, int, int]
+
+
+def abinit_like_records(
     iterations: int = 30,
     large_arrays: int = 6,
     large_size: int = 8 * MB,
     medium_per_iter: int = 12,
     small_per_iter: int = 120,
     seed: int = 42,
-) -> List[TraceOp]:
-    """Generate a deterministic Abinit-like allocation trace.
+) -> List[Record]:
+    """Generate a deterministic Abinit-like allocation trace as plain
+    ``(op, handle, size)`` records.
 
     Structure:
 
@@ -77,39 +83,51 @@ def abinit_like_trace(
       *medium_per_iter* medium scratch buffers (64–512 KB) and
       *small_per_iter* small objects (< 32 KB), all freed at iteration
       end (LIFO, like stack-of-scopes Fortran allocation).
+
+    Each size class of an iteration is one block draw.  PCG64 keeps the
+    spare half of a 64-bit output between calls, so a block of *n*
+    bounded draws yields the same values as *n* scalar draws in a row.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
-    rng = np.random.default_rng(seed)
-    trace: List[TraceOp] = []
-    handle = 0
-
-    def nxt() -> int:
-        nonlocal handle
-        handle += 1
-        return handle
-
+    if min(large_arrays, medium_per_iter, small_per_iter) < 0:
+        raise ValueError("per-iteration array counts must be non-negative")
+    integers = np.random.default_rng(seed).integers
     # persistent working set
-    for _ in range(4):
-        trace.append(TraceOp("malloc", nxt(), int(rng.integers(2 * MB, 24 * MB))))
-
+    records: List[Record] = [
+        ("malloc", h, size)
+        for h, size in enumerate(integers(2 * MB, 24 * MB, size=4).tolist(), 1)
+    ]
+    handle = len(records)
     for _ in range(iterations):
-        scope: List[int] = []
-        for _ in range(large_arrays):
-            h = nxt()
-            trace.append(TraceOp("malloc", h, large_size))
-            scope.append(h)
-        for _ in range(medium_per_iter):
-            h = nxt()
-            trace.append(TraceOp("malloc", h, int(rng.integers(64 * KB, 512 * KB))))
-            scope.append(h)
-        for _ in range(small_per_iter):
-            h = nxt()
-            trace.append(TraceOp("malloc", h, int(rng.integers(32, 32 * KB))))
-            scope.append(h)
-        for h in reversed(scope):
-            trace.append(TraceOp("free", h))
-    return trace
+        sizes = (
+            [large_size] * large_arrays
+            + integers(64 * KB, 512 * KB, size=medium_per_iter).tolist()
+            + integers(32, 32 * KB, size=small_per_iter).tolist()
+        )
+        first = handle + 1
+        handle += len(sizes)
+        records += [("malloc", h, size) for h, size in enumerate(sizes, first)]
+        records += [("free", h, 0) for h in range(handle, first - 1, -1)]
+    return records
+
+
+def abinit_like_trace(
+    iterations: int = 30,
+    large_arrays: int = 6,
+    large_size: int = 8 * MB,
+    medium_per_iter: int = 12,
+    small_per_iter: int = 120,
+    seed: int = 42,
+) -> List[TraceOp]:
+    """:func:`abinit_like_records` as validated :class:`TraceOp` records,
+    the form :func:`replay` and :func:`save_trace` take."""
+    return [
+        TraceOp(op, handle, size)
+        for op, handle, size in abinit_like_records(
+            iterations, large_arrays, large_size, medium_per_iter,
+            small_per_iter, seed)
+    ]
 
 
 def replay(trace: List[TraceOp], allocator: Allocator) -> ReplayResult:

@@ -87,17 +87,17 @@ class Event:
         return self._value
 
     # -- triggering -----------------------------------------------------
-    def succeed(self, value: Any = None, delay: int = 0) -> "Event":
-        """Trigger the event successfully with *value* after *delay* ticks."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with *value*, at the current tick."""
         if self._triggered:
             raise SimError(f"{self!r} already triggered")
         self._triggered = True
         self._ok = True
         self._value = value
-        self.kernel._schedule(self, delay, NORMAL)
+        self.kernel._schedule(self, 0, NORMAL)
         return self
 
-    def fail(self, exception: BaseException, delay: int = 0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters get *exception* thrown."""
         if self._triggered:
             raise SimError(f"{self!r} already triggered")
@@ -106,7 +106,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.kernel._schedule(self, delay, NORMAL)
+        self.kernel._schedule(self, 0, NORMAL)
         return self
 
     # -- internal -------------------------------------------------------
@@ -326,11 +326,6 @@ class SimKernel:
         """Current simulated time in ticks."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
         """Create a new untriggered event."""
@@ -346,7 +341,11 @@ class SimKernel:
 
         A step dispatches in the same ``(when, priority, seq)`` order an
         event scheduled here would, and counts as one dispatched event.
+        A negative *delay* raises :class:`SimError`: time cannot run
+        backwards.
         """
+        if delay < 0:
+            raise SimError(f"negative call_after delay {delay}")
         self._schedule((fn, args), delay, NORMAL)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:

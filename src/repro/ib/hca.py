@@ -545,11 +545,6 @@ class HCA:
         # the CQ calls this with the CQE: call_after(poll, then, wc)
         cq.store.get_then(partial(self.kernel.call_after, self._poll_ticks, then))
 
-    def try_poll(self, cq: CompletionQueue) -> Optional[WorkCompletion]:
-        """Non-blocking poll (untimed peek; benchmarks that care about
-        poll cost use :meth:`wait_completion`)."""
-        return cq.store.try_get()
-
     # -- adapter send pipeline ----------------------------------------------------------------
     def _send_loop(self, qp: QueuePair) -> Generator:
         while True:

@@ -98,10 +98,6 @@ class DataCache:
             self.counters.add("cache.miss", misses)
         return hits, misses, hits * self.config.hit_ns + misses * self.config.miss_ns
 
-    def resident_lines(self) -> int:
-        """Number of valid lines."""
-        return len(self._lines)
-
     def keys(self) -> List[int]:
         """Cached line numbers in LRU order, oldest first."""
         return self.dump_state()

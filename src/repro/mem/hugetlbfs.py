@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.faults import FaultInjector
-from repro.mem.physical import PAGE_2M, OutOfMemoryError, PhysicalMemory
+from repro.mem.physical import OutOfMemoryError, PhysicalMemory
 
 
 class HugePagePoolExhausted(OutOfMemoryError):
@@ -98,10 +98,3 @@ class HugeTLBfs:
         self._acquired -= n_pages
         if self._acquired < 0:
             raise ValueError("released more hugepages than were acquired")
-
-    @staticmethod
-    def bytes_to_pages(nbytes: int) -> int:
-        """Hugepages needed to hold *nbytes*."""
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        return (nbytes + PAGE_2M - 1) // PAGE_2M

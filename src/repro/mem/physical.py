@@ -263,10 +263,6 @@ class PhysicalMemory:
             self._shared[paddr] = count - 1
         return True
 
-    def shared_owners(self, paddr: int) -> int:
-        """Current owner count of a frame (1 when unshared)."""
-        return self._shared.get(paddr, 1)
-
     # -- hugepage frames ---------------------------------------------------
     @property
     def total_hugepages(self) -> int:

@@ -77,12 +77,6 @@ class MPIProfiler:
         """Everything that is not MPI time."""
         return max(0, self.app_ticks - self.comm_ticks)
 
-    @property
-    def comm_fraction(self) -> float:
-        """MPI share of the application time."""
-        app = self.app_ticks
-        return self.comm_ticks / app if app else 0.0
-
     def summary(self) -> Dict[str, CallRecord]:
         """Call records keyed by MPI function name."""
         return dict(self.records)

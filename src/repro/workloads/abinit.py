@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.alloc.traces import MB, abinit_like_trace
+from repro.alloc.traces import MB, abinit_like_records
 from repro.core.library import preload_hugepage_library
 from repro.systems.machine import Machine, MachineSpec
 from repro.engine.core import SimKernel
@@ -63,7 +63,6 @@ def run_abinit(
     if hugepages:
         preload_hugepage_library(proc)
 
-    trace = abinit_like_trace(iterations=iterations, seed=seed)
     # replay the trace manually so compute runs inside each iteration
     pointers: Dict[int, int] = {}
     sizes: Dict[int, int] = {}
@@ -72,27 +71,27 @@ def run_abinit(
     live_large: List[int] = []
 
     stats = proc.allocator.stats
-    for op in trace:
-        if op.op == "malloc":
+    for op, handle, size in abinit_like_records(iterations=iterations, seed=seed):
+        if op == "malloc":
             before = stats.total_ns
-            pointers[op.handle] = proc.malloc(op.size)
-            sizes[op.handle] = op.size
+            pointers[handle] = proc.malloc(size)
+            sizes[handle] = size
             alloc_ns += stats.total_ns - before
-            if op.size >= 1 * MB:
-                live_large.append(op.handle)
+            if size >= 1 * MB:
+                live_large.append(handle)
         else:
-            if op.handle in live_large:
+            if handle in live_large:
                 # end of scope approaching: run the FFT-like sweeps over
                 # every live large array before tearing the scope down
-                if live_large and op.handle == live_large[-1]:
+                if handle == live_large[-1]:
                     for _ in range(compute_passes):
                         for h in live_large:
                             cost = proc.engine.stream(pointers[h], sizes[h])
                             compute_ns += cost.ns
-                live_large.remove(op.handle)
+                live_large.remove(handle)
             before = stats.total_ns
-            proc.free(pointers.pop(op.handle))
-            sizes.pop(op.handle)
+            proc.free(pointers.pop(handle))
+            sizes.pop(handle)
             alloc_ns += stats.total_ns - before
     return AbinitResult(
         allocator=proc.allocator.name,

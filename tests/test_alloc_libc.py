@@ -1,8 +1,10 @@
 """Unit tests for the glibc-like allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.alloc import AllocationError, LibcAllocator
+from repro.alloc import AllocationError, LibcAllocator, LibhugetlbfsAllocator
 from repro.alloc.libc import HEADER, MMAP_THRESHOLD
 from repro.mem import AddressSpace, HugeTLBfs, PhysicalMemory
 
@@ -181,3 +183,76 @@ class TestDiagnostics:
         libc.free(p)
         libc.free(q)
         assert libc.live_allocations == 0
+
+
+def scan_top(libc):
+    """The brute-force oracle for ``LibcAllocator._top``: the heap block
+    that ends at the heap end, found by walking every block."""
+    addr = libc._heap_end
+    if addr is None:
+        return None
+    best = None
+    for b in libc._blocks.values():
+        if b.addr + b.size == addr:
+            return b
+        if b.addr < addr and (best is None or b.addr > best.addr):
+            best = b
+    return None if best is None or best.addr + best.size != addr else best
+
+
+class _CheckedMorecore:
+    """Delegates to a real morecore; at every growth, requires the
+    allocator's O(1) heap top to be the block the scan finds."""
+
+    def __init__(self, libc):
+        self.libc = libc
+        self.inner = libc.morecore
+        self.grows = 0
+        self.trims = 0
+
+    def extend(self, nbytes):
+        assert self.libc._top is scan_top(self.libc)
+        self.grows += 1
+        return self.inner.extend(nbytes)
+
+    def shrink(self, nbytes):
+        self.trims += 1
+        return self.inner.shrink(nbytes)
+
+
+_heap_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("malloc"),
+                  st.one_of(st.integers(1, 160),
+                            st.integers(161, MMAP_THRESHOLD - 1))),
+        st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+    ),
+    max_size=60,
+)
+
+
+class TestHeapTop:
+    @pytest.mark.parametrize("cls", [LibcAllocator, LibhugetlbfsAllocator])
+    @given(ops=_heap_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_top_matches_scan_through_growth_and_trim(self, cls, ops):
+        pm = PhysicalMemory(1024 * MB, hugepages=128)
+        libc = cls(AddressSpace(pm, HugeTLBfs(pm)))
+        spy = libc.morecore = _CheckedMorecore(libc)
+        # three near-threshold blocks force growth (three contiguous brk
+        # extensions, or one hugepage arena), and freeing them again
+        # leaves a fat free top to trim
+        live = [libc.malloc(MMAP_THRESHOLD - 1024) for _ in range(3)]
+        while live:
+            libc.free(live.pop())
+            assert libc._top is scan_top(libc)
+        assert spy.grows >= 1 and spy.trims >= 1
+        for kind, value in ops:
+            if kind == "malloc":
+                live.append(libc.malloc(value))
+            elif live:
+                libc.free(live.pop(value % len(live)))
+            assert libc._top is scan_top(libc)
+        while live:
+            libc.free(live.pop())
+            assert libc._top is scan_top(libc)

@@ -37,6 +37,27 @@ class TestClockAndTimeout:
         with pytest.raises(SimError):
             kernel.timeout(-1)
 
+    def test_negative_call_after_rejected(self, kernel):
+        """A step at tick 10 asking for tick 5 must not run the clock
+        backwards: the request raises and nothing is scheduled."""
+        fired = []
+
+        def step():
+            with pytest.raises(SimError, match="negative call_after delay"):
+                kernel.call_after(-5, fired.append, "past")
+
+        kernel.call_after(10, step)
+        kernel.run()
+        assert kernel.now == 10 and not fired and kernel.peek() is None
+
+    def test_trigger_takes_no_delay(self, kernel):
+        """Only ``timeout`` and ``call_after`` schedule ahead; an event
+        is triggered at the current tick."""
+        with pytest.raises(TypeError):
+            kernel.event().succeed(1, delay=-3)
+        with pytest.raises(TypeError):
+            kernel.event().fail(RuntimeError("x"), delay=-3)
+
     def test_zero_timeout_allowed(self, kernel):
         def proc():
             yield kernel.timeout(0)

@@ -35,6 +35,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "figures"
 
 #: fixture file -> the CLI arguments whose stdout it holds
 GOLDEN = {
+    "abinit.txt": ["abinit"],
     "fig3.txt": ["fig3"],
     "fig4.txt": ["fig4"],
     "fig5.txt": ["fig5"],

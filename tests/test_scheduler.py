@@ -8,7 +8,8 @@ Three layers of guarantees:
   and step chains, steps that schedule urgent work, ``run(until=...)``
   then resume, ``step()``) dispatch in exactly the order of an oracle
   that always picks the minimal ``(when, priority, seq)`` pending item,
-  and every dispatched event or step counts once;
+  and every dispatched event or step counts once; a step asked for in
+  the past is refused and never scheduled;
 - the frame count (runs of one ``(when, priority)`` key) and urgent
   work running first within a tick;
 - every pending item visible in the heap while a dispatch runs
@@ -56,6 +57,7 @@ class OracleKernel(SimKernel):
         self.dispatched = []
         self.expected = []
         self.steps = 0  # dispatched call_after steps
+        self.refused = 0  # negative-delay call_after requests refused
 
     def _schedule(self, event, delay, priority):
         if event.__class__ is tuple:  # a call_after step
@@ -142,6 +144,13 @@ def _run_program(ops, control):
                 k.call_after(delay % 7, step_chain, delay % 4)
             elif kind == 7:  # a step scheduling urgent work: preemption
                 k.call_after(delay % 5, urgent_from_step, delay)
+            elif kind == 8:  # a step in the past: refused, not scheduled
+                seq = k._seq
+                try:
+                    k.call_after(-1 - delay % 5, step_chain, 1)
+                except SimError:
+                    if k._seq == seq:
+                        k.refused += 1
             else:  # a raw urgent schedule: now (mid-frame) or later
                 ev = k.event()
                 ev._triggered = True
@@ -165,7 +174,7 @@ def _run_program(ops, control):
 # a gap of 0 keeps the driver scheduling within one tick, where the
 # priority and sequence tie-breaks decide the order
 _programs = st.lists(
-    st.tuples(st.integers(0, 7), st.integers(0, 400),
+    st.tuples(st.integers(0, 8), st.integers(0, 400),
               st.one_of(st.just(0), st.integers(0, 50))),
     min_size=1,
     max_size=25,
@@ -188,6 +197,7 @@ def test_dispatch_order_matches_oracle(ops, control):
     assert k.dispatched == k.expected
     assert not k.pending and k.peek() is None
     assert k._events == len(k.dispatched) == k._seq
+    assert k.refused == sum(1 for kind, _delay, _gap in ops if kind == 8)
 
 
 def test_dispatch_order_matches_oracle_reference_program():
@@ -213,6 +223,7 @@ def test_dispatch_order_matches_oracle_reference_program():
         (0, 0, 0),  # ... while a process starts at the current tick
         (6, 14, 3),
         (7, 3, 1),
+        (8, 2, 0),  # a step two ticks in the past: refused
         (5, 0, 0),
     ]
     k = _run_program(ops, [("step", 3), ("until", 6), ("step", 2),
@@ -222,6 +233,7 @@ def test_dispatch_order_matches_oracle_reference_program():
     assert k._events == len(k.dispatched) == k._seq
     assert len(k.dispatched) > 40  # the program actually did something
     assert k.steps >= 10
+    assert k.refused == 1
     # the oracle ran across several priorities and ticks
     assert {prio for _when, prio, _seq in k.dispatched} == {0, 1}
 
