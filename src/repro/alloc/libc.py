@@ -83,13 +83,14 @@ class BrkMorecore:
         ns = self.cost.syscall_ns + self.cost.populate_ns(PAGE_4K, nbytes // PAGE_4K)
         return start, nbytes, ns
 
-    def shrink(self, nbytes: int) -> float:
-        """Give heap back to the kernel; returns the cost in ns."""
+    def shrink(self, nbytes: int) -> Tuple[int, float]:
+        """Give heap back to the kernel; returns ``(bytes released,
+        cost_ns)``."""
         nbytes = (nbytes // PAGE_4K) * PAGE_4K
         if nbytes <= 0:
-            return 0.0
+            return 0, 0.0
         self.aspace.sbrk(-nbytes)
-        return self.cost.syscall_ns
+        return nbytes, self.cost.syscall_ns
 
 
 class LibcAllocator(Allocator):
@@ -293,11 +294,16 @@ class LibcAllocator(Allocator):
         give_back = (block.size - keep) // PAGE_4K * PAGE_4K
         if give_back <= 0:
             return 0.0
+        # trim only what the morecore really releases: a tail it keeps
+        # mapped stays part of the top block
+        released, shrink_ns = self.morecore.shrink(give_back)
+        if released <= 0:
+            return 0.0
         self._bin_remove(block)
-        block.size -= give_back
-        self._heap_end -= give_back
+        block.size -= released
+        self._heap_end -= released
         ns = self._bin_insert(block) * self.cost.node_visit_ns
-        ns += self.morecore.shrink(give_back)
+        ns += shrink_ns
         return ns
 
     # -- diagnostics -------------------------------------------------------------

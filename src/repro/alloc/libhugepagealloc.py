@@ -59,12 +59,3 @@ class LibhugepageallocAllocator(Allocator):
             raise AllocationError(f"unknown pointer {vaddr:#x}")
         self.aspace.munmap(start)
         return self.cost.syscall_ns
-
-    def hugepages_held(self) -> int:
-        """Hugepages currently consumed (shows the waste for small bufs)."""
-        total = 0
-        for vaddr in self._vmas:
-            vma = self.aspace.find_vma(vaddr)
-            if vma is not None:
-                total += vma.length // PAGE_2M
-        return total

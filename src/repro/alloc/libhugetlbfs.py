@@ -58,9 +58,10 @@ class HugeMorecore:
         ns = self.cost.syscall_ns + self.cost.populate_ns(PAGE_2M, length // PAGE_2M)
         return vma.start, length, ns
 
-    def shrink(self, nbytes: int) -> float:
-        """Hugepage heaps are never trimmed (the real library keeps them)."""
-        return 0.0
+    def shrink(self, nbytes: int) -> Tuple[int, float]:
+        """Hugepage heaps are never trimmed (the real library keeps
+        them): nothing is released."""
+        return 0, 0.0
 
 
 class LibhugetlbfsAllocator(LibcAllocator):

@@ -52,13 +52,6 @@ class MessageBreakdown:
             + self.completion_ns
         )
 
-    def fractions(self) -> Dict[str, float]:
-        """Each component's share of the serial total."""
-        total = self.total_ns
-        if total <= 0:
-            return {f.name: 0.0 for f in fields(self)}
-        return {f.name: getattr(self, f.name) / total for f in fields(self)}
-
     def dominant(self) -> str:
         """The costliest component's name."""
         return max(fields(self), key=lambda f: getattr(self, f.name)).name

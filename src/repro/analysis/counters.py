@@ -118,10 +118,3 @@ class CounterSet:
     def reset(self) -> None:
         """Zero every counter."""
         self._counts.clear()
-
-    def merged_with(self, other: "CounterSet") -> Dict[str, int]:
-        """Sum of this set and *other* (e.g. aggregating across ranks)."""
-        out = dict(self._counts)
-        for name, value in other._counts.items():
-            out[name] = out.get(name, 0) + value
-        return out

@@ -600,7 +600,9 @@ def _cmd_lint(args) -> None:
 
 def _cmd_trace(args) -> None:
     """Run a figure driver with tracing on (``repro trace fig5``);
-    ``nas`` is an alias for ``fig6``."""
+    ``nas`` is an alias for ``fig6``.  The tracer only records: the
+    traced run executes the same adapter and MPI chains, and dispatches
+    the same kernel events, as the untraced one."""
     args.command = "fig6" if args.target == "nas" else args.target
     if args.command == "faults" and args.fault_plan is None:
         args.fault_plan = "link_loss=0.01"

@@ -30,12 +30,6 @@ class PreloadedLibrary:
     proc: OSProcess
     allocator: HugepageLibraryAllocator
 
-    def unload(self) -> None:
-        """Restore the plain libc allocator (live hugepage allocations
-        stay owned by the library facade and must be freed through it —
-        same constraint a real un-preload would have)."""
-        self.proc.allocator = self.proc.libc
-
 
 def preload_hugepage_library(
     proc: OSProcess, config: Optional[HugepageLibraryConfig] = None

@@ -81,17 +81,17 @@ def forced(flag: bool) -> Iterator[None]:
 # ---------------------------------------------------------------------------
 # the event-fold switch
 #
-# Orthogonal to the costing switch above: folding replaces the adapter's
-# and the MPI layer's per-message generator processes with equivalent
-# callback chains (see ``repro.ib.hca`` and ``repro.mpi.fold``), cutting
-# kernel events and generator resumes without changing a single cost
-# formula.  It is therefore active on BOTH costing paths AND under the
-# sanitizer (its hooks are synchronous calls the fold chains make too);
-# this switch exists so equivalence tests (and debugging) can pin a run
-# onto the process machinery that folding replaces.  Fault plans pin
-# both layers on their own (per-packet decision points), and tracing
-# pins the adapter per message (its fold has no span sites); the MPI
-# chains emit their spans themselves.  This is the global override.
+# Orthogonal to the costing switch above: folding runs the MPI layer's
+# per-message protocols as callback chains (``repro.mpi.fold``) instead
+# of generator processes, cutting kernel events and generator resumes
+# without changing a single cost formula.  It is therefore active on
+# BOTH costing paths AND under the sanitizer (its hooks are synchronous
+# calls the chains make too); this switch exists so equivalence tests
+# (and debugging) can pin a run onto the generator protocols, the MPI
+# oracle.  A fault plan pins them per endpoint as well, and tracing pins
+# nothing: the chains emit their spans themselves.  The adapter below
+# (``repro.ib.hca``) has only its callback chains; this switch does not
+# reach it.  This is the global override.
 # ---------------------------------------------------------------------------
 
 _fold: bool = os.environ.get("REPRO_NO_FOLD", "").strip().lower() not in (
@@ -103,12 +103,12 @@ _fold: bool = os.environ.get("REPRO_NO_FOLD", "").strip().lower() not in (
 
 
 def fold_enabled() -> bool:
-    """True while the adapter and MPI event folds are allowed."""
+    """True while the MPI event fold is allowed."""
     return _fold
 
 
 def set_fold(flag: bool) -> None:
-    """Turn the adapter and MPI event folds on or off globally."""
+    """Turn the MPI event fold on or off globally."""
     global _fold
     _fold = bool(flag)
 

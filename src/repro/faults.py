@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from repro.analysis.counters import CounterSet
@@ -236,10 +236,6 @@ class FaultPlan:
         except ValueError as exc:
             raise ValueError(f"fault plan file {path!r} is not valid JSON: {exc}")
         return cls.from_mapping(doc, seed=seed)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """A copy of this plan under a different seed."""
-        return replace(self, seed=seed)
 
 
 class FaultInjector:

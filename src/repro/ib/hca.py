@@ -1,4 +1,4 @@
-"""The host channel adapter: work-request processing as DES processes.
+"""The host channel adapter: work-request processing as callback chains.
 
 The §4 execution flow, step by step:
 
@@ -11,10 +11,10 @@ The §4 execution flow, step by step:
 
 Step 1 is CPU work (:meth:`HCA.post_send` — WQE build + doorbell; the
 paper measures it as a near-constant 230–950 TBR ticks).  Steps 2-3 are
-the adapter pipeline (:meth:`HCA._handle_send`): WQE fetch over the bus,
-per-SGE ATT translation and DMA gather, wire transfer, remote scatter,
-CQE write and the RC acknowledgement.  Step 4 is :meth:`HCA.
-wait_completion`.
+the adapter pipeline (:meth:`HCA._tx_begin` on the way out,
+:meth:`HCA._on_arrival` on the way in): WQE fetch over the bus, per-SGE
+ATT translation and DMA gather, wire transfer, remote scatter, CQE write
+and the RC acknowledgement.  Step 4 is :meth:`HCA.wait_completion`.
 
 Scatter/gather economics (§4): the per-WQE costs (doorbell, WQE fetch,
 pipeline occupancy, completion) are paid once regardless of SGE count,
@@ -31,46 +31,44 @@ Xeon system.
 Event folding
 -------------
 
-On the clean path (no fault plan, no tracer, ``fastpath.fold_enabled()``)
-the per-message generator processes above are replaced by equivalent
-*callback chains*: the same bus holds at the same ticks, the same ATT
-walks at the same points, the same delivery and completion instants —
-but as kernel steps (:meth:`repro.engine.core.SimKernel.call_after`,
-a bound method and its arguments) instead of a spawned process with a
-resume per ``yield``.  Each step is one model delay at its own tick
-and dispatch position: merging even the ack's arrival into the CQE
-write, which keeps every tick, reorders work inside a tick and moves
-``repro fig6`` in its last digits.  A folded two-sided
+The adapter pipeline is one set of *callback chains*: each model delay
+is a kernel step (:meth:`repro.engine.core.SimKernel.call_after`, a
+bound method and its arguments) at its own tick and dispatch position,
+with no process and no resume per ``yield``.  Merging even the ack's
+arrival into the CQE write, which keeps every tick, reorders work
+inside a tick and moves ``repro fig6`` in its last digits.  A two-sided
 send costs 8 steps from post to send CQE: the post, the WQE fetch, the
 gather drain and the wire arrival on the way out; the receive WQE, the
 scatter plus receive CQE, the ack's arrival and the send CQE write on
-the way back.  A folded RDMA write costs 7 (one scatter step at the
-target).  With the MPI layer's CQ polls and bounce reposts, an
-``imb-rndv`` wire message costs 11.6 kernel events in all (see
-``docs/performance.md``).  Uncontended resource grants are taken
-synchronously (:meth:`repro.engine.resources.Resource.try_acquire`),
-fire-and-forget queue puts skip their acknowledgement event
-(:meth:`repro.engine.resources.Store.put_nowait`), and a clean ack
+the way back.  An RDMA write costs 7 (one scatter step at the target);
+an RDMA read runs the request and the response the same way.  With the
+MPI layer's CQ polls and bounce reposts, an ``imb-rndv`` wire message
+costs 11.6 kernel events in all (see ``docs/performance.md``).
+Uncontended resource grants are taken synchronously
+(:meth:`repro.engine.resources.Resource.try_acquire`), the send and
+receive queues hand a WR straight to a waiting chain, and a clean ack
 carries no packet: the receiver schedules the sender's
 :meth:`HCA._on_ack` directly.  Fixed costs (poll, CQE write, receive
 WQE, launch latency, ack) are tick constants taken once per adapter.
 
-Folding never changes a cost formula, so it is active on BOTH costing
-paths and under the sanitizer (the sanitize hooks are synchronous calls
-and run at the same model points).  Fault plans pin the process
-machinery per-HCA (retransmission needs the watchdog/idempotence
-bookkeeping interleaved with the pipeline), an active tracer pins it
-per-message (the ``ib.tx``/``ib.rx`` spans wrap generator bodies), and
-``REPRO_NO_FOLD=1`` / :func:`repro.fastpath.set_fold` pins it globally
-so equivalence tests can diff the two machineries.
+Every run takes these chains: both costing paths, the sanitizer (its
+hooks are synchronous calls at the same model points), a tracer (the
+``ib.tx`` and ``ib.rx`` spans open in a chain's first step and close in
+its done step, :meth:`repro.trace.Tracer.begin`/``end``) and a fault
+plan.  Under a plan the chains take their fault variants: every wire
+delivery draws loss and corruption, each outbound message arms an
+ack-timeout watchdog step (:meth:`HCA._watch_fire`: RNR waits,
+retransmission with backoff, abort to SQE), arrivals pass the
+``_rx_inflight``/``_rx_seen`` idempotence check, acks travel as packets
+and stale ones are dropped, and a WR queued on a QP that left RTS is
+flushed.  ``tests/test_fault_pins.py`` pins those paths tick-exactly.
 
 The MPI layer above is folded the same way (:mod:`repro.mpi.fold`): it
 posts, registers, polls and deregisters through the callback forms
 :meth:`HCA.post_send_then`, :meth:`HCA.post_recv_then`,
 :meth:`HCA.poll_then`, :meth:`HCA.register_then` and
 :meth:`HCA.deregister_then`, which charge the same costs and open the
-same spans as their generator counterparts, and the send and receive
-queues hand a WR straight to a waiting callback.
+same spans as their generator counterparts.
 """
 
 from __future__ import annotations
@@ -416,14 +414,7 @@ class HCA:
             if plan.ack_timeout_ns is not None:
                 qp.ack_timeout_ns = plan.ack_timeout_ns
         self._qps[qp.qp_num] = qp
-        if self.faults is not None:
-            # retransmission needs the watchdog and idempotence handling
-            # woven through the pipeline: keep the process machinery
-            self.kernel.process(
-                self._send_loop(qp), name=f"{self.name}-sq{qp.qp_num}"
-            )
-        else:
-            self._tx_rearm(qp)
+        self._tx_rearm(qp)
         return qp
 
     # -- posting (CPU side) -----------------------------------------------------------
@@ -545,50 +536,45 @@ class HCA:
         # the CQ calls this with the CQE: call_after(poll, then, wc)
         cq.store.get_then(partial(self.kernel.call_after, self._poll_ticks, then))
 
-    # -- adapter send pipeline ----------------------------------------------------------------
-    def _send_loop(self, qp: QueuePair) -> Generator:
-        while True:
-            wr = yield qp.send_q.get()
-            yield from self._handle_send(qp, wr)
-
-    # -- folded send pipeline (see "Event folding" in the module docstring) --
+    # -- adapter send pipeline -------------------------------------------------
     def _tx_rearm(self, qp: QueuePair) -> None:
-        """Arm the folded send engine: the send queue hands it the next
-        posted WR directly."""
+        """Arm the send engine: the send queue hands it the next posted
+        WR."""
         qp.send_q.get_then(partial(self._tx_begin, qp))
 
     def _tx_begin(self, qp: QueuePair, wr: SendWR) -> None:
-        if (
-            trace._tracer is not None
-            or not fastpath._fold
-            or not qp.connected
-        ):
-            # tracer spans wrap the generator body; flushes and debugging
-            # take the process form too.  The process re-arms on exit so
-            # the engine keeps running whichever machinery handled it.
-            def _one(qp=qp, wr=wr):
-                yield from self._handle_send(qp, wr)
-                self._tx_rearm(qp)
-
-            self.kernel.process(_one(), name=f"{self.name}-tx{qp.qp_num}")
+        tracer = trace.active()
+        span = (None if tracer is None
+                else tracer.begin("ib.tx", self.name, opcode=wr.opcode,
+                                  bytes=wr.total_bytes, sges=len(wr.sges)))
+        if not qp.connected:
+            # the QP left RTS (SQE after retry exhaustion) while this WR
+            # sat in the send queue: flush it with an error CQE, as real
+            # RC QPs do for queued work in an error state
+            if self.faults is not None:
+                self.faults.counters.add("faults.qp.flushed")
+            self.kernel.call_after(self._cqe_ticks, self._tx_flushed, qp, wr,
+                                   span)
             return
         # WQE fetch is a short exclusive bus read
-        if self.bus.read_channel.try_acquire():
-            self._tx_fetch(qp, wr)
+        read_channel = self.bus.read_channel
+        if read_channel.try_acquire():
+            self._tx_fetch(qp, wr, span)
         else:
-            ev = self.bus.read_channel.request()
-            ev.callbacks.append(
-                lambda _ev, qp=qp, wr=wr: self._tx_fetch(qp, wr)
-            )
+            read_channel.request().callbacks.append(
+                lambda _ev: self._tx_fetch(qp, wr, span))
 
-    def _tx_fetch(self, qp: QueuePair, wr: SendWR) -> None:
+    def _tx_fetch(self, qp: QueuePair, wr: SendWR, span: Optional[dict]) -> None:
         self.kernel.call_after(
             self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges))),
-            self._tx_launch, qp, wr)
+            self._tx_launch, qp, wr, span)
 
-    def _tx_launch(self, qp: QueuePair, wr: SendWR) -> None:
-        # mirrors the body of _handle_send between its two bus
-        # holds: same costs, same ATT walk point, same delivery instant
+    def _tx_launch(self, qp: QueuePair, wr: SendWR, span: Optional[dict]) -> None:
+        # data gather streams over the bus *while* the link serializes;
+        # the wire carries the first bytes after pipeline + latency, and
+        # the message keeps streaming for max(gather, serialization).
+        # An RDMA-read WR carries no local data outbound: it is a small
+        # request packet; the data streams back in the response.
         read_channel = self.bus.read_channel
         read_channel.release()
         opcode = wr.opcode
@@ -607,16 +593,30 @@ class HCA:
         self.counters.add("hca.tx_messages")
         if opcode != "rdma_read":
             self.counters.add("hca.tx_bytes", nbytes)
-        self._deliver(self.wire_to(qp.peer_hca), packet, self._launch_ticks)
+        wire = self.wire_to(qp.peer_hca)
+        self._deliver(wire, packet, self._launch_ticks)
+        if self.faults is not None:
+            self._watch(qp, packet, wire)
+        # the send engine (and the bus read channel) stay busy for the
+        # whole gather; the next WR on this QP starts after it
         gather_ticks = self.clock.ns_to_ticks(gather_ns)
         if read_channel.try_acquire():
-            self.kernel.call_after(gather_ticks, self._tx_done, qp)
+            self.kernel.call_after(gather_ticks, self._tx_done, qp, span)
         else:
             read_channel.request().callbacks.append(
-                lambda _ev: self.kernel.call_after(gather_ticks, self._tx_done, qp))
+                lambda _ev: self.kernel.call_after(gather_ticks, self._tx_done,
+                                                   qp, span))
 
-    def _tx_done(self, qp: QueuePair) -> None:
+    def _tx_done(self, qp: QueuePair, span: Optional[dict]) -> None:
         self.bus.read_channel.release()
+        if span is not None:
+            trace.end(span)
+        self._tx_rearm(qp)
+
+    def _tx_flushed(self, qp: QueuePair, wr: SendWR, span: Optional[dict]) -> None:
+        self._send_completed(qp, wr, "work-request-flushed-error")
+        if span is not None:
+            trace.end(span)
         self._tx_rearm(qp)
 
     def _att_range_ns(self, mr: MemoryRegion, addr: int, nbytes: int) -> float:
@@ -642,7 +642,7 @@ class HCA:
             raise IBVerbsError(f"{last:#x} outside MR {mr.mr_id}")
         first = (addr - base) // page
         count = (last - base) // page - first + 1
-        tracer = trace._tracer
+        tracer = trace.active()
         if tracer is not None:
             tracer.instant("ib.att.range", track=self.name, entries=count)
         if fastpath._enabled:
@@ -703,81 +703,13 @@ class HCA:
                 self._stream_memo[nbytes] = ns
         return ns
 
-    def _handle_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        span = trace.begin("ib.tx", track=self.name, opcode=wr.opcode,
-                           bytes=wr.total_bytes, sges=len(wr.sges))
-        try:
-            if not qp.connected:
-                # the QP left RTS (SQE/ERROR after retry exhaustion) while
-                # this WR sat in the send queue: flush it with an error CQE,
-                # as real RC QPs do for queued work in an error state
-                yield from self._flush_send(qp, wr)
-                return
-            # WQE fetch is a short exclusive bus read
-            yield self.bus.read_channel.request()
-            try:
-                yield self.kernel.timeout(
-                    self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges)))
-                )
-            finally:
-                self.bus.read_channel.release()
-            # data gather streams over the bus *while* the link serializes;
-            # the wire carries the first bytes after pipeline + latency, and
-            # the message keeps streaming for max(gather, serialization).
-            # An RDMA-read WR carries no local data outbound: it is a small
-            # request packet; the data streams back in the response.
-            if wr.opcode == "rdma_read":
-                gather_ns = 0.0
-                ser_ns = self.link.serialization_ns(16)
-            else:
-                gather_ns = self._gather_ns(wr)
-                ser_ns = self.link.serialization_ns(wr.total_bytes)
-            stream_ns = max(gather_ns, ser_ns)
-            seq = next(_seq)
-            self._outstanding[seq] = (qp, wr)
-            packet = _Packet(
-                kind=wr.opcode,
-                src_qp=qp.qp_num,
-                dst_qp=qp.peer_qp_num,
-                seq=seq,
-                wr_id=wr.wr_id,
-                nbytes=wr.total_bytes,
-                payload=wr.payload,
-                remote_addr=wr.remote_addr,
-                rkey=wr.rkey,
-                stream_ns=stream_ns,
-            )
-            self.counters.add("hca.tx_messages")
-            if wr.opcode != "rdma_read":
-                self.counters.add("hca.tx_bytes", wr.total_bytes)
-            wire = self.wire_to(qp.peer_hca)
-            self._deliver(wire, packet, self._launch_ticks)
-            if self.faults is not None:
-                self.kernel.process(
-                    self._retry_watchdog(qp, packet, wire),
-                    name=f"{self.name}-watchdog-{packet.seq}",
-                )
-            # the send engine (and the bus read channel) stay busy for the
-            # whole gather; the next WR on this QP starts after it
-            yield self.bus.read_channel.request()
-            try:
-                yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
-            finally:
-                self.bus.read_channel.release()
-        finally:
-            trace.end(span)
-
-    def _flush_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        """Complete a queued WR with a flush error (QP not in RTS)."""
-        if self.faults is not None:
-            self.faults.counters.add("faults.qp.flushed")
-        yield self.kernel.timeout(self._cqe_ticks)
-        self._send_completed(qp, wr, "work-request-flushed-error")
-
-    def _send_completed(self, qp: QueuePair, wr: SendWR, status: str) -> None:
-        """The CQE of send WR *wr* is written: queue it, free the slot."""
+    def _send_completed(self, qp: QueuePair, wr: SendWR, status: str,
+                        payload: Any = None) -> None:
+        """The CQE of send WR *wr* is written: queue it, free the slot
+        (the one place a send slot is freed; an RDMA read's CQE carries
+        the data read as *payload*)."""
         qp.send_cq.store.put_nowait(
-            WorkCompletion(wr.wr_id, wr.opcode, wr.total_bytes, status))
+            WorkCompletion(wr.wr_id, wr.opcode, wr.total_bytes, status, payload))
         qp.wr_slots.release()
 
     # -- fault injection & RC retransmission ---------------------------------
@@ -804,17 +736,12 @@ class HCA:
                 packet = packet.corrupted()
         wire.deliver(self, packet, delay_ticks)
 
-    def _retry_watchdog(self, qp: QueuePair, packet: _Packet, wire: Wire) -> Generator:
-        """Ack-timeout timer for one outbound message (runs only when
-        fault injection is active).
+    def _watch(self, qp: QueuePair, packet: _Packet, wire: Wire) -> None:
+        """Start the ack-timeout watchdog of one outbound message (only
+        under a fault plan).
 
-        Sleeps for the QP's ack timeout (scaled so a clean exchange of
-        this message always beats the timer), then: done if the ack
-        arrived; an RNR wait if the receiver holds the message awaiting
-        a receive WR (honouring ``rnr_retry``, where 7 = forever);
-        otherwise a retransmission with exponential backoff, up to
-        ``retry_cnt`` attempts before the send completes with a
-        transport-retry-exceeded error CQE.
+        It fires after the QP's ack timeout, scaled so a clean exchange
+        of this message always beats it; see :meth:`_watch_fire`.
         """
         cfg = self.config
         link = self.link
@@ -833,51 +760,54 @@ class HCA:
             ),
         )
         base_ticks = max(1, self.clock.ns_to_ticks(base_ns))
-        t0 = self.kernel.now
-        attempts = 0
-        rnr_waits = 0
-        while True:
-            yield self.kernel.timeout(base_ticks << min(attempts, 6))
-            if packet.seq not in self._outstanding:
-                # acked (or aborted elsewhere); record how long recovery
-                # took if we actually had to retransmit
-                if attempts:
-                    self.faults.counters.add(
-                        "faults.qp.recovery_ticks", self.kernel.now - t0
-                    )
+        self.kernel.call_after(base_ticks, self._watch_fire, qp, packet, wire,
+                               base_ticks, self.kernel.now, 0, 0)
+
+    def _watch_fire(self, qp: QueuePair, packet: _Packet, wire: Wire,
+                    base_ticks: int, t0: int, attempts: int,
+                    rnr_waits: int) -> None:
+        """The ack timer of *packet* expired.
+
+        Done if the ack arrived; an RNR wait if the receiver holds the
+        message awaiting a receive WR (honouring ``rnr_retry``, where 7 =
+        forever); otherwise a retransmission with exponential backoff, up
+        to ``retry_cnt`` attempts before the send completes with a
+        transport-retry-exceeded error CQE.
+        """
+        counters = self.faults.counters
+        if packet.seq not in self._outstanding:
+            # acked (or aborted); record how long recovery took if we
+            # actually had to retransmit
+            if attempts:
+                counters.add("faults.qp.recovery_ticks", self.kernel.now - t0)
+            return
+        peer = qp.peer_hca
+        if peer is not None and packet.seq in peer._rx_inflight:
+            # delivered but waiting on a receive WR: the RNR NAK path
+            counters.add("faults.qp.rnr_naks")
+            rnr_waits += 1
+            if qp.rnr_retry != 7 and rnr_waits > qp.rnr_retry:
+                self._abort_send(qp, packet, "rnr-retry-exceeded-error")
                 return
-            peer = qp.peer_hca
-            if peer is not None and packet.seq in peer._rx_inflight:
-                # delivered but waiting on a receive WR: the RNR NAK
-                # path, governed by rnr_retry (7 = retry forever)
-                self.faults.counters.add("faults.qp.rnr_naks")
-                rnr_waits += 1
-                if qp.rnr_retry != 7 and rnr_waits > qp.rnr_retry:
-                    yield from self._abort_send(
-                        qp, packet, "rnr-retry-exceeded-error"
-                    )
-                    return
-                continue
-            if attempts >= qp.retry_cnt:
-                yield from self._abort_send(
-                    qp, packet, "transport-retry-exceeded-error"
-                )
-                return
+        elif attempts >= qp.retry_cnt:
+            self._abort_send(qp, packet, "transport-retry-exceeded-error")
+            return
+        else:
             attempts += 1
-            self.faults.counters.add("faults.qp.retries")
+            counters.add("faults.qp.retries")
             tracer = trace.active()
             if tracer is not None:
                 tracer.instant("ib.qp.retry", track=self.name,
                                attempt=attempts, kind=packet.kind,
                                bytes=packet.nbytes)
             self._deliver(wire, packet, self._launch_ticks)
+        self.kernel.call_after(base_ticks << min(attempts, 6), self._watch_fire,
+                               qp, packet, wire, base_ticks, t0, attempts,
+                               rnr_waits)
 
-    def _abort_send(self, qp: QueuePair, packet: _Packet, status: str) -> Generator:
+    def _abort_send(self, qp: QueuePair, packet: _Packet, status: str) -> None:
         """Give up on an outbound message: error CQE, QP drops to SQE."""
-        entry = self._outstanding.pop(packet.seq, None)
-        if entry is None:
-            return
-        _, wr = entry
+        _, wr = self._outstanding.pop(packet.seq)
         self.faults.counters.add("faults.qp.retry_exhausted")
         tracer = trace.active()
         if tracer is not None:
@@ -885,12 +815,10 @@ class HCA:
                            kind=packet.kind, bytes=packet.nbytes)
         if qp.state == "RTS":
             qp.modify("SQE")
-        yield self.kernel.timeout(self._cqe_ticks)
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(wr.wr_id, wr.opcode, wr.total_bytes, status))
-        qp.wr_slots.release()
+        self.kernel.call_after(self._cqe_ticks, self._send_completed, qp, wr,
+                               status)
 
-    # -- adapter receive pipeline ------------------------------------------------------------
+    # -- adapter receive pipeline ------------------------------------------------
     def _on_arrival(self, packet: _Packet, wire: Wire) -> None:
         if packet.corrupt:
             # failed the ICRC check: discard silently; the sender's
@@ -898,85 +826,54 @@ class HCA:
             if self.faults is not None:
                 self.faults.counters.add("faults.link.rejected")
             return
-        if packet.kind == "ack" and self.faults is None:
-            # an ack the far end's fault plan let through
+        kind = packet.kind
+        if kind == "ack":  # acks carry no span
             self._on_ack(packet.seq, packet.status)
             return
-        if (
-            self.faults is None
-            and trace._tracer is None
-            and fastpath._fold
-        ):
-            if packet.kind == "send":
-                self._rx_send_begin(packet, wire)
-                return
-            if packet.kind == "rdma_write":
-                self._rx_write_begin(packet, wire)
-                return
-        self.kernel.process(
-            self._receive(packet, wire), name=f"{self.name}-rx-{packet.kind}"
-        )
-
-    def _receive(self, packet: _Packet, wire: Wire) -> Generator:
-        if self.faults is not None and packet.kind in ("send", "rdma_write"):
+        if self.faults is not None and kind in ("send", "rdma_write"):
             # retransmissions must be idempotent: a message being
             # processed is left alone (the sender sees RNR), a message
             # already processed is re-acked with its recorded status
-            if packet.seq in self._rx_inflight:
+            seq = packet.seq
+            if seq in self._rx_inflight:
                 self.faults.counters.add("faults.qp.duplicates")
                 return
-            if packet.seq in self._rx_seen:
+            if seq in self._rx_seen:
                 self.faults.counters.add("faults.qp.duplicates")
-                self._send_ack(packet, self._rx_seen[packet.seq], wire)
+                self._send_ack(packet, self._rx_seen[seq], wire)
                 return
-            self._rx_inflight.add(packet.seq)
-        if packet.kind == "ack":  # acks carry no span
-            yield from self._complete_send(packet)
-            return
-        span = trace.begin("ib.rx", track=self.name, kind=packet.kind,
-                           bytes=packet.nbytes)
-        try:
-            if packet.kind == "send":
-                yield from self._receive_send(packet, wire)
-            elif packet.kind == "rdma_write":
-                yield from self._receive_rdma_write(packet, wire)
-            elif packet.kind == "rdma_read":
-                yield from self._receive_read_request(packet, wire)
-            elif packet.kind == "read_response":
-                yield from self._receive_read_response(packet)
-            else:  # pragma: no cover - defensive
-                raise IBVerbsError(f"unknown packet kind {packet.kind!r}")
-        finally:
-            trace.end(span)
+            self._rx_inflight.add(seq)
+        tracer = trace.active()
+        span = (None if tracer is None
+                else tracer.begin("ib.rx", self.name, kind=kind,
+                                  bytes=packet.nbytes))
+        if kind == "send":
+            self._rx_send_begin(packet, wire, span)
+        elif kind == "rdma_write":
+            self._rx_write_begin(packet, wire, span)
+        elif kind == "rdma_read":
+            self._rx_read_begin(packet, wire, span)
+        elif kind == "read_response":
+            self._rx_response_begin(packet, span)
+        else:  # pragma: no cover - defensive
+            raise IBVerbsError(f"unknown packet kind {kind!r}")
 
     def _on_ack(self, seq: int, status: str) -> None:
-        """A clean ack landed: complete the send after the CQE write.
+        """An ack landed: complete the send after the CQE write.
 
-        One kernel step instead of a spawned process (same instant, two
-        fewer kernel events per message); the fault path keeps the full
-        duplicate handling of :meth:`_complete_send`.
+        Under a fault plan a duplicate ack, for a message already
+        completed or aborted, is expected after a retransmission and is
+        dropped.
         """
         entry = self._outstanding.pop(seq, None)
         if entry is None:
-            raise IBVerbsError(f"ack for unknown sequence {seq}")
+            if self.faults is None:
+                raise IBVerbsError(f"ack for unknown sequence {seq}")
+            self.faults.counters.add("faults.qp.stale_acks")
+            return
         qp, wr = entry
         self.kernel.call_after(self._cqe_ticks, self._send_completed, qp, wr,
                                status)
-
-    def _complete_send(self, packet: _Packet) -> Generator:
-        entry = self._outstanding.pop(packet.seq, None)
-        if entry is None:
-            if self.faults is not None:
-                # a duplicate ack for a message already completed (or
-                # aborted): expected under retransmission, drop it
-                self.faults.counters.add("faults.qp.stale_acks")
-                return
-            raise IBVerbsError(f"ack for unknown sequence {packet.seq}")
-        qp, wr = entry
-        yield self.kernel.timeout(self._cqe_ticks)
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(wr.wr_id, wr.opcode, wr.total_bytes, packet.status))
-        qp.wr_slots.release()
 
     def _scatter_ns(self, sges: Sequence[SGE], payload_bytes: int) -> float:
         """Bus-side cost of scattering an inbound message.
@@ -1006,136 +903,59 @@ class HCA:
         ns += self._stream_ns(payload_bytes)
         return ns
 
-    # -- folded receive pipeline (see "Event folding" in the module docstring) --
-    def _rx_send_begin(self, packet: _Packet, wire: Wire) -> None:
-        """Folded two-sided receive: same ticks as :meth:`_receive_send`."""
+    # -- two-sided receive ------------------------------------------------------
+    def _rx_send_begin(self, packet: _Packet, wire: Wire,
+                       span: Optional[dict]) -> None:
         qp = self._qps.get(packet.dst_qp)
         if qp is None:
             raise IBVerbsError(f"send targets unknown QP {packet.dst_qp}")
-        # the next posted receive, at once or when it is posted (the
-        # RNR-wait model)
-        qp.recv_q.get_then(partial(self._rx_send_fetch, qp, packet, wire))
+        # RC semantics: without a posted receive the sender would see RNR
+        # retries; it is modelled as waiting for the receive to be posted
+        qp.recv_q.get_then(partial(self._rx_send_fetch, qp, packet, wire, span))
 
-    def _rx_send_fetch(
-        self, qp: QueuePair, packet: _Packet, wire: Wire, recv_wr: RecvWR
-    ) -> None:
+    def _rx_send_fetch(self, qp: QueuePair, packet: _Packet, wire: Wire,
+                       span: Optional[dict], recv_wr: RecvWR) -> None:
         status = "success"
         if recv_wr.total_bytes < packet.nbytes:
             status = "local-length-error"
         self.kernel.call_after(self._recv_wqe_ticks, self._rx_send_grant,
-                               qp, recv_wr, packet, wire, status)
+                               qp, recv_wr, packet, wire, status, span)
 
-    def _rx_send_grant(
-        self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
-    ) -> None:
-        if self.bus.write_channel.try_acquire():
-            self._rx_send_scatter(qp, recv_wr, packet, wire, status)
+    def _rx_send_grant(self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet,
+                       wire: Wire, status: str, span: Optional[dict]) -> None:
+        write_channel = self.bus.write_channel
+        if write_channel.try_acquire():
+            self._rx_send_scatter(qp, recv_wr, packet, wire, status, span)
         else:
-            ev = self.bus.write_channel.request()
-            ev.callbacks.append(
-                lambda _ev: self._rx_send_scatter(qp, recv_wr, packet, wire, status)
-            )
+            write_channel.request().callbacks.append(
+                lambda _ev: self._rx_send_scatter(qp, recv_wr, packet, wire,
+                                                  status, span))
 
-    def _rx_send_scatter(
-        self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
-    ) -> None:
-        # ATT walked at the grant instant, exactly as the process form
+    def _rx_send_scatter(self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet,
+                         wire: Wire, status: str, span: Optional[dict]) -> None:
+        # ATT walked at the grant instant; the scatter overlaps the
+        # inbound stream, so the bus is busy for whichever is longer,
+        # plus the CQE write
         scatter_ns = self._scatter_ns(
             recv_wr.sges, min(packet.nbytes, recv_wr.total_bytes)
         )
         ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
         self.kernel.call_after(self.clock.ns_to_ticks(ns), self._rx_send_done,
-                               qp, recv_wr, packet, wire, status)
+                               qp, recv_wr, packet, wire, status, span)
 
-    def _rx_send_done(
-        self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
-    ) -> None:
+    def _rx_send_done(self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet,
+                      wire: Wire, status: str, span: Optional[dict]) -> None:
         self.bus.write_channel.release()
         self.counters.add("hca.rx_messages")
         self.counters.add("hca.rx_bytes", packet.nbytes)
         qp.recv_cq.store.put_nowait(
             WorkCompletion(recv_wr.wr_id, "recv", packet.nbytes, status,
                            packet.payload))
-        self._send_ack(packet, status, wire)
+        self._rx_finish(packet, status, wire, span)
 
-    def _rx_write_begin(self, packet: _Packet, wire: Wire) -> None:
-        """Folded one-sided write: same ticks as :meth:`_receive_rdma_write`."""
-        mr = self._mrs_by_rkey.get(packet.rkey)
-        san = sanitize._active
-        if san is not None and san.mr:
-            san.check_rkey(mr, packet.rkey, packet.remote_addr,
-                           packet.nbytes, "rdma_write.rx")
-        if (
-            mr is None
-            or not mr.registered
-            or not mr.contains(packet.remote_addr, packet.nbytes)
-        ):
-            self._send_ack(packet, "remote-access-error", wire)
-            return
-        if self.bus.write_channel.try_acquire():
-            self._rx_write_scatter(mr, packet, wire)
-        else:
-            ev = self.bus.write_channel.request()
-            ev.callbacks.append(
-                lambda _ev: self._rx_write_scatter(mr, packet, wire)
-            )
-
-    def _rx_write_scatter(self, mr: MemoryRegion, packet: _Packet, wire: Wire) -> None:
-        scatter_ns = self.bus.config.dma_setup_ns
-        scatter_ns += self._att_range_ns(mr, packet.remote_addr, packet.nbytes)
-        scatter_ns += self._dma_terms(packet.remote_addr, packet.nbytes)[0]
-        scatter_ns += self._stream_ns(packet.nbytes)
-        ns = max(scatter_ns, packet.stream_ns)
-        self.kernel.call_after(self.clock.ns_to_ticks(ns), self._rx_write_done,
-                               packet, wire)
-
-    def _rx_write_done(self, packet: _Packet, wire: Wire) -> None:
-        self.bus.write_channel.release()
-        self.rdma_landed[(packet.rkey, packet.remote_addr)] = packet.payload
-        self.counters.add("hca.rx_messages")
-        self.counters.add("hca.rx_bytes", packet.nbytes)
-        self._send_ack(packet, "success", wire)
-
-    def _receive_send(self, packet: _Packet, wire: Wire) -> Generator:
-        qp = self._qps.get(packet.dst_qp)
-        if qp is None:
-            raise IBVerbsError(f"send targets unknown QP {packet.dst_qp}")
-        # RC semantics: without a posted receive the sender would see RNR
-        # retries; we model it as waiting for the receive to be posted.
-        recv_wr = yield qp.recv_q.get()
-        status = "success"
-        if recv_wr.total_bytes < packet.nbytes:
-            status = "local-length-error"
-        yield self.kernel.timeout(self._recv_wqe_ticks)
-        yield self.bus.write_channel.request()
-        try:
-            scatter_ns = self._scatter_ns(
-                recv_wr.sges, min(packet.nbytes, recv_wr.total_bytes)
-            )
-            # the scatter overlaps the inbound stream; the bus is busy for
-            # whichever is longer, plus the CQE write
-            ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
-            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        finally:
-            self.bus.write_channel.release()
-        self.counters.add("hca.rx_messages")
-        self.counters.add("hca.rx_bytes", packet.nbytes)
-        qp.recv_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=recv_wr.wr_id,
-                opcode="recv",
-                byte_len=packet.nbytes,
-                status=status,
-                payload=packet.payload,
-            )
-        )
-        self._rx_done(packet, status)
-        self._send_ack(packet, status, wire)
-
-    def _receive_rdma_write(self, packet: _Packet, wire: Wire) -> Generator:
+    # -- one-sided write ---------------------------------------------------------
+    def _rx_write_begin(self, packet: _Packet, wire: Wire,
+                        span: Optional[dict]) -> None:
         mr = self._mrs_by_rkey.get(packet.rkey)
         san = sanitize._active
         if san is not None and san.mr:
@@ -1143,32 +963,41 @@ class HCA:
             # instead of quietly answering remote-access-error below
             san.check_rkey(mr, packet.rkey, packet.remote_addr,
                            packet.nbytes, "rdma_write.rx")
-        status = "success"
-        if mr is None or not mr.registered:
-            status = "remote-access-error"
-        elif not mr.contains(packet.remote_addr, packet.nbytes):
-            status = "remote-access-error"
-        if status == "success":
-            yield self.bus.write_channel.request()
-            try:
-                scatter_ns = self.bus.config.dma_setup_ns
-                scatter_ns += self._att_range_ns(
-                    mr, packet.remote_addr, packet.nbytes
-                )
-                scatter_ns += self.bus.bursts_for(packet.remote_addr, packet.nbytes) * \
-                    self.bus.config.burst_ns
-                scatter_ns += self.bus.stream_ns(packet.nbytes)
-                ns = max(scatter_ns, packet.stream_ns)
-                yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-            finally:
-                self.bus.write_channel.release()
-            self.rdma_landed[(packet.rkey, packet.remote_addr)] = packet.payload
-            self.counters.add("hca.rx_messages")
-            self.counters.add("hca.rx_bytes", packet.nbytes)
-        self._rx_done(packet, status)
-        self._send_ack(packet, status, wire)
+        if (
+            mr is None
+            or not mr.registered
+            or not mr.contains(packet.remote_addr, packet.nbytes)
+        ):
+            self._rx_finish(packet, "remote-access-error", wire, span)
+            return
+        write_channel = self.bus.write_channel
+        if write_channel.try_acquire():
+            self._rx_write_scatter(mr, packet, wire, span)
+        else:
+            write_channel.request().callbacks.append(
+                lambda _ev: self._rx_write_scatter(mr, packet, wire, span))
 
-    def _receive_read_request(self, packet: _Packet, wire: Wire) -> Generator:
+    def _rx_write_scatter(self, mr: MemoryRegion, packet: _Packet, wire: Wire,
+                          span: Optional[dict]) -> None:
+        scatter_ns = self.bus.config.dma_setup_ns
+        scatter_ns += self._att_range_ns(mr, packet.remote_addr, packet.nbytes)
+        scatter_ns += self._dma_terms(packet.remote_addr, packet.nbytes)[0]
+        scatter_ns += self._stream_ns(packet.nbytes)
+        ns = max(scatter_ns, packet.stream_ns)
+        self.kernel.call_after(self.clock.ns_to_ticks(ns), self._rx_write_done,
+                               packet, wire, span)
+
+    def _rx_write_done(self, packet: _Packet, wire: Wire,
+                       span: Optional[dict]) -> None:
+        self.bus.write_channel.release()
+        self.rdma_landed[(packet.rkey, packet.remote_addr)] = packet.payload
+        self.counters.add("hca.rx_messages")
+        self.counters.add("hca.rx_bytes", packet.nbytes)
+        self._rx_finish(packet, "success", wire, span)
+
+    # -- one-sided read ------------------------------------------------------------
+    def _rx_read_begin(self, packet: _Packet, wire: Wire,
+                       span: Optional[dict]) -> None:
         """Responder half of an RDMA read: gather the exposed region
         and stream it back as a read response."""
         mr = self._mrs_by_rkey.get(packet.rkey)
@@ -1176,80 +1005,98 @@ class HCA:
         if san is not None and san.mr:
             san.check_rkey(mr, packet.rkey, packet.remote_addr,
                            packet.nbytes, "rdma_read.rx")
-        status = "success"
-        if mr is None or not mr.registered or not mr.contains(
-            packet.remote_addr, packet.nbytes
-        ):
-            status = "remote-access-error"
+        ok = (mr is not None and mr.registered
+              and mr.contains(packet.remote_addr, packet.nbytes))
         gather_ns = 0.0
-        if status == "success":
+        if ok:
             gather_ns = self.bus.config.dma_setup_ns
             gather_ns += self._att_range_ns(mr, packet.remote_addr, packet.nbytes)
-            gather_ns += self.bus.bursts_for(
-                packet.remote_addr, packet.nbytes
-            ) * self.bus.config.burst_ns
-            gather_ns += self.bus.stream_ns(packet.nbytes)
+            gather_ns += self._dma_terms(packet.remote_addr, packet.nbytes)[0]
+            gather_ns += self._stream_ns(packet.nbytes)
             self.counters.add("hca.tx_bytes", packet.nbytes)
-        payload = self.rdma_exposed.get((packet.rkey, packet.remote_addr))
-        ser_ns = self.link.serialization_ns(packet.nbytes)
         # the response streams while the gather runs (same overlap as the
         # send path); the first bytes leave after pipeline + latency
         response = _Packet(
-            kind="read_response",
-            src_qp=packet.dst_qp,
-            dst_qp=packet.src_qp,
-            seq=packet.seq,
-            wr_id=packet.wr_id,
-            nbytes=packet.nbytes,
-            payload=payload,
-            status=status,
-            stream_ns=max(gather_ns, ser_ns),
+            "read_response", packet.dst_qp, packet.src_qp, packet.seq,
+            packet.wr_id, packet.nbytes,
+            self.rdma_exposed.get((packet.rkey, packet.remote_addr)),
+            status="success" if ok else "remote-access-error",
+            stream_ns=max(gather_ns, self.link.serialization_ns(packet.nbytes)),
         )
         self._deliver(wire, response, self._launch_ticks)
-        if status == "success":
-            yield self.bus.read_channel.request()
-            try:
-                yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
-            finally:
-                self.bus.read_channel.release()
+        if not ok:
+            if span is not None:
+                trace.end(span)
+            return
+        gather_ticks = self.clock.ns_to_ticks(gather_ns)
+        read_channel = self.bus.read_channel
+        if read_channel.try_acquire():
+            self.kernel.call_after(gather_ticks, self._rx_read_done, span)
+        else:
+            read_channel.request().callbacks.append(
+                lambda _ev: self.kernel.call_after(gather_ticks,
+                                                   self._rx_read_done, span))
 
-    def _receive_read_response(self, packet: _Packet) -> Generator:
-        """Initiator half: scatter the returned data locally, complete."""
+    def _rx_read_done(self, span: Optional[dict]) -> None:
+        self.bus.read_channel.release()
+        if span is not None:
+            trace.end(span)
+
+    def _rx_response_begin(self, packet: _Packet, span: Optional[dict]) -> None:
+        """Initiator half of an RDMA read: scatter the returned data
+        locally, then complete the read WR."""
         entry = self._outstanding.pop(packet.seq, None)
         if entry is None:
-            if self.faults is not None:
-                # duplicate response from a retransmitted read request
-                self.faults.counters.add("faults.qp.stale_acks")
-                return
-            raise IBVerbsError(f"read response for unknown seq {packet.seq}")
+            if self.faults is None:
+                raise IBVerbsError(f"read response for unknown seq {packet.seq}")
+            # duplicate response from a retransmitted read request
+            self.faults.counters.add("faults.qp.stale_acks")
+            if span is not None:
+                trace.end(span)
+            return
         qp, wr = entry
-        if packet.status == "success":
-            yield self.bus.write_channel.request()
-            try:
-                scatter_ns = self._scatter_ns(wr.sges, packet.nbytes)
-                ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
-                yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-            finally:
-                self.bus.write_channel.release()
-            self.counters.add("hca.rx_messages")
-            self.counters.add("hca.rx_bytes", packet.nbytes)
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode="rdma_read",
-                byte_len=packet.nbytes,
-                status=packet.status,
-                payload=packet.payload,
-            )
-        )
-        qp.wr_slots.release()
+        if packet.status != "success":
+            self._rx_response_done(qp, wr, packet, span)
+            return
+        write_channel = self.bus.write_channel
+        if write_channel.try_acquire():
+            self._rx_response_scatter(qp, wr, packet, span)
+        else:
+            write_channel.request().callbacks.append(
+                lambda _ev: self._rx_response_scatter(qp, wr, packet, span))
 
-    def _rx_done(self, packet: _Packet, status: str) -> None:
-        """Record an inbound message as fully processed so a later
-        retransmission of it is re-acked instead of re-executed."""
+    def _rx_response_scatter(self, qp: QueuePair, wr: SendWR, packet: _Packet,
+                             span: Optional[dict]) -> None:
+        scatter_ns = self._scatter_ns(wr.sges, packet.nbytes)
+        ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
+        self.kernel.call_after(self.clock.ns_to_ticks(ns),
+                               self._rx_response_scattered, qp, wr, packet,
+                               span)
+
+    def _rx_response_scattered(self, qp: QueuePair, wr: SendWR,
+                               packet: _Packet, span: Optional[dict]) -> None:
+        self.bus.write_channel.release()
+        self.counters.add("hca.rx_messages")
+        self.counters.add("hca.rx_bytes", packet.nbytes)
+        self._rx_response_done(qp, wr, packet, span)
+
+    def _rx_response_done(self, qp: QueuePair, wr: SendWR, packet: _Packet,
+                          span: Optional[dict]) -> None:
+        self._send_completed(qp, wr, packet.status, packet.payload)
+        if span is not None:
+            trace.end(span)
+
+    def _rx_finish(self, packet: _Packet, status: str, wire: Wire,
+                   span: Optional[dict]) -> None:
+        """An inbound send or RDMA write is processed: under a fault plan
+        record it, so a later retransmission of it is re-acked instead of
+        re-executed; then ack it and close its span."""
         if self.faults is not None:
             self._rx_inflight.discard(packet.seq)
             self._rx_seen[packet.seq] = status
+        self._send_ack(packet, status, wire)
+        if span is not None:
+            trace.end(span)
 
     def _send_ack(self, packet: _Packet, status: str, wire: Wire) -> None:
         if self.faults is None:

@@ -50,11 +50,6 @@ class HugeTLBfs:
         """Hugepages currently available."""
         return self.physical.free_hugepages
 
-    @property
-    def acquired_pages(self) -> int:
-        """Hugepages handed out through this filesystem."""
-        return self._acquired
-
     # -- allocation -----------------------------------------------------------
     def acquire(self, n_pages: int, keep_reserve: int = 0) -> List[int]:
         """Take *n_pages* hugepage frames from the pool.

@@ -288,10 +288,6 @@ class PhysicalMemory:
             return
         self._free_huge.append(paddr)
 
-    def contains_hugepage(self, paddr: int) -> bool:
-        """True if *paddr* lies in the hugepage pool region."""
-        return paddr >= self._huge_base
-
     # -- snapshot view ------------------------------------------------------
     def dump_state(self) -> dict:
         """Picklable snapshot of the mutable pool state (geometry —

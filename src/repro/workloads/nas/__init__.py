@@ -13,7 +13,7 @@ communication/computation split plus PAPI-style TLB counters.
 """
 
 from repro.workloads.nas.common import NASRunResult, compare_hugepages, run_nas
-from repro.workloads.nas import cg, ep, ft, is_, lu, mg
+from repro.workloads.nas import cg, ep, is_, lu, mg
 
 #: the five kernels the paper evaluates (Fig 6)
 KERNELS = {
@@ -24,11 +24,5 @@ KERNELS = {
     "MG": mg.program,
 }
 
-#: kernels beyond the paper's evaluation (run them the same way; they
-#: just do not appear in the Fig 6 reproduction)
-EXTENSION_KERNELS = {
-    "FT": ft.program,
-}
-
-__all__ = ["EXTENSION_KERNELS", "KERNELS", "NASRunResult", "cg",
-           "compare_hugepages", "ep", "ft", "is_", "lu", "mg", "run_nas"]
+__all__ = ["KERNELS", "NASRunResult", "cg", "compare_hugepages", "ep", "is_",
+           "lu", "mg", "run_nas"]

@@ -87,20 +87,20 @@ def program(comm, klass: str = "W") -> Generator:
         lg = rg = 0.0
         ops = []
         if right is not None:
-            ops.append(comm.kernel.process(comm.endpoint.send(
+            ops.append(comm.endpoint.start_send(
                 right, tag_base, size_bytes, addr=grids[1],
-                payload=float(vec[-1]))))
+                payload=float(vec[-1])))
         if left is not None:
-            ops.append(comm.kernel.process(comm.endpoint.send(
+            ops.append(comm.endpoint.start_send(
                 left, tag_base + 1, size_bytes, addr=grids[1],
-                payload=float(vec[0]))))
+                payload=float(vec[0])))
         recvs = []
         if left is not None:
-            recvs.append(("L", comm.kernel.process(
-                comm.endpoint.recv(left, tag_base, recv_slot_l))))
+            recvs.append(("L", comm.endpoint.start_recv(
+                left, tag_base, recv_slot_l)))
         if right is not None:
-            recvs.append(("R", comm.kernel.process(
-                comm.endpoint.recv(right, tag_base + 1, recv_slot_r))))
+            recvs.append(("R", comm.endpoint.start_recv(
+                right, tag_base + 1, recv_slot_r)))
         results = yield comm.kernel.all_of([pr for _, pr in recvs] + ops)
         for (side, _), res in zip(recvs, results):
             if side == "L":

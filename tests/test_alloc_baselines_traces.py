@@ -67,7 +67,8 @@ class TestLibhugepagealloc:
         alloc = LibhugepageallocAllocator(aspace)
         for _ in range(8):
             alloc.malloc(64)
-        assert alloc.hugepages_held() == 8  # 16 MB for 512 bytes of data
+        held = sum(vma.length for vma in aspace.vmas if vma.name == "libhugepagealloc")
+        assert held == 8 * PAGE_2M  # 16 MB for 512 bytes of data
 
     def test_not_thread_safe_flag(self):
         assert LibhugepageallocAllocator.thread_safe is False

@@ -256,3 +256,19 @@ class TestHeapTop:
         while live:
             libc.free(live.pop())
             assert libc._top is scan_top(libc)
+
+
+class TestHugepageHeapIsNeverTrimmed:
+    def test_lifo_churn_reuses_the_same_two_hugepages(self):
+        """``HugeMorecore.shrink`` gives nothing back, so the allocator
+        must not trim its top either: a trimmed tail would stay mapped
+        but leave the heap for good, and the next round of demand would
+        map a third hugepage for what two already hold."""
+        pm = PhysicalMemory(256 * MB, hugepages=8)
+        libc = LibhugetlbfsAllocator(AddressSpace(pm, HugeTLBfs(pm)))
+        for _ in range(4):
+            live = [libc.malloc(100 * 1024) for _ in range(25)]
+            while live:
+                libc.free(live.pop())
+            assert pm.total_hugepages - pm.free_hugepages == 2
+            assert libc.heap_bytes() == 4 * MB

@@ -43,13 +43,6 @@ class TestCounterSet:
         c.reset()
         assert len(c) == 0
 
-    def test_merged_with(self):
-        a, b = CounterSet(), CounterSet()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        assert a.merged_with(b) == {"x": 3, "y": 3}
-
     def test_iteration_sorted(self):
         c = CounterSet()
         c.add("b")

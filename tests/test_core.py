@@ -57,11 +57,6 @@ class TestPreload:
         proc.free(before)  # routed back to libc
         assert proc.libc.live_allocations == 0
 
-    def test_unload_restores_libc(self, proc):
-        handle = preload_hugepage_library(proc)
-        handle.unload()
-        assert proc.allocator is proc.libc
-
     def test_custom_config(self, proc):
         handle = preload_hugepage_library(
             proc, HugepageLibraryConfig(cutoff_bytes=8 * KB)

@@ -6,8 +6,8 @@ identical counter values, identical model state afterwards (LRU content
 and order, pin counts).  These tests enforce that property-style, from
 the shared LRU-sweep primitive all the way up to whole figure drivers —
 including runs with an active :class:`~repro.faults.FaultPlan`, where
-the HCA must fall back to the per-packet machinery on both settings of
-the toggle.
+the HCA's callback chains take their fault variants (watchdog,
+retransmission, idempotent receive) on both settings of the toggle.
 """
 
 from collections import OrderedDict
@@ -316,9 +316,9 @@ class TestDriversEquivalence:
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_imb_identical_under_faults(self, seed):
-        """An active FaultPlan forces the per-packet slow path; the
-        toggle must then be a no-op — same ticks either way, even when
-        the run legally aborts on retry exhaustion."""
+        """Under an active FaultPlan the costing toggle must still be a
+        no-op — same ticks either way, even when the run legally aborts
+        on retry exhaustion."""
         from repro.faults import FaultPlan
 
         def plan():

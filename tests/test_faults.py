@@ -79,10 +79,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(hugepage_deplete_after=-1)
 
-    def test_with_seed(self):
-        plan = FaultPlan(link_loss=0.5).with_seed(99)
-        assert plan.seed == 99 and plan.link_loss == 0.5
-
 
 class TestFaultInjector:
     def test_same_seed_same_decisions(self):

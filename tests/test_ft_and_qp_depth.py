@@ -1,37 +1,10 @@
-"""Tests for the FT extension kernel and QP send-queue depth limits."""
+"""Tests for QP send-queue depth limits."""
 
 from repro.ib.hca import HCA
 from repro.ib.verbs import SGE, CompletionQueue, ProtectionDomain, RecvWR, SendWR
 from repro.systems import Cluster, presets
-from repro.workloads.nas import EXTENSION_KERNELS, KERNELS, ft
-from repro.workloads.nas.common import compare_hugepages, run_nas
 
 MB = 1024 * 1024
-
-
-class TestFTKernel:
-    def test_registered_as_extension_not_fig6(self):
-        assert "FT" in EXTENSION_KERNELS
-        assert "FT" not in KERNELS
-
-    def test_fft_roundtrip_verified(self):
-        r = run_nas(ft.program, presets.opteron_infinihost_pcie(),
-                    hugepages=False, klass="W")
-        assert r.verified
-        assert r.comm_ticks > 0
-
-    def test_verified_under_hugepages_too(self):
-        c = compare_hugepages(ft.program, presets.opteron_infinihost_pcie(),
-                              klass="W")
-        assert c.small.verified and c.huge.verified
-
-    def test_mixed_hugepage_profile(self):
-        """FT pulls both ways: streams help, the pow2 transpose hurts —
-        the TLB ratio sits near 1 and the overall effect is small."""
-        c = compare_hugepages(ft.program, presets.opteron_infinihost_pcie(),
-                              klass="W")
-        assert 0.3 < c.tlb_miss_ratio < 3.0
-        assert -5.0 < c.overall_improvement_pct < 10.0
 
 
 class TestQPSendQueueDepth:
@@ -47,11 +20,7 @@ class TestQPSendQueueDepth:
         pd_a, pd_b = ProtectionDomain.fresh(), ProtectionDomain.fresh()
         sa, ra, sb, rb = (CompletionQueue(k) for _ in range(4))
 
-        from repro.ib.verbs import QueuePair
-
-        qa = QueuePair(k, pd_a, sa, ra, max_send_wr=1)
-        a.hca._qps[qa.qp_num] = qa
-        k.process(a.hca._send_loop(qa), name="sq-test")
+        qa = a.hca.create_qp(pd_a, sa, ra, max_send_wr=1)
         qb = b.hca.create_qp(pd_b, sb, rb)
         HCA.connect_pair(qa, a.hca, qb, b.hca)
         times = {}

@@ -13,16 +13,26 @@ itself stays exact.
 The ``repro trace fig5 --trace-out`` JSON is pinned by its sha256.  That
 pins every span, counter delta and the ``engine.frames`` instants (how
 many items and frames the kernel dispatched).  The digest is of the
-folded path, so the test drops ``REPRO_NO_FOLD`` from its subprocess's
-environment: the unfolded trace has the same ticks, but 524 of its
-6,372 events differ — its four ``engine.frames`` instants count the
-extra events, and the rest attribute counter deltas differently within
-a tick.  ``REPRO_NO_FASTPATH`` leaves the JSON unchanged.
+folded MPI path, so the test drops ``REPRO_NO_FOLD`` from its
+subprocess's environment: under it the MPI layer runs its generator
+protocols, with the same ticks but more kernel events and a different
+attribution of counter deltas within a tick.  ``REPRO_NO_FASTPATH``
+leaves the JSON unchanged.
+
+The digest moved once without a figure moving: when a tracer stopped
+pinning the adapter to per-message generator processes, the traced run
+began to dispatch the untraced run's events.  Its four ``engine.frames``
+instants went from 4,298/4,298/4,442/4,442 events to 2,546/2,546/
+2,690/2,690, and 160 events attribute their counter deltas differently
+within a tick (the same spans close at the same ticks, in the same
+order).  ``FIG5_SPAN_SIGNATURE_SHA256`` pins what did not move: every
+span and instant, with its thread, ticks and arguments.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -46,8 +56,13 @@ GOLDEN = {
 }
 
 
-#: sha256 of the ``repro trace fig5 --trace-out`` JSON on the folded path
-FIG5_TRACE_SHA256 = "adfb2b02a4ca5ab8fe4b60759a970c125291b530ed8d7ccd227b60674abeb0fb"
+#: sha256 of the sorted span signature of ``repro trace fig5`` (see
+#: :func:`_span_signature`); the same on every machinery
+FIG5_SPAN_SIGNATURE_SHA256 = (
+    "cf16bfa01a907dccc282822e5f41d2fa29f972dfc742c74c0f1af2b88d470bf6")
+
+#: sha256 of the ``repro trace fig5 --trace-out`` JSON on the folded MPI path
+FIG5_TRACE_SHA256 = "7bdd1f2ff26935348c7bdb8bd60d16df9e75e3543e8e02d9bce97fe58b2ab805"
 
 
 def _repro(args, cwd, env=None):
@@ -73,3 +88,37 @@ def test_fig5_trace_matches_golden_digest(tmp_path):
     run = _repro(["trace", "fig5", "--trace-out", str(out)], tmp_path, env)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG5_TRACE_SHA256
+
+
+def _span_signature(doc):
+    """What each span and instant of a trace says, in a canonical order.
+
+    One entry per ``X`` or ``i`` record: its name, its thread's name
+    (resolved through the ``M`` records), ``ts``, ``dur`` and its args
+    without the ``counters`` deltas.  The ``engine.*`` records, which
+    count kernel work, are left out, so the signature holds for every
+    machinery that runs the same model.
+    """
+    threads = {(ev["pid"], ev["tid"]): ev["args"]["name"]
+               for ev in doc["traceEvents"]
+               if ev["ph"] == "M" and ev["name"] == "thread_name"}
+    entries = []
+    for ev in doc["traceEvents"]:
+        if ev["ph"] not in ("X", "i") or ev["name"].startswith("engine."):
+            continue
+        args = {k: v for k, v in ev.get("args", {}).items() if k != "counters"}
+        entries.append(json.dumps(
+            [ev["name"], threads.get((ev["pid"], ev["tid"])), ev["ts"],
+             ev.get("dur"), args], sort_keys=True))
+    return "\n".join(sorted(entries))
+
+
+def test_fig5_trace_span_signature(tmp_path):
+    """Every span and instant of the fig5 trace, on whichever machinery
+    the environment selects (CI runs this under ``REPRO_NO_FOLD`` too)."""
+    out = tmp_path / "fig5.json"
+    run = _repro(["trace", "fig5", "--trace-out", str(out)], tmp_path)
+    assert run.returncode == 0, run.stderr
+    signature = _span_signature(json.loads(out.read_text()))
+    digest = hashlib.sha256(signature.encode()).hexdigest()
+    assert digest == FIG5_SPAN_SIGNATURE_SHA256

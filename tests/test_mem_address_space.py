@@ -188,7 +188,7 @@ class TestAtomicity:
         with pytest.raises(ValueError, match="overlaps"):
             aspace.mmap(PAGE_2M, page_size=PAGE_2M)
         assert pm.free_hugepages == before
-        assert fs.acquired_pages == 0
+        assert fs._acquired == 0
         assert aspace.page_table.n_huge == 0
 
     def test_munmap_with_pinned_page_changes_nothing(self, aspace, machine_mem):

@@ -109,8 +109,8 @@ class TestBaselineLedger:
             Baseline.load(ledger)
 
     def test_every_committed_entry_is_justified(self):
+        # the ledger is empty: nothing in src/repro needs a suppression
         baseline = Baseline.load(REPO / "tools" / "simlint" / "baseline.json")
-        assert baseline.entries
         assert all(e.reason.strip() for e in baseline.entries)
 
 

@@ -163,6 +163,39 @@ class TestRealWorkloadTrace:
         assert a.dumps() == b.dumps()
 
 
+class TestTracedRunIsTheUntracedRun:
+    """A tracer only records: the run it watches dispatches the same
+    kernel work as the same run untraced (no machinery is pinned)."""
+
+    SIZES = [64 * KB, 256 * KB, 1024 * KB, 4096 * KB]
+
+    def _work(self, traced, monkeypatch):
+        from repro.engine.core import Process
+
+        resumes = []
+        step = Process._step
+
+        def counting_step(self, event, throw):
+            resumes.append(1)
+            step(self, event, throw)
+
+        monkeypatch.setattr(Process, "_step", counting_step)
+        bench = SendRecvBenchmark(presets.opteron_infinihost_pcie)
+        kwargs = dict(hugepages=False, lazy_dereg=True, iterations=4)
+        if traced:
+            with trace.capturing(Tracer()):
+                bench.run(self.SIZES, **kwargs)
+        else:
+            bench.run(self.SIZES, **kwargs)
+        monkeypatch.setattr(Process, "_step", step)
+        return bench.last_cluster.kernel._events, len(resumes)
+
+    def test_traced_run_dispatches_the_untraced_events(self, monkeypatch):
+        untraced = self._work(False, monkeypatch)
+        traced = self._work(True, monkeypatch)
+        assert traced == untraced
+
+
 class TestByteIdentity:
     """Satellite property: the trace stream must not depend on which
     costing path priced the run, nor on where a checkpoint cut it."""

@@ -1,14 +1,15 @@
-"""The wire-train contract: DES pipeline == folded path == closed form.
+"""The wire-train contract: DES pipeline == closed form.
 
-Three parties must agree tick-exactly on a back-to-back message train
+Two parties must agree tick-exactly on a back-to-back message train
 (:mod:`repro.workloads.train`):
 
-- the **reference machinery** — per-message generator processes walking
-  every pipeline hop (``REPRO_NO_FOLD`` / ``fastpath.fold_forced(False)``);
-- the **folded delivery path** — the callback chains in
-  :mod:`repro.ib.hca` that replace those processes (the default);
+- the **adapter pipeline** — the callback chains in :mod:`repro.ib.hca`
+  walking every pipeline hop;
 - the **closed form** — :func:`repro.workloads.train.analytic_period_ticks`
   built on :meth:`repro.ib.link.IBLink.train_ns`.
+
+The adapter once also had a per-message generator form; the ticks it
+produced for two windowed trains are kept below as literals.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class TestClosedFormPin:
 
 
 # ---------------------------------------------------------------------------
-# identity: fold vs process machinery
+# identity: the windowed trains the generator pipeline produced
 # ---------------------------------------------------------------------------
 
 def _train_signature(**kwargs):
@@ -89,23 +90,17 @@ def _train_signature(**kwargs):
 
 class TestIdentity:
     def test_fold_matches_process_machinery(self):
+        # (total_ticks, tx, rx) of the retired per-message generator form
         kwargs = dict(msg_bytes=2048, count=40, window=8)
-        with fastpath.fold_forced(True):
-            folded = _train_signature(**kwargs)
-        with fastpath.fold_forced(False):
-            reference = _train_signature(**kwargs)
-        assert folded == reference
+        assert _train_signature(**kwargs) == (19894, 40, 40)
 
     def test_fold_matches_on_reference_costing_path(self):
-        # folding is orthogonal to the fast/reference costing switch:
-        # it must hold on both
+        # the same pin on the reference costing path, which must agree
+        # with the fast one
         kwargs = dict(msg_bytes=1024, count=25, window=4)
         with fastpath.forced(False):
-            with fastpath.fold_forced(True):
-                folded = _train_signature(**kwargs)
-            with fastpath.fold_forced(False):
-                reference = _train_signature(**kwargs)
-        assert folded == reference
+            reference = _train_signature(**kwargs)
+        assert reference == _train_signature(**kwargs) == (7294, 25, 25)
 
     def test_window_only_overlaps_never_reorders(self):
         # more window = more overlap = fewer total ticks, same messages

@@ -30,7 +30,7 @@ class PassFinding:
     pass_id: str    #: e.g. ``ownership-pairing``
     path: str
     line: int
-    symbol: str     #: e.g. ``repro.ib.hca.HCA._complete_send``
+    symbol: str     #: e.g. ``repro.ib.hca.HCA._send_completed``
     message: str
 
     def render(self) -> str:
