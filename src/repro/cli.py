@@ -405,7 +405,7 @@ def _cmd_faults(args) -> None:
     faults, plus the degradation report (the ISSUE's acceptance demo)."""
     from repro.analysis.report import degradation_report
     from repro.core.placement import BufferPlacer, PlacementPolicy
-    from repro.faults import MPITransportError
+    from repro.faults import MPITransportError, PermanentRegistrationError
     from repro.mpi.api import MPIConfig, MPIWorld
     from repro.systems import presets
     from repro.systems.machine import Cluster
@@ -460,8 +460,9 @@ def _cmd_faults(args) -> None:
 
         try:
             faulted = ckpt.run_unit("faults:faulted", faulted_unit)
-        except MPITransportError as exc:
-            # the plan's retry budget was exhausted: a legal, clean outcome
+        except (MPITransportError, PermanentRegistrationError) as exc:
+            # the plan's retry budget was exhausted, or a registration
+            # failed for good: a legal, clean outcome
             print(f"with faults:     ABORTED ({exc})")
             raise SystemExit(1)
     ok = faulted["got"] == expected

@@ -79,55 +79,6 @@ def forced(flag: bool) -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# the event-fold switch
-#
-# Orthogonal to the costing switch above: folding runs the MPI layer's
-# per-message protocols as callback chains (``repro.mpi.fold``) instead
-# of generator processes, cutting kernel events and generator resumes
-# without changing a single cost formula.  It is therefore active on
-# BOTH costing paths AND under the sanitizer (its hooks are synchronous
-# calls the chains make too); this switch exists so equivalence tests
-# (and debugging) can pin a run onto the generator protocols, the MPI
-# oracle.  A fault plan pins them per endpoint as well, and tracing pins
-# nothing: the chains emit their spans themselves.  The adapter below
-# (``repro.ib.hca``) has only its callback chains; this switch does not
-# reach it.  This is the global override.
-# ---------------------------------------------------------------------------
-
-_fold: bool = os.environ.get("REPRO_NO_FOLD", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-
-def fold_enabled() -> bool:
-    """True while the MPI event fold is allowed."""
-    return _fold
-
-
-def set_fold(flag: bool) -> None:
-    """Turn the MPI event fold on or off globally."""
-    global _fold
-    _fold = bool(flag)
-
-
-@contextmanager
-def fold_forced(flag: bool) -> Iterator[None]:
-    """Context manager: pin the fold switch to *flag* for the body."""
-    global _fold
-    prior = _fold
-    _fold = bool(flag)
-    try:
-        yield
-    finally:
-        _fold = prior
-
-
-
-
-# ---------------------------------------------------------------------------
 # run-length LRU state
 # ---------------------------------------------------------------------------
 

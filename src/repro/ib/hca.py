@@ -28,8 +28,8 @@ half-duplex bus (PCI-X) these are the same resource, which is how ATT
 stalls become visible in bandwidth exactly as §5.1 describes for the
 Xeon system.
 
-Event folding
--------------
+Callback chains
+---------------
 
 The adapter pipeline is one set of *callback chains*: each model delay
 is a kernel step (:meth:`repro.engine.core.SimKernel.call_after`, a
@@ -63,12 +63,14 @@ retransmission with backoff, abort to SQE), arrivals pass the
 and stale ones are dropped, and a WR queued on a QP that left RTS is
 flushed.  ``tests/test_fault_pins.py`` pins those paths tick-exactly.
 
-The MPI layer above is folded the same way (:mod:`repro.mpi.fold`): it
-posts, registers, polls and deregisters through the callback forms
+The MPI layer above runs as callback chains too (:mod:`repro.mpi.op`):
+it posts, registers, polls and deregisters through the callback forms
 :meth:`HCA.post_send_then`, :meth:`HCA.post_recv_then`,
 :meth:`HCA.poll_then`, :meth:`HCA.register_then` and
 :meth:`HCA.deregister_then`, which charge the same costs and open the
-same spans as their generator counterparts.
+same spans as the generator forms the verbs-level workloads drive
+(:meth:`HCA.post_send`, :meth:`HCA.post_recv`,
+:meth:`HCA.wait_completion`, :meth:`HCA.register_memory`).
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ class HCA:
         #: window where a sender's retransmission means RNR, not loss)
         self._rx_inflight: Set[int] = set()
         #: inbound seqs fully processed, mapped to their ack status so a
-        #: duplicate retransmission is re-acked, never re-executed
+        #: duplicate retransmission is re-acked, never re-executed; the
+        #: sender drops an entry once it retires the seq (:meth:`_retire`)
         self._rx_seen: Dict[int, str] = {}
         self._wires: Dict[int, Wire] = {}
         self._qps: Dict[int, QueuePair] = {}
@@ -355,21 +358,10 @@ class HCA:
         self.kernel.call_after(self.clock.ns_to_ticks(ns), _end_span_then,
                                span, then, mr)
 
-    def deregister_memory(self, aspace: AddressSpace, mr: MemoryRegion) -> Generator:
-        """Deregister *mr* (timed)."""
-        span = trace.begin("ib.mr.deregister", track=self.name, bytes=mr.length)
-        try:
-            ns = self.reg.deregister(aspace, mr)
-            self._mrs_by_lkey.pop(mr.lkey, None)
-            self._mrs_by_rkey.pop(mr.rkey, None)
-            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        finally:
-            trace.end(span)
-
     def deregister_then(self, aspace: AddressSpace, mr: MemoryRegion,
                         then: Callable[[], None]) -> None:
-        """Callback form of :meth:`deregister_memory`; *then()* runs
-        when the deregistration completes."""
+        """Deregister *mr* (timed, under an ``ib.mr.deregister`` span);
+        *then()* runs when the deregistration completes."""
         tracer = trace.active()
         span = (None if tracer is None
                 else tracer.begin("ib.mr.deregister", self.name, bytes=mr.length))
@@ -780,6 +772,7 @@ class HCA:
             # actually had to retransmit
             if attempts:
                 counters.add("faults.qp.recovery_ticks", self.kernel.now - t0)
+            self._retire(qp, packet.seq)
             return
         peer = qp.peer_hca
         if peer is not None and packet.seq in peer._rx_inflight:
@@ -805,9 +798,22 @@ class HCA:
                                qp, packet, wire, base_ticks, t0, attempts,
                                rnr_waits)
 
+    def _retire(self, qp: QueuePair, seq: int) -> None:
+        """The sender is done with *seq*: the receiver may forget it.
+
+        Every copy of the message has landed by now.  Copies are only
+        sent from a watchdog step, each lands after the wire's fixed
+        launch delay, and the delay is shorter than one watchdog period,
+        so no duplicate can still arrive to need the recorded status.
+        """
+        peer = qp.peer_hca
+        if peer is not None:
+            peer._rx_seen.pop(seq, None)
+
     def _abort_send(self, qp: QueuePair, packet: _Packet, status: str) -> None:
         """Give up on an outbound message: error CQE, QP drops to SQE."""
         _, wr = self._outstanding.pop(packet.seq)
+        self._retire(qp, packet.seq)
         self.faults.counters.add("faults.qp.retry_exhausted")
         tracer = trace.active()
         if tracer is not None:

@@ -83,7 +83,7 @@ class IBLink:
         window both collapse to the same per-packet arithmetic.  The
         first-byte latency is paid once per train, not per message; the
         caller adds it (see :meth:`transfer_ns`).  This is the wire half
-        of the folded delivery model (see "Event folding" in
+        of the adapter's delivery model (see "Callback chains" in
         :mod:`repro.ib.hca`) and is pinned tick-exact against the DES
         pipeline by ``tests/test_wire_train.py``.
         """

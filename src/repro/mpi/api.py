@@ -19,11 +19,10 @@ Fig 6's communication/computation split is measured, not assumed.
 
 Point-to-point messages start through :meth:`Endpoint.start_send` and
 :meth:`Endpoint.start_recv`, which return one event carrying the result.
-On the clean path the protocol runs as a callback chain
-(:mod:`repro.mpi.fold`), so a message spawns no process; under a fault
-plan or ``REPRO_NO_FOLD`` the event is the generator protocol run as a
-process (the oracle).  The progress engines that drain the completion
-queues are callback chains in both cases.
+The protocol runs as a callback chain on an :class:`~repro.mpi.op.Op`,
+with or without a fault plan, so a message spawns no process.  The
+progress engines that drain the completion queues are callback chains
+too.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 
-from repro import fastpath, trace
+from repro import trace
 from repro.engine.core import Event, SimKernel
 from repro.engine.resources import Channel, Store
 from repro.faults import MPITransportError
@@ -51,7 +50,7 @@ from repro.ib.verbs import (
 from repro.mpi import eager as eager_mod
 from repro.mpi import rendezvous as rndv_mod
 from repro.mpi.datatypes import pack_sges
-from repro.mpi.fold import Join, Op
+from repro.mpi.op import Join, Op
 from repro.mpi.profiler import MPIProfiler
 from repro.mpi.regcache import RegistrationCache
 from repro.systems.machine import Cluster, OSProcess
@@ -218,11 +217,6 @@ class Endpoint:
             f"({wc.byte_len} B, {wc.opcode}) failed: {wc.status}"
         )
 
-    def _folding(self) -> bool:
-        """True when messages run as callback chains: folding is on and
-        no fault plan needs the generator protocols."""
-        return fastpath.fold_enabled() and self.hca.faults is None
-
     # -- setup -------------------------------------------------------------------
     def setup(self) -> Generator:
         """Allocate and register bounce buffers, pre-post receives, start
@@ -300,18 +294,13 @@ class Endpoint:
                    addr: Optional[int] = None, payload: Any = None) -> Event:
         """Start a standard-mode send; returns an event that fires when
         it completes (or fails with the send's error)."""
-        if not self._folding():
-            return self.kernel.process(
-                self.send(dest, tag, size, addr, payload),
-                name=f"r{self.rank}-send",
-            )
         op = Op(self)
         op.call(self._send_then, op, dest, tag, size, addr, payload)
         return op.done
 
     def _send_then(self, op: Op, dest: int, tag: int, size: int,
                    addr: Optional[int], payload: Any) -> None:
-        """Callback form of :meth:`send`."""
+        """Run a send by transport (see the module docstring)."""
         self._check_send(dest, size)
         then = op.finish
         if self.is_local(dest):
@@ -345,27 +334,6 @@ class Endpoint:
         if dest == self.rank:
             raise ValueError("send to self is not supported")
 
-    def send(self, dest: int, tag: int, size: int,
-             addr: Optional[int] = None, payload: Any = None) -> Generator:
-        """Blocking standard-mode send (the generator form)."""
-        self._check_send(dest, size)
-        if self.is_local(dest):
-            yield from self._send_intra(dest, tag, size, payload)
-        elif size <= self.config.eager_threshold:
-            yield from eager_mod.eager_send(self, dest, tag, size, addr, payload)
-        elif size <= self.config.rdma_threshold:
-            yield from eager_mod.copy_rendezvous_send(
-                self, dest, tag, size, addr, payload
-            )
-        elif self.config.rndv_protocol == "read":
-            yield from rndv_mod.rdma_read_rendezvous_send(
-                self, dest, tag, size, addr, payload
-            )
-        else:
-            yield from rndv_mod.rdma_rendezvous_send(
-                self, dest, tag, size, addr, payload
-            )
-
     def send_packed(self, dest: int, tag: int, blocks: List[Tuple[int, int]],
                     lkey_mr: MemoryRegion, payload: Any = None) -> Generator:
         """Send a non-contiguous block list.
@@ -377,7 +345,7 @@ class Endpoint:
         """
         total = sum(n for _, n in blocks)
         if self.is_local(dest):
-            yield from self._send_intra(dest, tag, total, payload)
+            yield self.start_send(dest, tag, total, None, payload)
             return
         if total > self.config.eager_threshold:
             raise ValueError("packed sends are for small-message aggregation")
@@ -400,23 +368,17 @@ class Endpoint:
                     cursor += nbytes
             finally:
                 self.bounce_pool.put((buf_addr, mr))
-            yield from eager_mod.eager_send(self, dest, tag, total, None, payload)
-
-    def _send_intra(self, dest: int, tag: int, size: int, payload: Any) -> Generator:
-        cfg = self.config
-        ns = cfg.intra_latency_ns + size * cfg.intra_copy_ns_per_byte
-        yield self.kernel.timeout(self.machine.clock.ns_to_ticks(ns))
-        env = self.make_envelope("eager", dest, tag, size, payload=payload)
-        self.world.endpoint(dest).match_channel.send(env)
+            yield self.start_send(dest, tag, total, None, payload)
 
     # -- point-to-point: recv -------------------------------------------------------------
     def start_recv(self, source: Optional[int] = None, tag: Optional[int] = None,
                    addr: Optional[int] = None) -> Event:
         """Post a receive; returns an event that fires with
-        ``(payload, size, src, tag)`` (see :meth:`recv`)."""
-        if not self._folding():
-            return self.kernel.process(self.recv(source, tag, addr),
-                                       name=f"r{self.rank}-recv")
+        ``(payload, size, src, tag)``.
+
+        *addr* is the user receive buffer — required for messages above
+        the RDMA threshold (the adapter must have a target).
+        """
         op = Op(self)
         self._post_recv_then(op, source, tag, addr)
         return op.done
@@ -429,11 +391,6 @@ class Endpoint:
         """Start a send and a receive together; returns an event firing
         with ``[None, recv_result]`` once both completed (the value of an
         ``AllOf`` over :meth:`start_send` and :meth:`start_recv`)."""
-        if not self._folding():
-            return self.kernel.all_of([
-                self.start_send(dest, sendtag, size, send_addr, payload),
-                self.start_recv(source, recvtag, recv_addr),
-            ])
         join = Join(self, 2)
         sop = Op(self, join.notifier(0))
         sop.call(self._send_then, sop, dest, sendtag, size, send_addr, payload)
@@ -449,7 +406,7 @@ class Endpoint:
         )
 
     def _recv_then(self, op: Op, env: Envelope, addr: Optional[int]) -> None:
-        """Callback form of :meth:`recv` once *env* matched."""
+        """Run a receive by transport once *env* matched."""
         def then(payload: Any) -> None:
             op.finish((payload, env.size, env.src, env.tag))
 
@@ -465,32 +422,6 @@ class Endpoint:
             rndv_mod.rdma_read_rendezvous_recv_then(op, env, addr, then)
         else:
             rndv_mod.rdma_rendezvous_recv_then(op, env, addr, then)
-
-    def recv(self, source: Optional[int] = None, tag: Optional[int] = None,
-             addr: Optional[int] = None) -> Generator:
-        """Blocking receive; returns ``(payload, size, src, tag)``.
-
-        *addr* is the user receive buffer — required for messages above
-        the RDMA threshold (the adapter must have a target).
-        """
-        env = yield self.match_channel.receive(_matcher(source, tag))
-        if env.kind == "eager":
-            if self.is_local(env.src):
-                cfg = self.config
-                ns = env.size * cfg.intra_copy_ns_per_byte
-                yield self.kernel.timeout(self.machine.clock.ns_to_ticks(ns))
-                payload = env.payload
-            else:
-                payload = yield from eager_mod.eager_recv_copy_out(self, env, addr)
-        elif env.size <= self.config.rdma_threshold:
-            payload = yield from eager_mod.copy_rendezvous_recv(self, env, addr)
-        elif self.config.rndv_protocol == "read":
-            payload = yield from rndv_mod.rdma_read_rendezvous_recv(
-                self, env, addr
-            )
-        else:
-            payload = yield from rndv_mod.rdma_rendezvous_recv(self, env, addr)
-        return payload, env.size, env.src, env.tag
 
 
 def _matcher(source: Optional[int], tag: Optional[int]) -> Callable[[Envelope], bool]:

@@ -10,7 +10,7 @@ back-to-back collectives cannot cross-match.  Each round starts its
 messages with :meth:`repro.mpi.api.Endpoint.start_send`,
 :meth:`~repro.mpi.api.Endpoint.start_recv` or
 :meth:`~repro.mpi.api.Endpoint.start_sendrecv` and waits on their result
-events, so a folded round spawns no process.
+events, so a round spawns no process.
 """
 
 from __future__ import annotations

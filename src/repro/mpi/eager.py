@@ -10,16 +10,14 @@ the payload chunked through bounce buffers.  Still no registration
 ("For buffers larger than 16 KB, it uses the RDMA feature of InfiniBand
 so we only see memory registration effects for those buffers", §5.1).
 
-Each protocol half comes twice: as a generator (the oracle, run as a
-process under a fault plan or ``REPRO_NO_FOLD``) and as a callback
-chain on a :class:`repro.mpi.fold.Op` (the ``*_then`` functions, the
-clean path).  Both charge the same costs at the same ticks and open the
-same ``mpi.*`` span.
+Each protocol half is a callback chain on a :class:`repro.mpi.op.Op`
+(the ``*_then`` functions): every model delay is one kernel step, and
+the half opens one ``mpi.*`` span while a tracer is active.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import trace
 from repro.faults import MPITransportError
@@ -28,61 +26,19 @@ from repro.ib.verbs import SGE, SendWR
 if TYPE_CHECKING:
     from repro.ib.verbs import WorkCompletion
     from repro.mpi.api import Endpoint, Envelope
-    from repro.mpi.fold import Op
-
-
-def eager_send(endpoint: Endpoint, dest: int, tag: int, size: int, addr: Optional[int],
-               payload: Any) -> Generator:
-    """Send one eager message (size must fit a bounce buffer)."""
-    span = trace.begin("mpi.eager.send", track=endpoint.tx_track,
-                       dest=dest, bytes=size)
-    try:
-        env = endpoint.make_envelope("eager", dest, tag, size, payload=payload)
-        yield from send_through_bounce(endpoint, dest, env, size, addr)
-    finally:
-        trace.end(span)
+    from repro.mpi.op import Op
 
 
 def eager_send_then(op: Op, dest: int, tag: int, size: int, addr: Optional[int],
                     payload: Any, then: Callable[[], None]) -> None:
-    """Callback form of :func:`eager_send`."""
+    """Send one eager message (size must fit a bounce buffer); *then()*
+    runs after local completion."""
     ep = op.ep
     if trace.active() is not None:
         op.span = trace.begin("mpi.eager.send", ep.tx_track,
                               dest=dest, bytes=size)
     env = ep.make_envelope("eager", dest, tag, size, payload=payload)
     bounce_send_then(op, dest, env, size, addr, then)
-
-
-def send_through_bounce(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes: int,
-                        addr: Optional[int]) -> Generator:
-    """Copy (if a source address is known) into a free bounce buffer and
-    post one send WR carrying *env*; returns after local completion."""
-    buf = endpoint.bounce_pool.try_get()
-    if buf is None:
-        buf = yield endpoint.bounce_pool.get()
-    buf_addr, mr = buf
-    try:
-        if addr is not None and wire_bytes > 0:
-            cost = endpoint.proc.engine.copy(addr, buf_addr, wire_bytes)
-            yield endpoint.kernel.timeout(cost.ticks)
-        qp = endpoint.qp_for(dest)
-        wr_id = endpoint.next_wr_id()
-        # zero-byte messages ride a zero-length SGE: the wire then costs
-        # exactly one header-only packet (serialization_ns(0)), not the
-        # one-byte cost max(1, wire_bytes) used to smuggle in here
-        wr = SendWR(
-            wr_id=wr_id,
-            sges=[SGE(buf_addr, wire_bytes, mr.lkey)],
-            payload=env,
-        )
-        yield from endpoint.hca.post_send(qp, wr)
-        try:
-            yield endpoint.expect_send_completion(wr_id)
-        except MPITransportError as exc:
-            raise _bounce_aborted(endpoint, dest, env, wire_bytes, exc) from exc
-    finally:
-        endpoint.bounce_pool.put_nowait((buf_addr, mr))
 
 
 def _bounce_aborted(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes: int,
@@ -95,8 +51,9 @@ def _bounce_aborted(endpoint: Endpoint, dest: int, env: Envelope, wire_bytes: in
 
 def bounce_send_then(op: Op, dest: int, env: Envelope, wire_bytes: int,
                      addr: Optional[int], then: Callable[[], None]) -> None:
-    """Callback form of :func:`send_through_bounce`: *then()* runs after
-    local completion, with the bounce buffer back in the pool."""
+    """Copy (if a source address is known) into a free bounce buffer and
+    post one send WR carrying *env*; *then()* runs after local
+    completion, with the bounce buffer back in the pool."""
     op.ep.bounce_pool.get_then(
         _BounceSend(op, dest, env, wire_bytes, addr, then).fill)
 
@@ -140,6 +97,8 @@ class _BounceSend:
         try:
             qp = ep.qp_for(self.dest)
             wr_id = ep.next_wr_id()
+            # zero-byte messages ride a zero-length SGE: the wire then
+            # costs exactly one header-only packet
             wr = SendWR(wr_id, [SGE(buf_addr, self.wire_bytes, mr.lkey)],
                         payload=self.env)
             ep.hca.post_send_then(qp, wr, _posted)
@@ -165,46 +124,16 @@ def _posted() -> None:
     """A posted WR needs nothing more: its completion carries on."""
 
 
-def send_ctrl(endpoint: Endpoint, dest: int, env: Envelope) -> Generator:
-    """Send a small protocol control message (RTS/CTS/FIN)."""
-    yield from send_through_bounce(endpoint, dest, env, endpoint.CTRL_BYTES, None)
-
-
 def send_ctrl_then(op: Op, dest: int, env: Envelope, then: Callable[[], None]) -> None:
-    """Callback form of :func:`send_ctrl`."""
+    """Send a small protocol control message (RTS/CTS/FIN)."""
     bounce_send_then(op, dest, env, op.ep.CTRL_BYTES, None, then)
-
-
-def copy_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
-                         addr: Optional[int], payload: Any) -> Generator:
-    """RTS/CTS handshake, then the payload chunked through bounce bufs."""
-    span = trace.begin("mpi.rndv.copy.send", track=endpoint.tx_track,
-                       dest=dest, bytes=size)
-    try:
-        rndv = endpoint.next_rndv_id()
-        rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
-        yield from send_ctrl(endpoint, dest, rts)
-        yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
-        chunk = endpoint.config.eager_buf_bytes
-        offset = 0
-        n_chunks = (size + chunk - 1) // chunk
-        for i in range(n_chunks):
-            this = min(chunk, size - offset)
-            env = endpoint.make_envelope(
-                "rdat", dest, tag, this, rndv=rndv,
-                payload=payload if i == n_chunks - 1 else None,
-            )
-            src = addr + offset if addr is not None else None
-            yield from send_through_bounce(endpoint, dest, env, this, src)
-            offset += this
-    finally:
-        trace.end(span)
 
 
 def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
                               addr: Optional[int], payload: Any,
                               then: Callable[[], None]) -> None:
-    """Callback form of :func:`copy_rendezvous_send`."""
+    """RTS/CTS handshake, then the payload chunked through bounce
+    buffers; *then()* runs after the last chunk's local completion."""
     ep = op.ep
     if trace.active() is not None:
         op.span = trace.begin("mpi.rndv.copy.send", ep.tx_track,
@@ -231,38 +160,9 @@ def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
         lambda _cts: op.call(_chunk, 0, 0), lambda e: e.rndv == rndv))
 
 
-def copy_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
-    """Receiver half of the copy rendezvous; returns the payload."""
-    span = trace.begin("mpi.rndv.copy.recv", track=endpoint.rx_track,
-                       src=env.src, bytes=env.size)
-    try:
-        cts = endpoint.make_envelope("cts", env.src, env.tag, env.size,
-                                     rndv=env.rndv)
-        yield from send_ctrl(endpoint, env.src, cts)
-        remaining = env.size
-        payload = None
-        offset = 0
-        while remaining > 0:
-            data = yield endpoint.match_channel.receive(
-                lambda e: e.kind == "rdat" and e.rndv == env.rndv
-            )
-            if addr is not None:
-                # copy out of the bounce into the user buffer
-                cost = endpoint.proc.engine.stream(addr + offset, data.size,
-                                                   write=True)
-                yield endpoint.kernel.timeout(cost.ticks)
-            if data.payload is not None:
-                payload = data.payload
-            offset += data.size
-            remaining -= data.size
-        return payload
-    finally:
-        trace.end(span)
-
-
 def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
                               then: Callable[[Any], None]) -> None:
-    """Callback form of :func:`copy_rendezvous_recv`; *then(payload)*."""
+    """Receiver half of the copy rendezvous; *then(payload)*."""
     ep = op.ep
     if trace.active() is not None:
         op.span = trace.begin("mpi.rndv.copy.recv", ep.rx_track,
@@ -292,22 +192,10 @@ def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
     send_ctrl_then(op, env.src, cts, lambda: _next(0, None))
 
 
-def eager_recv_copy_out(endpoint: Endpoint, env: Envelope, addr: Optional[int]) -> Generator:
-    """Charge the receiver-side copy from the bounce to the user buffer."""
-    span = trace.begin("mpi.eager.recv", track=endpoint.rx_track,
-                       src=env.src, bytes=env.size)
-    try:
-        if addr is not None and env.size > 0:
-            cost = endpoint.proc.engine.stream(addr, env.size, write=True)
-            yield endpoint.kernel.timeout(cost.ticks)
-        return env.payload
-    finally:
-        trace.end(span)
-
-
 def eager_recv_copy_out_then(op: Op, env: Envelope, addr: Optional[int],
                              then: Callable[[Any], None]) -> None:
-    """Callback form of :func:`eager_recv_copy_out`; *then(payload)*."""
+    """Charge the receiver-side copy from the bounce to the user buffer;
+    *then(payload)*."""
     ep = op.ep
     if trace.active() is not None:
         op.span = trace.begin("mpi.eager.recv", ep.rx_track,

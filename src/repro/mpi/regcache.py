@@ -19,7 +19,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import trace
 from repro.analysis.counters import CounterSet
-from repro.faults import PermanentRegistrationError, TransientRegistrationError
+from repro.faults import PermanentRegistrationError, RegistrationFaultError
 from repro.ib.hca import HCA
 from repro.ib.verbs import MemoryRegion, ProtectionDomain
 from repro.mem.address_space import AddressSpace
@@ -91,34 +91,21 @@ class RegistrationCache:
             self._pins[mr.mr_id] = count - 1
 
     def pinned(self, mr: MemoryRegion) -> bool:
-        """True while *mr* is held by an unreleased :meth:`acquire`."""
+        """True while *mr* is held by an unreleased :meth:`acquire_then`."""
         return self._pins.get(mr.mr_id, 0) > 0
 
     # -- acquisition ------------------------------------------------------------
-    def acquire(self, vaddr: int, length: int) -> Generator:
+    def acquire_then(self, vaddr: int, length: int,
+                     then: Callable[[MemoryRegion], None],
+                     fail: Callable[[Exception], None]) -> None:
         """Get a registration covering ``[vaddr, vaddr+length)``.
 
-        A timed operation: ``mr = yield from cache.acquire(...)``.  With
-        the cache enabled a hit is free; a miss registers and caches.
-        With it disabled every call registers afresh.
+        With the cache enabled a hit is free and *then(mr)* runs at once;
+        a miss registers (retrying a transient failure, see
+        :meth:`retry_backoff`), caches and evicts, then calls *then(mr)*.
+        With the cache disabled every call registers afresh.  A
+        registration that fails for good goes to *fail(exc)*.
         """
-        mr = self._lookup(vaddr, length)
-        if mr is not None:
-            return mr
-        mr = self._admit((yield from self.register_with_retry(vaddr, length)))
-        idx = 0
-        while True:
-            victim, idx = self._next_victim(idx)
-            if victim is None:
-                return mr
-            yield from self.hca.deregister_memory(self.aspace, victim)
-
-    def acquire_then(self, vaddr: int, length: int,
-                     then: Callable[[MemoryRegion], None]) -> None:
-        """Callback form of :meth:`acquire`: the same hits, misses,
-        costs and evictions; *then(mr)* runs once the MR is held (at
-        once on a hit).  Registration faults are not retried here: the
-        callers run it only without a fault plan."""
         mr = self._lookup(vaddr, length)
         if mr is not None:
             then(mr)
@@ -128,7 +115,25 @@ class RegistrationCache:
             mr = self._admit(mr)
             self._evict_then(0, lambda: then(mr))
 
-        self.hca.register_then(self.aspace, self.pd, vaddr, length, _registered)
+        self._register_then(vaddr, length, _registered, fail, 0)
+
+    def _register_then(self, vaddr: int, length: int,
+                       then: Callable[[MemoryRegion], None],
+                       fail: Callable[[Exception], None], attempt: int) -> None:
+        """One registration attempt; a retry is a later kernel step, so
+        every failure goes to *fail*, never into the kernel loop."""
+        try:
+            try:
+                self.hca.register_then(self.aspace, self.pd, vaddr, length, then)
+                return
+            except RegistrationFaultError as exc:
+                attempt += 1
+                ticks = self.retry_backoff(vaddr, length, exc, attempt)
+        except Exception as exc:
+            fail(exc)
+            return
+        self.hca.kernel.call_after(ticks, self._register_then, vaddr, length,
+                                   then, fail, attempt)
 
     def _lookup(self, vaddr: int, length: int) -> Optional[MemoryRegion]:
         """The hit half of an acquisition: the pinned MR, or None after
@@ -157,49 +162,48 @@ class RegistrationCache:
             self._entries.append(mr)
         return mr
 
+    def retry_backoff(self, vaddr: int, length: int,
+                      exc: RegistrationFaultError, attempt: int) -> int:
+        """The MR-failure policy, for attempt number *attempt* failing
+        with *exc*: the ticks to back off before the next attempt, or
+        the error to give up with (raised).
+
+        Cached registrations overlapping the range are invalidated
+        either way: they may reference the very driver state that just
+        failed.  A transient failure is retried with exponential backoff
+        and promoted to a permanent one after :data:`MAX_REG_ATTEMPTS`;
+        a permanent one propagates.
+        """
+        if isinstance(exc, PermanentRegistrationError):
+            self.invalidate_range(vaddr, length)
+            raise exc
+        self.counters.add("faults.regcache.retries")
+        self.invalidate_range(vaddr, length)
+        if attempt >= MAX_REG_ATTEMPTS:
+            raise PermanentRegistrationError(
+                f"registration of [{vaddr:#x}+{length}] still "
+                f"failing after {attempt} attempts"
+            )
+        backoff_ns = REG_RETRY_BACKOFF_NS * (2 ** (attempt - 1))
+        return max(1, self.hca.clock.ns_to_ticks(backoff_ns))
+
     def register_with_retry(self, vaddr: int, length: int) -> Generator:
-        """Register with the MR-failure policy: transient failures retry
-        with exponential backoff (after invalidating any cached
-        registrations overlapping the range — they may reference the
-        very driver state that just failed), permanent ones invalidate
-        and propagate.  Also used directly for uncached registrations
-        (the endpoint's bounce slab) that need the same resilience."""
+        """An uncached registration (the endpoint's bounce slab) under
+        :meth:`retry_backoff`'s policy, as a timed generator:
+        ``mr = yield from cache.register_with_retry(...)``."""
         attempt = 0
         while True:
             try:
-                mr = yield from self.hca.register_memory(
-                    self.aspace, self.pd, vaddr, length
-                )
-                return mr
-            except PermanentRegistrationError:
-                self.invalidate_range(vaddr, length)
-                raise
-            except TransientRegistrationError:
+                return (yield from self.hca.register_memory(
+                    self.aspace, self.pd, vaddr, length))
+            except RegistrationFaultError as exc:
                 attempt += 1
-                self.counters.add("faults.regcache.retries")
-                self.invalidate_range(vaddr, length)
-                if attempt >= MAX_REG_ATTEMPTS:
-                    raise PermanentRegistrationError(
-                        f"registration of [{vaddr:#x}+{length}] still "
-                        f"failing after {attempt} attempts"
-                    )
-                backoff_ns = REG_RETRY_BACKOFF_NS * (2 ** (attempt - 1))
-                yield self.hca.kernel.timeout(
-                    max(1, self.hca.clock.ns_to_ticks(backoff_ns))
-                )
-
-    def release(self, mr: MemoryRegion) -> Generator:
-        """Finish using *mr*: unpins it, then is a no-op when caching or
-        an immediate (timed) deregistration otherwise."""
-        self._unpin(mr)
-        if self.enabled:
-            return
-            yield  # pragma: no cover - make this a generator
-        yield from self.hca.deregister_memory(self.aspace, mr)
+                ticks = self.retry_backoff(vaddr, length, exc, attempt)
+            yield self.hca.kernel.timeout(ticks)
 
     def release_then(self, mr: MemoryRegion, then: Callable[[], None]) -> None:
-        """Callback form of :meth:`release`; *then()* runs at once when
-        caching, after the deregistration otherwise."""
+        """Finish using *mr*: unpins it; *then()* runs at once when
+        caching, after an immediate (timed) deregistration otherwise."""
         self._unpin(mr)
         if self.enabled:
             then()
@@ -252,9 +256,3 @@ class RegistrationCache:
             self.hca.reg.deregister(self.aspace, mr)
             self.counters.add("regcache.invalidate")
         return len(doomed)
-
-    def flush(self) -> Generator:
-        """Deregister everything (finalize)."""
-        while self._entries:
-            mr = self._entries.pop()
-            yield from self.hca.deregister_memory(self.aspace, mr)

@@ -30,23 +30,22 @@ the adapter's ATT behaviour during the transfer.
 A half that holds a registration (or an exposure) releases it on every
 exit path, a failed post included, so a QP that leaves RTS mid-protocol
 never leaves an MR pinned in the cache.  As in :mod:`repro.mpi.eager`,
-each half is a generator (the oracle) plus a ``*_then`` callback chain
-(the clean path).
+each half is a ``*_then`` callback chain on a :class:`repro.mpi.op.Op`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import trace
 from repro.faults import MPITransportError
 from repro.ib.verbs import SGE, SendWR
-from repro.mpi.eager import _posted, send_ctrl, send_ctrl_then
+from repro.mpi.eager import _posted, send_ctrl_then
 
 if TYPE_CHECKING:
     from repro.ib.verbs import MemoryRegion, WorkCompletion
     from repro.mpi.api import Endpoint, Envelope
-    from repro.mpi.fold import Op
+    from repro.mpi.op import Op
 
 
 def _need_addr(addr: Any, what: str) -> None:
@@ -83,44 +82,10 @@ def _rdma_wr(endpoint: Endpoint, wr_id: int, opcode: str, addr: int, size: int,
     )
 
 
-def rdma_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
-                         addr: int, payload: Any) -> Generator:
-    """Sender half (see module docstring); *addr* must be a real mapped
-    buffer — the RDMA path cannot send from nowhere."""
-    _need_addr(addr, "a source buffer address")
-    span = trace.begin("mpi.rndv.write.send", track=endpoint.tx_track,
-                       dest=dest, bytes=size)
-    try:
-        rndv = endpoint.next_rndv_id()
-        rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv)
-        yield from send_ctrl(endpoint, dest, rts)
-        cts = yield endpoint.cts_channel.receive(lambda e: e.rndv == rndv)
-        mr = yield from endpoint.regcache.acquire(addr, size)
-        try:
-            qp = endpoint.qp_for(dest)
-            wr_id = endpoint.next_wr_id()
-            wr = _rdma_wr(endpoint, wr_id, "rdma_write", addr, size, mr,
-                          cts.remote_addr, cts.rkey, payload)
-            yield from endpoint.hca.post_send(qp, wr)
-            yield endpoint.expect_send_completion(wr_id)
-        except MPITransportError as exc:
-            # release the cached registration before surfacing the abort,
-            # or the MR leaks a reference for the life of the rank
-            yield from endpoint.regcache.release(mr)
-            raise _write_aborted(endpoint, size, dest, exc) from exc
-        except Exception:
-            yield from endpoint.regcache.release(mr)
-            raise
-        yield from endpoint.regcache.release(mr)
-        fin = endpoint.make_envelope("fin", dest, tag, size, rndv=rndv)
-        yield from send_ctrl(endpoint, dest, fin)
-    finally:
-        trace.end(span)
-
-
 def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
                               payload: Any, then: Callable[[], None]) -> None:
-    """Callback form of :func:`rdma_rendezvous_send`."""
+    """Sender half (see module docstring); *addr* must be a real mapped
+    buffer — the RDMA path cannot send from nowhere."""
     _need_addr(addr, "a source buffer address")
     ep = op.ep
     if trace.active() is not None:
@@ -130,7 +95,8 @@ def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
     rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
 
     def _cts(cts: Envelope) -> None:
-        ep.regcache.acquire_then(addr, size, lambda mr: op.call(_write, cts, mr))
+        ep.regcache.acquire_then(addr, size, lambda mr: op.call(_write, cts, mr),
+                                op.fail)
 
     def _write(cts: Envelope, mr: MemoryRegion) -> None:
         op.mr = mr
@@ -154,34 +120,10 @@ def rdma_rendezvous_send_then(op: Op, dest: int, tag: int, size: int, addr: int,
         lambda cts: op.call(_cts, cts), lambda e: e.rndv == rndv))
 
 
-def rdma_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
-    """Receiver half; *addr* is the user receive buffer (required)."""
-    _need_addr(addr, "a receive buffer address "
-               f"(recv of {env.size} bytes from rank {env.src})")
-    span = trace.begin("mpi.rndv.write.recv", track=endpoint.rx_track,
-                       src=env.src, bytes=env.size)
-    try:
-        mr = yield from endpoint.regcache.acquire(addr, env.size)
-        try:
-            cts = endpoint.make_envelope(
-                "cts", env.src, env.tag, env.size, rndv=env.rndv,
-                remote_addr=addr, rkey=mr.rkey,
-            )
-            yield from send_ctrl(endpoint, env.src, cts)
-            yield endpoint.fin_channel.receive(lambda e: e.rndv == env.rndv)
-        except Exception:
-            yield from endpoint.regcache.release(mr)
-            raise
-        payload = endpoint.hca.rdma_landed.pop((mr.rkey, addr), None)
-        yield from endpoint.regcache.release(mr)
-        return payload
-    finally:
-        trace.end(span)
-
-
 def rdma_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
                               then: Callable[[Any], None]) -> None:
-    """Callback form of :func:`rdma_rendezvous_recv`; *then(payload)*."""
+    """Receiver half; *addr* is the user receive buffer (required);
+    *then(payload)*."""
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
     ep = op.ep
@@ -202,40 +144,15 @@ def rdma_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
         payload = ep.hca.rdma_landed.pop((mr.rkey, addr), None)
         ep.regcache.release_then(mr, lambda: then(payload))
 
-    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_cts, mr))
-
-
-def rdma_read_rendezvous_send(endpoint: Endpoint, dest: int, tag: int, size: int,
-                              addr: int, payload: Any) -> Generator:
-    """Sender half of the read rendezvous: expose the buffer, announce
-    it in the RTS, wait for the receiver's FIN."""
-    _need_addr(addr, "a source buffer address")
-    span = trace.begin("mpi.rndv.read.send", track=endpoint.tx_track,
-                       dest=dest, bytes=size)
-    try:
-        rndv = endpoint.next_rndv_id()
-        mr = yield from endpoint.regcache.acquire(addr, size)
-        exposed = (mr.rkey, addr)
-        endpoint.hca.rdma_exposed[exposed] = payload
-        try:
-            rts = endpoint.make_envelope("rts", dest, tag, size, rndv=rndv,
-                                         remote_addr=addr, rkey=mr.rkey)
-            yield from send_ctrl(endpoint, dest, rts)
-            yield endpoint.fin_channel.receive(lambda e: e.rndv == rndv)
-        except Exception:
-            endpoint.hca.rdma_exposed.pop(exposed, None)
-            yield from endpoint.regcache.release(mr)
-            raise
-        endpoint.hca.rdma_exposed.pop(exposed, None)
-        yield from endpoint.regcache.release(mr)
-    finally:
-        trace.end(span)
+    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_cts, mr),
+                             op.fail)
 
 
 def rdma_read_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
                                    addr: int, payload: Any,
                                    then: Callable[[], None]) -> None:
-    """Callback form of :func:`rdma_read_rendezvous_send`."""
+    """Sender half of the read rendezvous: expose the buffer, announce
+    it in the RTS, wait for the receiver's FIN."""
     _need_addr(addr, "a source buffer address")
     ep = op.ep
     if trace.active() is not None:
@@ -258,42 +175,14 @@ def rdma_read_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
         mr, op.mr = op.mr, None
         ep.regcache.release_then(mr, then)
 
-    ep.regcache.acquire_then(addr, size, lambda mr: op.call(_rts, mr))
-
-
-def rdma_read_rendezvous_recv(endpoint: Endpoint, env: Envelope, addr: int) -> Generator:
-    """Receiver half: pull the announced buffer with one RDMA read."""
-    _need_addr(addr, "a receive buffer address "
-               f"(recv of {env.size} bytes from rank {env.src})")
-    span = trace.begin("mpi.rndv.read.recv", track=endpoint.rx_track,
-                       src=env.src, bytes=env.size)
-    try:
-        mr = yield from endpoint.regcache.acquire(addr, env.size)
-        try:
-            qp = endpoint.qp_for(env.src)
-            wr_id = endpoint.next_wr_id()
-            wr = _rdma_wr(endpoint, wr_id, "rdma_read", addr, env.size, mr,
-                          env.remote_addr, env.rkey)
-            yield from endpoint.hca.post_send(qp, wr)
-            wc = yield endpoint.expect_send_completion(wr_id)
-        except MPITransportError as exc:
-            yield from endpoint.regcache.release(mr)
-            raise _read_aborted(endpoint, env, exc) from exc
-        except Exception:
-            yield from endpoint.regcache.release(mr)
-            raise
-        yield from endpoint.regcache.release(mr)
-        fin = endpoint.make_envelope("fin", env.src, env.tag, env.size,
-                                     rndv=env.rndv)
-        yield from send_ctrl(endpoint, env.src, fin)
-        return wc.payload
-    finally:
-        trace.end(span)
+    ep.regcache.acquire_then(addr, size, lambda mr: op.call(_rts, mr),
+                             op.fail)
 
 
 def rdma_read_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
                                    then: Callable[[Any], None]) -> None:
-    """Callback form of :func:`rdma_read_rendezvous_recv`; *then(payload)*."""
+    """Receiver half: pull the announced buffer with one RDMA read;
+    *then(payload)*."""
     _need_addr(addr, "a receive buffer address "
                f"(recv of {env.size} bytes from rank {env.src})")
     ep = op.ep
@@ -319,4 +208,5 @@ def rdma_read_rendezvous_recv_then(op: Op, env: Envelope, addr: int,
         fin = ep.make_envelope("fin", env.src, env.tag, env.size, rndv=env.rndv)
         send_ctrl_then(op, env.src, fin, lambda: then(payload))
 
-    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_read, mr))
+    ep.regcache.acquire_then(addr, env.size, lambda mr: op.call(_read, mr),
+                             op.fail)

@@ -168,8 +168,8 @@ def _bench_train(quick: bool):
 
     The one benchmark that is genuinely event-kernel-bound: a windowed
     back-to-back train where nearly all simulated work is scheduling,
-    dispatch, resource grants and completions — the regime the folded
-    delivery path targets.  The payload carries
+    dispatch, resource grants and completions — the regime the adapter's
+    callback chains target.  The payload carries
     the analytic period too, so any drift between the DES and the closed
     form flips ``identical``.
     """

@@ -14,9 +14,9 @@ with ``window=1`` the steady-state per-message period is a pure sum of
 pipeline stages (every stage tick-rounded exactly as the DES rounds it,
 the wire part through :meth:`repro.ib.link.IBLink.train_ns`), and
 ``tests/test_wire_train.py`` asserts the simulated train matches it
-tick-exactly.  That is the contract that lets the folded delivery path
-(see "Event folding" in :mod:`repro.ib.hca`) claim analytic costing:
-the DES, the fold, and the closed form all agree.
+tick-exactly.  That is the contract that lets the adapter's delivery
+path (see "Callback chains" in :mod:`repro.ib.hca`) claim analytic
+costing: the DES and the closed form agree.
 """
 
 from __future__ import annotations

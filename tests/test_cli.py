@@ -119,6 +119,19 @@ class TestFaultPlanFiles:
                      "--fault-seed", "7"]) == 0
         assert "payload integrity: OK" in capsys.readouterr().out
 
+    def test_permanent_registration_failure_is_a_clean_abort(self, capsys):
+        """A registration that fails for good (here the setup slab's)
+        ends the faulted run the way an exhausted retry budget does: one
+        ``ABORTED`` line and exit 1, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--fault-plan", "reg_permanent=0.5",
+                  "--fault-seed", "1"])
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            "with faults:     ABORTED (registration of [0x7ffefff9f010+393216] "
+            "failed permanently (adapter translation table exhausted))")
+
 
 class TestCheckpointCLI:
     def test_faults_checkpoint_then_resume_bit_identical(self, tmp_path, capsys):

@@ -9,9 +9,11 @@ delivery within a tick changes which packet a draw hits and the whole
 run diverges.  These pins record, as literals, what each run did:
 
 - ``GRID``: two-node MPI rendezvous runs (write and read protocols)
-  under ``link_loss``, ``link_corrupt`` and both together.  Each row
-  holds the outcome (``("done", app_ticks)`` or ``("aborted", status,
-  wr_id)``) and every ``faults.*`` counter of the run.
+  under ``link_loss``, ``link_corrupt`` and both together, and under the
+  registration and hugepage knobs.  Each row holds the outcome
+  (``("done", app_ticks)``, ``("aborted", status, wr_id)`` or
+  ``("failed", message)`` for a registration that failed for good) and
+  every ``faults.*`` counter of the run.
 - ``TestRNR``: a verbs-level send whose receive WR is posted long after
   the ack timeout.  ``rnr_retry=7`` waits it out; ``rnr_retry=1`` gives
   up, and the late ack that follows is dropped as stale.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.placement import BufferPlacer, PlacementPolicy
-from repro.faults import FaultPlan, MPITransportError
+from repro.faults import FaultPlan, MPITransportError, RegistrationFaultError
 from repro.ib.hca import HCA
 from repro.ib.verbs import SGE, CompletionQueue, ProtectionDomain, RecvWR, SendWR
 from repro.mpi.api import MPIConfig, MPIWorld
@@ -39,8 +41,9 @@ def _faults(cluster):
             if key.startswith("faults.")}
 
 
-def _mpi_run(spec, seed, protocol, n_msgs=6, size=48 * KB):
-    """*n_msgs* rendezvous transfers rank 0 -> rank 1 under *spec*."""
+def _mpi_cluster_run(spec, seed, protocol, n_msgs, size):
+    """*n_msgs* rendezvous transfers rank 0 -> rank 1 under *spec*;
+    returns the outcome and the cluster."""
     plan = FaultPlan.from_spec(spec, seed=seed)
     cluster = Cluster(presets.opteron_infinihost_pcie(), n_nodes=2,
                       fault_plan=plan)
@@ -66,9 +69,17 @@ def _mpi_run(spec, seed, protocol, n_msgs=6, size=48 * KB):
     except MPITransportError as exc:
         text = str(exc)
         wr_id = int(text.split("send WR ")[1].split(" ")[0])
-        return ("aborted", text.rsplit("failed: ", 1)[1], wr_id), _faults(cluster)
+        return ("aborted", text.rsplit("failed: ", 1)[1], wr_id), cluster
+    except RegistrationFaultError as exc:
+        return ("failed", str(exc)), cluster
     assert results[1].value == expected
-    return ("done", max(r.app_ticks for r in results)), _faults(cluster)
+    return ("done", max(r.app_ticks for r in results)), cluster
+
+
+def _mpi_run(spec, seed, protocol, n_msgs=6, size=48 * KB):
+    """The outcome and ``faults.*`` counters of :func:`_mpi_cluster_run`."""
+    outcome, cluster = _mpi_cluster_run(spec, seed, protocol, n_msgs, size)
+    return outcome, _faults(cluster)
 
 
 #: (protocol, plan spec, seed, outcome, faults.* counters)
@@ -113,6 +124,24 @@ GRID = [
      {'link.corrupted': 2, 'link.dropped': 9, 'link.rejected': 2, 'qp.duplicates': 1, 'qp.recovery_ticks': 100000, 'qp.retries': 10, 'qp.retry_exhausted': 1}),
     ('read', 'link_loss=0.1', 5, ('aborted', 'transport-retry-exceeded-error', 15),
      {'link.dropped': 9, 'qp.recovery_ticks': 30000, 'qp.retries': 8, 'qp.retry_exhausted': 1}),
+    ('write', 'reg_transient=0.3', 1, ('done', 91973),
+     {'reg.transient': 2, 'regcache.retries': 2}),
+    ('write', 'reg_transient=0.3', 4, ('done', 89973),
+     {'qp.rnr_naks': 1, 'reg.transient': 4, 'regcache.retries': 4}),
+    ('read', 'reg_transient=0.3', 2, ('done', 91412),
+     {'reg.transient': 2, 'regcache.retries': 2}),
+    ('write', 'reg_transient=0.6', 4, ('failed', 'registration of [0x7ffefff92000+49152] still failing after 5 attempts'),
+     {'reg.transient': 11, 'regcache.retries': 11}),
+    ('read', 'reg_transient=0.6', 4, ('failed', 'registration of [0x7ffefff92000+49152] still failing after 5 attempts'),
+     {'reg.transient': 11, 'regcache.retries': 11}),
+    ('write', 'reg_transient=0.6', 7, ('failed', 'registration of [0x7ffefff9f010+393216] still failing after 5 attempts'),
+     {'qp.rnr_naks': 1, 'reg.transient': 6, 'regcache.retries': 6}),
+    ('write', 'reg_permanent=0.2', 2, ('failed', 'registration of [0x7ffefff92000+49152] failed permanently (adapter translation table exhausted)'),
+     {'reg.permanent': 1}),
+    ('read', 'reg_permanent=0.2', 1, ('failed', 'registration of [0x7ffefff9f010+393216] failed permanently (adapter translation table exhausted)'),
+     {'reg.permanent': 1}),
+    ('write', 'hugepage_deplete_after=1', 1, ('done', 89973), {}),
+    ('read', 'hugepage_deplete_after=1', 1, ('done', 85412), {}),
 ]
 
 
@@ -128,7 +157,39 @@ def test_grid_reaches_every_recovery_path():
     seen = set().union(*(row[4] for row in GRID))
     assert {"qp.duplicates", "qp.recovery_ticks", "qp.retry_exhausted",
             "link.rejected"} <= seen
-    assert {row[3][0] for row in GRID} == {"done", "aborted"}
+    assert {row[3][0] for row in GRID} == {"done", "aborted", "failed"}
+
+
+def test_registration_rows_reach_the_retry_paths():
+    """No fault fires in a ``hugepage_deplete_after`` row (its buffers
+    sit on small pages), so its app ticks are the clean run's.  Endpoint
+    setup lies outside the profiled window: a ``reg_transient`` row that
+    finishes later than the clean run backed off a rendezvous
+    registration and then succeeded.  A 48 KB registration that still
+    fails after the last attempt is the user buffer, not the setup slab,
+    giving up mid-run."""
+    clean = {row[0]: row[3][1] for row in GRID
+             if row[1].startswith("hugepage_deplete_after")}
+    backed_off = {row[0] for row in GRID
+                  if row[1].startswith("reg_transient")
+                  and row[3][0] == "done" and row[3][1] > clean[row[0]]}
+    assert backed_off == {"write", "read"}
+    exhausted = {row[0] for row in GRID
+                 if row[3][0] == "failed" and "+49152]" in row[3][1]
+                 and "still failing after 5 attempts" in row[3][1]}
+    assert exhausted == {"write", "read"}
+
+
+def test_receiver_forgets_retired_sequence_numbers():
+    """The receiver's record of processed messages (``_rx_seen``, which
+    re-acks a duplicate) must not outlive the sender's interest in them:
+    once every sequence number is retired, both tables are empty."""
+    outcome, cluster = _mpi_cluster_run("link_loss=0.001", 1, "write",
+                                        n_msgs=200, size=64 * KB)
+    assert outcome[0] == "done"
+    for node in cluster.nodes:
+        assert node.hca._outstanding == {}
+        assert node.hca._rx_seen == {}
 
 
 def _late_receive(rnr_retry, post_after_us=100.0):

@@ -3,8 +3,8 @@
 Every performance change to the simulator promises "every figure stays
 byte-identical"; this pins it.  The files under ``fixtures/figures/``
 are the stdout of ``python -m repro <args>`` as the table below lists
-them.  The output is the same on every machinery (``REPRO_NO_FOLD``,
-``REPRO_NO_FASTPATH``), so the test holds under either switch too.
+them.  The output is the same on both costing paths, so the test holds
+under ``REPRO_NO_FASTPATH`` too.
 
 A change that is *meant* to move a figure regenerates its file with
 that command and lists the output change in CHANGES.md; the comparison
@@ -12,11 +12,7 @@ itself stays exact.
 
 The ``repro trace fig5 --trace-out`` JSON is pinned by its sha256.  That
 pins every span, counter delta and the ``engine.frames`` instants (how
-many items and frames the kernel dispatched).  The digest is of the
-folded MPI path, so the test drops ``REPRO_NO_FOLD`` from its
-subprocess's environment: under it the MPI layer runs its generator
-protocols, with the same ticks but more kernel events and a different
-attribution of counter deltas within a tick.  ``REPRO_NO_FASTPATH``
+many items and frames the kernel dispatched).  ``REPRO_NO_FASTPATH``
 leaves the JSON unchanged.
 
 The digest moved once without a figure moving: when a tracer stopped
@@ -57,16 +53,16 @@ GOLDEN = {
 
 
 #: sha256 of the sorted span signature of ``repro trace fig5`` (see
-#: :func:`_span_signature`); the same on every machinery
+#: :func:`_span_signature`); the same on both costing paths
 FIG5_SPAN_SIGNATURE_SHA256 = (
     "cf16bfa01a907dccc282822e5f41d2fa29f972dfc742c74c0f1af2b88d470bf6")
 
-#: sha256 of the ``repro trace fig5 --trace-out`` JSON on the folded MPI path
+#: sha256 of the ``repro trace fig5 --trace-out`` JSON
 FIG5_TRACE_SHA256 = "7bdd1f2ff26935348c7bdb8bd60d16df9e75e3543e8e02d9bce97fe58b2ab805"
 
 
-def _repro(args, cwd, env=None):
-    env = dict(os.environ if env is None else env)
+def _repro(args, cwd):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run(
@@ -83,9 +79,8 @@ def test_figure_stdout_matches_golden(fixture, tmp_path):
 
 
 def test_fig5_trace_matches_golden_digest(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_FOLD"}
     out = tmp_path / "fig5.json"
-    run = _repro(["trace", "fig5", "--trace-out", str(out)], tmp_path, env)
+    run = _repro(["trace", "fig5", "--trace-out", str(out)], tmp_path)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG5_TRACE_SHA256
 
@@ -114,8 +109,8 @@ def _span_signature(doc):
 
 
 def test_fig5_trace_span_signature(tmp_path):
-    """Every span and instant of the fig5 trace, on whichever machinery
-    the environment selects (CI runs this under ``REPRO_NO_FOLD`` too)."""
+    """Every span and instant of the fig5 trace, on whichever costing
+    path the environment selects."""
     out = tmp_path / "fig5.json"
     run = _repro(["trace", "fig5", "--trace-out", str(out)], tmp_path)
     assert run.returncode == 0, run.stderr

@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro.faults import FaultPlan, PermanentRegistrationError
 from repro.ib.verbs import ProtectionDomain
 from repro.mpi.datatypes import PackedVector, pack_sges
-from repro.mpi.regcache import RegistrationCache
+from repro.mpi.regcache import (MAX_REG_ATTEMPTS, REG_RETRY_BACKOFF_NS,
+                                RegistrationCache)
 from repro.systems import Cluster, presets
 
 KB = 1024
 MB = 1024 * 1024
 
 
-def make_cache(enabled=True, capacity=None):
-    cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
+def make_cache(enabled=True, capacity=None, fault_plan=None):
+    cluster = Cluster(presets.opteron_infinihost_pcie(), 2,
+                      fault_plan=fault_plan)
     node = cluster.nodes[0]
     proc = node.new_process()
     cache = RegistrationCache(
@@ -29,14 +32,30 @@ def drive(kernel, gen):
     return proc.value
 
 
+def acquire(cache, vaddr, length):
+    """An event firing with the MR :meth:`RegistrationCache.acquire_then`
+    hands over (or failing with its error)."""
+    ev = cache.hca.kernel.event()
+    cache.acquire_then(vaddr, length, ev.succeed, ev.fail)
+    return ev
+
+
+def release(cache, mr):
+    """An event firing once :meth:`RegistrationCache.release_then` is
+    done with *mr*."""
+    ev = cache.hca.kernel.event()
+    cache.release_then(mr, ev.succeed)
+    return ev
+
+
 class TestRegistrationCache:
     def test_hit_on_exact_range(self):
         kernel, proc, cache = make_cache()
         buf = proc.aspace.mmap(MB).start
 
         def scenario():
-            mr1 = yield from cache.acquire(buf, MB)
-            mr2 = yield from cache.acquire(buf, MB)
+            mr1 = yield acquire(cache, buf, MB)
+            mr2 = yield acquire(cache, buf, MB)
             return mr1, mr2
 
         mr1, mr2 = drive(kernel, scenario())
@@ -48,8 +67,8 @@ class TestRegistrationCache:
         buf = proc.aspace.mmap(MB).start
 
         def scenario():
-            yield from cache.acquire(buf, MB)
-            mr = yield from cache.acquire(buf + 100 * KB, 100 * KB)
+            yield acquire(cache, buf, MB)
+            mr = yield acquire(cache, buf + 100 * KB, 100 * KB)
             return mr
 
         drive(kernel, scenario())
@@ -60,9 +79,9 @@ class TestRegistrationCache:
         buf = proc.aspace.mmap(MB).start
 
         def scenario():
-            yield from cache.acquire(buf, MB)
+            yield acquire(cache, buf, MB)
             t0 = kernel.now
-            yield from cache.acquire(buf, MB)
+            yield acquire(cache, buf, MB)
             return kernel.now - t0
 
         assert drive(kernel, scenario()) == 0
@@ -72,10 +91,10 @@ class TestRegistrationCache:
         buf = proc.aspace.mmap(MB).start
 
         def scenario():
-            mr1 = yield from cache.acquire(buf, MB)
-            yield from cache.release(mr1)
-            mr2 = yield from cache.acquire(buf, MB)
-            yield from cache.release(mr2)
+            mr1 = yield acquire(cache, buf, MB)
+            yield release(cache, mr1)
+            mr2 = yield acquire(cache, buf, MB)
+            yield release(cache, mr2)
 
         drive(kernel, scenario())
         assert cache.misses == 2
@@ -89,8 +108,8 @@ class TestRegistrationCache:
             # release each MR before the next acquire: only idle
             # (unpinned) entries are eviction candidates
             for b in bufs:
-                mr = yield from cache.acquire(b, MB)
-                yield from cache.release(mr)
+                mr = yield acquire(cache, b, MB)
+                yield release(cache, mr)
 
         drive(kernel, scenario())
         assert cache.cached_bytes <= 2 * MB
@@ -107,12 +126,12 @@ class TestRegistrationCache:
 
         def scenario():
             # A: acquired and *held* (an in-flight rendezvous), LRU slot
-            mr_a = yield from cache.acquire(buf_a, MB)
+            mr_a = yield acquire(cache, buf_a, MB)
             # B: acquired and released — idle, the legal victim
-            mr_b = yield from cache.acquire(buf_b, MB)
-            yield from cache.release(mr_b)
+            mr_b = yield acquire(cache, buf_b, MB)
+            yield release(cache, mr_b)
             # C: pushes the cache over capacity
-            yield from cache.acquire(buf_c, MB)
+            yield acquire(cache, buf_c, MB)
             return mr_a
 
         mr_a = drive(kernel, scenario())
@@ -130,11 +149,11 @@ class TestRegistrationCache:
         buf_a, buf_b, buf_c = [proc.aspace.mmap(MB).start for _ in range(3)]
 
         def scenario():
-            mr_a = yield from cache.acquire(buf_a, MB)
-            yield from cache.release(mr_a)
-            mr_b = yield from cache.acquire(buf_b, MB)
-            yield from cache.release(mr_b)
-            yield from cache.acquire(buf_c, MB)
+            mr_a = yield acquire(cache, buf_a, MB)
+            yield release(cache, mr_a)
+            mr_b = yield acquire(cache, buf_b, MB)
+            yield release(cache, mr_b)
+            yield acquire(cache, buf_c, MB)
 
         drive(kernel, scenario())
         # A was LRU and unpinned: evicted normally
@@ -146,7 +165,7 @@ class TestRegistrationCache:
         vma = proc.aspace.mmap(MB)
 
         def scenario():
-            yield from cache.acquire(vma.start, MB)
+            yield acquire(cache, vma.start, MB)
 
         drive(kernel, scenario())
         dropped = cache.invalidate_range(vma.start, MB)
@@ -159,7 +178,7 @@ class TestRegistrationCache:
         b = proc.aspace.mmap(MB)
 
         def scenario():
-            yield from cache.acquire(a.start, MB)
+            yield acquire(cache, a.start, MB)
 
         drive(kernel, scenario())
         assert cache.invalidate_range(b.start, MB) == 0
@@ -187,16 +206,26 @@ class TestRegistrationCache:
         # every iteration re-registers: the cache never helps here
         assert all(r.value >= 3 for r in results)
 
-    def test_flush(self):
-        kernel, proc, cache = make_cache()
+
+    def test_transient_failures_retry_then_reach_fail(self):
+        """Each transient failure backs off as a kernel step and retries;
+        the last is promoted to a permanent failure and handed to
+        *fail*, not raised into the kernel loop."""
+        kernel, proc, cache = make_cache(
+            fault_plan=FaultPlan(reg_transient=1.0))
         buf = proc.aspace.mmap(MB).start
-
-        def scenario():
-            yield from cache.acquire(buf, MB)
-            yield from cache.flush()
-
-        drive(kernel, scenario())
-        assert len(cache) == 0
+        got = []
+        cache.acquire_then(buf, MB, got.append, got.append)
+        kernel.run()
+        [exc] = got
+        assert isinstance(exc, PermanentRegistrationError)
+        assert str(exc).endswith(f"still failing after {MAX_REG_ATTEMPTS} attempts")
+        assert cache.counters["faults.regcache.retries"] == MAX_REG_ATTEMPTS
+        clock = cache.hca.clock
+        assert kernel.now == sum(
+            clock.ns_to_ticks(REG_RETRY_BACKOFF_NS * 2 ** i)
+            for i in range(MAX_REG_ATTEMPTS - 1))
+        assert len(cache) == 0 and not cache._pins
 
 
 class TestPackedVector:
@@ -237,7 +266,7 @@ class TestSGEPackedSend:
         def program(comm):
             if comm.rank == 0:
                 vma = comm.proc.aspace.mmap(64 * KB)
-                mr = yield from comm.endpoint.regcache.acquire(vma.start, 64 * KB)
+                mr = yield acquire(comm.endpoint.regcache, vma.start, 64 * KB)
                 blocks = [(vma.start + i * 4096, 1500) for i in range(4)]
                 t0 = comm.kernel.now
                 yield from comm.send_packed(1, 5, blocks, mr, payload="packed")

@@ -89,12 +89,12 @@ def _train_signature(**kwargs):
 
 
 class TestIdentity:
-    def test_fold_matches_process_machinery(self):
+    def test_chains_match_process_machinery(self):
         # (total_ticks, tx, rx) of the retired per-message generator form
         kwargs = dict(msg_bytes=2048, count=40, window=8)
         assert _train_signature(**kwargs) == (19894, 40, 40)
 
-    def test_fold_matches_on_reference_costing_path(self):
+    def test_chains_match_on_reference_costing_path(self):
         # the same pin on the reference costing path, which must agree
         # with the fast one
         kwargs = dict(msg_bytes=1024, count=25, window=4)

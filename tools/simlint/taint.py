@@ -45,7 +45,6 @@ PASS_ID = "host-taint"
 SANCTIONED_ENV = {
     "REPRO_NO_FASTPATH",
     "REPRO_SANITIZE",
-    "REPRO_NO_FOLD",
 }
 
 #: host clock reads — includes the monotonic/perf family that the
