@@ -72,9 +72,12 @@ def test_fig5_imb_sendrecv(benchmark):
     assert reg_huge.bandwidth_at(4 * MB) > 0.95 * lazy_huge.bandwidth_at(4 * MB)
     assert reg_huge.bandwidth_at(16 * MB) > 0.97 * lazy_huge.bandwidth_at(16 * MB)
 
-    # no registration effect below the RDMA threshold
+    # no registration effect below the RDMA threshold, on either page size
     assert reg_small.bandwidth_at(8 * KB) == pytest.approx(
         lazy_small.bandwidth_at(8 * KB), rel=0.01
+    )
+    assert reg_huge.bandwidth_at(8 * KB) == pytest.approx(
+        lazy_huge.bandwidth_at(8 * KB), rel=0.01
     )
 
     benchmark.extra_info["peak_mb_s"] = round(peak)

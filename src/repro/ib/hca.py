@@ -9,12 +9,12 @@ The §4 execution flow, step by step:
      4. The consumer is notified about work completion by polling the
         completion queue or by an interrupt."
 
-Step 1 is CPU work (:meth:`HCA.post_send` — WQE build + doorbell; the
-paper measures it as a near-constant 230–950 TBR ticks).  Steps 2-3 are
-the adapter pipeline (:meth:`HCA._tx_begin` on the way out,
+Step 1 is CPU work (:meth:`HCA.post_send_then` — WQE build + doorbell;
+the paper measures it as a near-constant 230–950 TBR ticks).  Steps 2-3
+are the adapter pipeline (:meth:`HCA._tx_begin` on the way out,
 :meth:`HCA._on_arrival` on the way in): WQE fetch over the bus, per-SGE
 ATT translation and DMA gather, wire transfer, remote scatter, CQE write
-and the RC acknowledgement.  Step 4 is :meth:`HCA.wait_completion`.
+and the RC acknowledgement.  Step 4 is :meth:`HCA.poll_then`.
 
 Scatter/gather economics (§4): the per-WQE costs (doorbell, WQE fetch,
 pipeline occupancy, completion) are paid once regardless of SGE count,
@@ -63,14 +63,16 @@ retransmission with backoff, abort to SQE), arrivals pass the
 and stale ones are dropped, and a WR queued on a QP that left RTS is
 flushed.  ``tests/test_fault_pins.py`` pins those paths tick-exactly.
 
-The MPI layer above runs as callback chains too (:mod:`repro.mpi.op`):
-it posts, registers, polls and deregisters through the callback forms
-:meth:`HCA.post_send_then`, :meth:`HCA.post_recv_then`,
-:meth:`HCA.poll_then`, :meth:`HCA.register_then` and
-:meth:`HCA.deregister_then`, which charge the same costs and open the
-same spans as the generator forms the verbs-level workloads drive
-(:meth:`HCA.post_send`, :meth:`HCA.post_recv`,
-:meth:`HCA.wait_completion`, :meth:`HCA.register_memory`).
+The verbs are callback forms too, each defined once:
+:meth:`HCA.register_then`, :meth:`HCA.deregister_then`,
+:meth:`HCA.post_send_then`, :meth:`HCA.post_recv_then` and
+:meth:`HCA.poll_then`.  The MPI layer (:mod:`repro.mpi.op`) calls them
+directly.  Process programs (the Fig 3/4 microbenchmark, the train
+driver, endpoint setup) use the generator names
+:meth:`HCA.register_memory`, :meth:`HCA.post_send`, :meth:`HCA.post_recv`
+and :meth:`HCA.wait_completion`: adapters that wait on one event the
+callback form settles, so they charge the same costs and open the same
+spans at the price of that one kernel event.
 """
 
 from __future__ import annotations
@@ -321,30 +323,13 @@ class HCA:
         qp_b.connect(hca_a, qp_a.qp_num)
 
     # -- memory registration ----------------------------------------------------
-    def register_memory(
-        self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int, length: int
-    ) -> Generator:
-        """Register a buffer (a timed CPU+bus operation).
-
-        Use as ``mr = yield from hca.register_memory(...)``.
-        """
-        span = trace.begin("ib.mr.register", track=self.name, bytes=length)
-        try:
-            mr, ns = self.reg.register(aspace, pd, vaddr, length)
-            self._mrs_by_lkey[mr.lkey] = mr
-            self._mrs_by_rkey[mr.rkey] = mr
-            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-            return mr
-        finally:
-            trace.end(span)
-
     def register_then(
         self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int,
         length: int, then: Callable[[MemoryRegion], None],
     ) -> None:
-        """Callback form of :meth:`register_memory`: the same cost and
-        span; *then(mr)* runs when the registration completes.  A failed
-        registration raises here, synchronously."""
+        """Register a buffer (a timed CPU+bus operation, under an
+        ``ib.mr.register`` span); *then(mr)* runs when the registration
+        completes.  A failed registration raises here, synchronously."""
         tracer = trace.active()
         span = (None if tracer is None
                 else tracer.begin("ib.mr.register", self.name, bytes=length))
@@ -410,25 +395,12 @@ class HCA:
         return qp
 
     # -- posting (CPU side) -----------------------------------------------------------
-    def post_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        """Post a send WR: WQE build + doorbell (the paper's near-constant
-        'post' cost), then hand off to the adapter."""
-        span = trace.begin("ib.post_send", track=self.name, opcode=wr.opcode,
-                           bytes=wr.total_bytes, sges=len(wr.sges))
-        try:
-            ticks = self._post_send_ticks(qp, wr)
-            if not qp.wr_slots.try_acquire():  # blocks while the queue is full
-                yield qp.wr_slots.request()
-            yield self.kernel.timeout(ticks)
-            qp.send_q.put_nowait(wr)
-        finally:
-            trace.end(span)
-
     def post_send_then(self, qp: QueuePair, wr: SendWR,
                        then: Callable[[], None]) -> None:
-        """Callback form of :meth:`post_send`: the same checks (raised
-        here, synchronously), cost, span and hand-off; *then()* runs once
-        the WR is on the send queue."""
+        """Post a send WR: WQE build + doorbell (the paper's near-constant
+        'post' cost), then hand off to the adapter.  The checks raise
+        here, synchronously; a full send queue delays the post until a
+        slot frees.  *then()* runs once the WR is on the send queue."""
         tracer = trace.active()
         span = (None if tracer is None
                 else tracer.begin("ib.post_send", self.name, opcode=wr.opcode,
@@ -462,15 +434,7 @@ class HCA:
             )
         if len(wr.sges) > qp.max_sge:
             raise IBVerbsError(f"{len(wr.sges)} SGEs exceeds QP max of {qp.max_sge}")
-        san = sanitize._active
-        for sge in wr.sges:
-            mr = self.lookup_mr(sge.lkey)
-            if not mr.contains(sge.addr, sge.length):
-                raise IBVerbsError(
-                    f"SGE [{sge.addr:#x}+{sge.length}] outside MR {mr.mr_id}"
-                )
-            if san is not None and san.mr:
-                san.check_dma(mr, sge.addr, sge.length, "post_send")
+        self._check_sges(wr.sges, "post_send")
         ns = (
             self.config.post_base_ns
             + len(wr.sges) * self.config.post_per_sge_ns
@@ -479,15 +443,10 @@ class HCA:
         self.counters.add("hca.post_send")
         return self.clock.ns_to_ticks(ns)
 
-    def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator:
-        """Post a receive WR (no doorbell on the fast path)."""
-        yield self.kernel.timeout(self._post_recv_ticks(wr))
-        qp.recv_q.put_nowait(wr)
-
     def post_recv_then(self, qp: QueuePair, wr: RecvWR,
                        then: Callable[[], None]) -> None:
-        """Callback form of :meth:`post_recv`; *then()* runs once the WR
-        is on the receive queue."""
+        """Post a receive WR (no doorbell on the fast path); *then()* runs
+        once the WR is on the receive queue."""
         self.kernel.call_after(self._post_recv_ticks(wr), self._recv_queued,
                                qp, wr, then)
 
@@ -498,35 +457,59 @@ class HCA:
 
     def _post_recv_ticks(self, wr: RecvWR) -> int:
         """Check a receive WR and count the post; returns its CPU cost."""
+        self._check_sges(wr.sges, "post_recv")
+        ns = self.config.post_base_ns * 0.6 + len(wr.sges) * self.config.post_per_sge_ns
+        self.counters.add("hca.post_recv")
+        return self.clock.ns_to_ticks(ns)
+
+    def _check_sges(self, sges: Sequence[SGE], op: str) -> None:
+        """Each SGE of a posted WR must lie inside a live MR; *op* labels
+        the sanitizer's DMA check."""
         san = sanitize._active
-        for sge in wr.sges:
+        for sge in sges:
             mr = self.lookup_mr(sge.lkey)
             if not mr.contains(sge.addr, sge.length):
                 raise IBVerbsError(
                     f"SGE [{sge.addr:#x}+{sge.length}] outside MR {mr.mr_id}"
                 )
             if san is not None and san.mr:
-                san.check_dma(mr, sge.addr, sge.length, "post_recv")
-        ns = self.config.post_base_ns * 0.6 + len(wr.sges) * self.config.post_per_sge_ns
-        self.counters.add("hca.post_recv")
-        return self.clock.ns_to_ticks(ns)
+                san.check_dma(mr, sge.addr, sge.length, op)
 
     # -- completion consumption (CPU side) ------------------------------------------------
-    def wait_completion(self, cq: CompletionQueue) -> Generator:
-        """Block until a CQE is available, consume it (one poll cost)."""
-        wc = cq.store.try_get()
-        if wc is None:
-            wc = yield cq.store.get()
-        yield self.kernel.timeout(self._poll_ticks)
-        return wc
-
     def poll_then(self, cq: CompletionQueue,
                   then: Callable[[WorkCompletion], None]) -> None:
-        """Callback form of :meth:`wait_completion`: *then(wc)* runs one
-        poll cost after a CQE is available (the CQ hands it over without
-        a kernel event)."""
+        """Consume the next CQE: *then(wc)* runs one poll cost after a CQE
+        is available (the CQ hands it over without a kernel event)."""
         # the CQ calls this with the CQE: call_after(poll, then, wc)
         cq.store.get_then(partial(self.kernel.call_after, self._poll_ticks, then))
+
+    # -- generator adapters for process programs (see module docstring) ---------
+    def register_memory(
+        self, aspace: AddressSpace, pd: ProtectionDomain, vaddr: int, length: int
+    ) -> Generator:
+        """``mr = yield from hca.register_memory(...)``: see
+        :meth:`register_then`."""
+        ev = self.kernel.event()
+        self.register_then(aspace, pd, vaddr, length, ev.succeed)
+        return (yield ev)
+
+    def post_send(self, qp: QueuePair, wr: SendWR) -> Generator:
+        """``yield from hca.post_send(qp, wr)``: see :meth:`post_send_then`."""
+        ev = self.kernel.event()
+        self.post_send_then(qp, wr, ev.succeed)
+        return (yield ev)
+
+    def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator:
+        """``yield from hca.post_recv(qp, wr)``: see :meth:`post_recv_then`."""
+        ev = self.kernel.event()
+        self.post_recv_then(qp, wr, ev.succeed)
+        return (yield ev)
+
+    def wait_completion(self, cq: CompletionQueue) -> Generator:
+        """``wc = yield from hca.wait_completion(cq)``: see :meth:`poll_then`."""
+        ev = self.kernel.event()
+        self.poll_then(cq, ev.succeed)
+        return (yield ev)
 
     # -- adapter send pipeline -------------------------------------------------
     def _tx_rearm(self, qp: QueuePair) -> None:

@@ -230,7 +230,10 @@ class Endpoint:
             slab = self.proc.malloc(total)
             # registered through the regcache's retry policy so a transient
             # driver failure during setup is retried, not fatal
-            mr = yield from self.regcache.register_with_retry(slab, total)
+            registered = self.kernel.event()
+            self.regcache.register_then(slab, total, registered.succeed,
+                                        registered.fail)
+            mr = yield registered
             cursor = slab
             for _ in range(cfg.bounce_buffers):
                 self.bounce_pool.put_nowait((cursor, mr))

@@ -15,7 +15,7 @@ cache entry (the classic MVAPICH malloc-hook dance).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import trace
 from repro.analysis.counters import CounterSet
@@ -115,13 +115,16 @@ class RegistrationCache:
             mr = self._admit(mr)
             self._evict_then(0, lambda: then(mr))
 
-        self._register_then(vaddr, length, _registered, fail, 0)
+        self.register_then(vaddr, length, _registered, fail)
 
-    def _register_then(self, vaddr: int, length: int,
-                       then: Callable[[MemoryRegion], None],
-                       fail: Callable[[Exception], None], attempt: int) -> None:
-        """One registration attempt; a retry is a later kernel step, so
-        every failure goes to *fail*, never into the kernel loop."""
+    def register_then(self, vaddr: int, length: int,
+                      then: Callable[[MemoryRegion], None],
+                      fail: Callable[[Exception], None],
+                      attempt: int = 0) -> None:
+        """An uncached registration under :meth:`retry_backoff`'s policy
+        (a cache miss, or the endpoint's bounce slab): *then(mr)* on
+        success.  A retry is a later kernel step, so every failure goes
+        to *fail*, never into the kernel loop."""
         try:
             try:
                 self.hca.register_then(self.aspace, self.pd, vaddr, length, then)
@@ -132,7 +135,7 @@ class RegistrationCache:
         except Exception as exc:
             fail(exc)
             return
-        self.hca.kernel.call_after(ticks, self._register_then, vaddr, length,
+        self.hca.kernel.call_after(ticks, self.register_then, vaddr, length,
                                    then, fail, attempt)
 
     def _lookup(self, vaddr: int, length: int) -> Optional[MemoryRegion]:
@@ -186,20 +189,6 @@ class RegistrationCache:
             )
         backoff_ns = REG_RETRY_BACKOFF_NS * (2 ** (attempt - 1))
         return max(1, self.hca.clock.ns_to_ticks(backoff_ns))
-
-    def register_with_retry(self, vaddr: int, length: int) -> Generator:
-        """An uncached registration (the endpoint's bounce slab) under
-        :meth:`retry_backoff`'s policy, as a timed generator:
-        ``mr = yield from cache.register_with_retry(...)``."""
-        attempt = 0
-        while True:
-            try:
-                return (yield from self.hca.register_memory(
-                    self.aspace, self.pd, vaddr, length))
-            except RegistrationFaultError as exc:
-                attempt += 1
-                ticks = self.retry_backoff(vaddr, length, exc, attempt)
-            yield self.hca.kernel.timeout(ticks)
 
     def release_then(self, mr: MemoryRegion, then: Callable[[], None]) -> None:
         """Finish using *mr*: unpins it; *then()* runs at once when

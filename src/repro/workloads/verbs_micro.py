@@ -18,7 +18,7 @@ used "two IBM low-end System p with IBM InfiniBand eHCA").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ib.hca import HCA
 from repro.ib.verbs import SGE, CompletionQueue, ProtectionDomain, RecvWR, SendWR
@@ -125,30 +125,3 @@ def measure_send(
         poll_ticks=out["poll"],
     )
 
-
-def sweep_sges(
-    sge_counts: List[int],
-    sge_sizes: List[int],
-    spec_factory: Callable[[], MachineSpec] = presets.systemp_ehca,
-) -> Dict[Tuple[int, int], WorkRequestTiming]:
-    """Fig 3's sweep: work-request duration over (sges, sge_size)."""
-    results = {}
-    for n in sge_counts:
-        for size in sge_sizes:
-            results[(n, size)] = measure_send(spec_factory(), sges=n, sge_size=size)
-    return results
-
-
-def sweep_offsets(
-    buffer_sizes: List[int],
-    offsets: List[int],
-    spec_factory: Callable[[], MachineSpec] = presets.systemp_ehca,
-) -> Dict[Tuple[int, int], WorkRequestTiming]:
-    """Fig 4's sweep: 1-SGE work-request duration over (size, offset)."""
-    results = {}
-    for size in buffer_sizes:
-        for off in offsets:
-            results[(size, off)] = measure_send(
-                spec_factory(), sges=1, sge_size=size, offset=off
-            )
-    return results

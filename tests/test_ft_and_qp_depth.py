@@ -24,6 +24,7 @@ class TestQPSendQueueDepth:
         qb = b.hca.create_qp(pd_b, sb, rb)
         HCA.connect_pair(qa, a.hca, qb, b.hca)
         times = {}
+        posted = []
 
         def sender():
             mr = yield from a.hca.register_memory(pa.aspace, pd_a, buf_a, MB)
@@ -32,6 +33,7 @@ class TestQPSendQueueDepth:
                 yield from a.hca.post_send(
                     qa, SendWR(wr_id=i, sges=[SGE(buf_a, 64, mr.lkey)])
                 )
+                posted.append(k.now)
             times["posted_all"] = k.now - t0
 
         def receiver():
@@ -48,6 +50,10 @@ class TestQPSendQueueDepth:
         # with depth 1 each post waits for the previous completion:
         # posting takes far longer than 3x the CPU post cost
         assert times["posted_all"] > 3 * 600
+        # each post's return tick, pinned: the first post costs 226
+        # ticks from t0 = 19,990; the second and third wait for a slot
+        assert posted == [20216, 21030, 21798]
+        assert times["posted_all"] == 1808
 
     def test_default_depth_does_not_block_modest_bursts(self):
         cluster = Cluster(presets.systemp_ehca(), 2)

@@ -262,8 +262,9 @@ class TestFoldMatchesOracle:
 
 
 class TestHCACallbackForms:
-    """The progress engines use the adapter's callback forms, so these
-    pin them to the adapter's generator forms directly."""
+    """The generator verbs are adapters that wait on their callback
+    forms: these check that an adapter resumes at the tick, and with the
+    queue state and counters, of the callback form's continuation."""
 
     @staticmethod
     def _node():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.systems import presets
 from repro.workloads.imb import PingPongBenchmark, SendRecvBenchmark
-from repro.workloads.verbs_micro import measure_send, sweep_offsets, sweep_sges
+from repro.workloads.verbs_micro import measure_send
 
 KB = 1024
 MB = 1024 * 1024
@@ -129,16 +129,14 @@ class TestVerbsMicro:
     def test_offset_best_at_64(self):
         """Fig 4: 'optimized for certain offsets, e.g. at offset 64',
         with up to ~8 % variation over offsets 0-128."""
-        results = sweep_offsets([64], list(range(0, 129, 16)) + [1, 63, 127])
-        ticks = {off: t.total_ticks for (_, off), t in results.items()}
+        ticks = {
+            off: measure_send(sges=1, sge_size=64, offset=off).total_ticks
+            for off in list(range(0, 129, 16)) + [1, 63, 127]
+        }
         best = min(ticks, key=ticks.get)
         assert best == 64
         swing = (max(ticks.values()) - min(ticks.values())) / max(ticks.values())
         assert 0.02 < swing < 0.10
-
-    def test_sweep_sges_structure(self):
-        results = sweep_sges([1, 2], [64])
-        assert set(results) == {(1, 64), (2, 64)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
