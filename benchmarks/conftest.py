@@ -11,7 +11,9 @@ The emitted tables go to two places: the live stdout (visible with
 repository root (git-ignored), which the first `emit` of a run truncates — so
 a plain ``pytest benchmarks/ --benchmark-only`` always leaves the full
 set of regenerated tables on disk even though pytest captures stdout,
-without dirtying the tree.
+without dirtying the tree.  The claims run in the order of their names
+(a ``test_figures.py`` test by its figure's, any other by its module's),
+so the tables land in one fixed order.
 """
 
 import pathlib
@@ -33,3 +35,9 @@ def emit(text: str) -> None:
         fh.write(text + "\n")
     sys.__stdout__.write(text + "\n")
     sys.__stdout__.flush()
+
+
+def pytest_collection_modifyitems(items) -> None:
+    items.sort(key=lambda item: item.callspec.params["name"]
+               if item.module.__name__ == "test_figures"
+               else item.module.__name__[len("test_"):])

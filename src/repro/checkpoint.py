@@ -39,7 +39,6 @@ import pickle
 import sys
 import threading
 import time
-import weakref
 from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,20 +54,14 @@ class CheckpointError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# live-cluster registry (for the watchdog's post-mortem)
+# live clusters (read by the watchdog's post-mortem)
 # ---------------------------------------------------------------------------
-
-_live_clusters: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def note_cluster(cluster) -> None:
-    """Weakly register *cluster* (called by ``Cluster.__init__``)."""
-    _live_clusters.add(cluster)
-
 
 def live_clusters() -> List[Any]:
     """All clusters still alive in this process (unordered)."""
-    return list(_live_clusters)
+    from repro.systems.machine import LIVE_CLUSTERS
+
+    return list(LIVE_CLUSTERS)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,12 @@
     python -m repro trace fig5 --trace-out t.json   # traced figure run
     python -m repro batch specs.json     # crash-tolerant batch runner
 
-Each command prints the same rows/series the paper reports.  The heavier
-NAS commands accept ``--class W|B|C`` (the benchmark suite uses C).
+Each command prints the same rows/series the paper reports.  ``fig3``
+to ``fig6`` and ``tlb`` run the CLI sweep of their :mod:`repro.figures`
+entry, which also holds the paper-scale sweep and claims that
+``benchmarks/`` checks; ``tlb`` prints other columns of the ``fig6``
+driver's result.  The NAS commands accept ``--class W|B|C`` (the
+benchmark suite uses C).
 
 Every command accepts ``--no-fastpath`` (before or after the command
 name) to force the reference per-element costing loops instead of the
@@ -105,42 +109,6 @@ def _ensure_parent_dir(path: str, flag: str) -> None:
         raise SystemExit(2)
 
 
-def _cmd_fig3(args) -> None:
-    from repro.analysis.report import Table
-    from repro.workloads.verbs_micro import measure_send
-
-    sizes = [1, 8, 32, 64, 128, 256, 512, 1024, 2048]
-    counts = [1, 2, 4, 8]
-    table = Table(["SGE size"] + [f"{n} SGEs" for n in counts],
-                  title="Fig 3: work request duration [TBR ticks] (System p)")
-    for size in sizes:
-        table.add_row([size] + [
-            measure_send(sges=n, sge_size=size).total_ticks for n in counts
-        ])
-    print(table.render())
-    one = measure_send(sges=1, sge_size=64)
-    many = measure_send(sges=128, sge_size=64)
-    print(f"\npost: 1 SGE = {one.post_ticks} ticks, 128 SGEs = "
-          f"{many.post_ticks} ticks ({many.post_ticks / one.post_ticks:.2f}x; "
-          f"the paper: 'only three times higher')")
-
-
-def _cmd_fig4(args) -> None:
-    from repro.analysis.report import Table
-    from repro.workloads.verbs_micro import measure_send
-
-    offsets = list(range(0, 129, 8))
-    sizes = [8, 16, 32, 64]
-    table = Table(["offset"] + [f"{s} B" for s in sizes],
-                  title="Fig 4: duration vs in-page offset [TBR ticks]")
-    for off in offsets:
-        table.add_row([off] + [
-            measure_send(sges=1, sge_size=s, offset=off).total_ticks
-            for s in sizes
-        ])
-    print(table.render())
-
-
 def _parse_fault_plan(args):
     """The FaultPlan from ``--fault-plan``/``--fault-seed``, or None.
 
@@ -212,38 +180,26 @@ def _harness(args):
             watchdog.stop()
 
 
-def _cmd_fig5(args) -> None:
-    from repro.analysis.report import Table
-    from repro.systems import presets
-    from repro.workloads.imb import SendRecvBenchmark
+def _cmd_figure(args) -> None:
+    """fig3-fig6 and tlb: run the figure's CLI sweep (the NAS ones at
+    ``--class``) and print its table; see :mod:`repro.figures`."""
+    from dataclasses import replace
 
-    sizes = [1 * KB, 4 * KB, 8 * KB, 16 * KB, 64 * KB, 256 * KB, 1 * MB,
-             4 * MB]
-    bench = SendRecvBenchmark(presets.opteron_infinihost_pcie)
+    from repro.figures import FIGURES, Harness, NASSweep
+
+    fig = FIGURES[args.command]
+    sweep = fig.cli
+    if isinstance(sweep, NASSweep):
+        sweep = replace(sweep, klass=args.klass)
     plan = _parse_fault_plan(args)
-    curves = {
-        "small pages": (False, True),
-        "hugepages": (True, True),
-        "small, no lazy dereg": (False, False),
-        "huge, no lazy dereg": (True, False),
-    }
-    results = {}
     with _harness(args) as ckpt:
-        for label, (hp, lazy) in curves.items():
-            def unit(hp=hp, lazy=lazy):
-                res = bench.run(sizes, hugepages=hp, lazy_dereg=lazy,
-                                fault_plan=plan)
-                cluster = bench.last_cluster
-                return res, cluster.kernel.now, cluster
-            results[label] = ckpt.run_unit(f"fig5:{label}", unit)
-    title = "Fig 5: IMB SendRecv bandwidth [MB/s] (AMD Opteron)"
-    if plan is not None:
-        title += f" under faults: {args.fault_plan}"
-    table = Table(["size [KB]"] + list(curves), title=title)
-    for size in sizes:
-        table.add_row([size // KB] + [results[l].bandwidth_at(size)
-                                      for l in curves])
-    print(table.render())
+        result = fig.driver(sweep, Harness(
+            run_unit=lambda name, unit: ckpt.run_unit(
+                f"{args.command}:{name}", unit),
+            fault_plan=plan,
+            progress=lambda line: print(line, file=sys.stderr)))
+    note = f" under faults: {args.fault_plan}" if plan is not None else ""
+    print(fig.render_cli(result, note))
 
 
 def _cmd_xeon(args) -> None:
@@ -289,54 +245,6 @@ def _cmd_registration(args) -> None:
             proc.aspace.munmap(vma.start)
         table.add_row([size // KB, costs["4k"] / 1000, costs["2m"] / 1000,
                        costs["2m"] / costs["4k"] * 100])
-    print(table.render())
-
-
-def _cmd_fig6(args) -> None:
-    from repro.analysis.report import Table
-    from repro.systems import presets
-    from repro.workloads.nas import KERNELS
-    from repro.workloads.nas.common import compare_hugepages
-
-    table = Table(["kernel", "comm %", "other %", "overall %", "TLB x"],
-                  title=f"Fig 6: NAS class {args.klass}, AMD Opteron, "
-                        "2 nodes x 4 ranks")
-    with _harness(args) as ckpt:
-        for name, prog in KERNELS.items():
-            def unit(prog=prog):
-                sink = []
-                c = compare_hugepages(prog, presets.opteron_infinihost_pcie(),
-                                      klass=args.klass, nas_hugepage_pool=720,
-                                      cluster_sink=sink)
-                return c, sum(cl.kernel.now for cl in sink), sink
-            c = ckpt.run_unit(f"fig6:{name}:{args.klass}", unit)
-            table.add_row([name, c.comm_improvement_pct,
-                           c.other_improvement_pct,
-                           c.overall_improvement_pct, c.tlb_miss_ratio])
-            print(f"  {name} done", file=sys.stderr)
-    print(table.render())
-
-
-def _cmd_tlb(args) -> None:
-    from repro.analysis.report import Table
-    from repro.systems import presets
-    from repro.workloads.nas import KERNELS
-    from repro.workloads.nas.common import compare_hugepages
-
-    table = Table(["kernel", "misses 4K run", "misses hugepage run", "ratio"],
-                  title=f"§5.2 TLB misses, NAS class {args.klass} (Opteron)")
-    with _harness(args) as ckpt:
-        for name, prog in KERNELS.items():
-            def unit(prog=prog):
-                sink = []
-                c = compare_hugepages(prog, presets.opteron_infinihost_pcie(),
-                                      klass=args.klass, nas_hugepage_pool=720,
-                                      cluster_sink=sink)
-                return c, sum(cl.kernel.now for cl in sink), sink
-            c = ckpt.run_unit(f"tlb:{name}:{args.klass}", unit)
-            table.add_row([name, c.small.tlb_misses_total,
-                           c.huge.tlb_misses_total, c.tlb_miss_ratio])
-            print(f"  {name} done", file=sys.stderr)
     print(table.render())
 
 
@@ -703,13 +611,13 @@ def _dispatch(args) -> None:
 
 
 COMMANDS = {
-    "fig3": (_cmd_fig3, "Fig 3: SGE-count/size sweep (verbs level)"),
-    "fig4": (_cmd_fig4, "Fig 4: in-page offset sweep"),
-    "fig5": (_cmd_fig5, "Fig 5: IMB SendRecv, 4 curves (Opteron)"),
+    "fig3": (_cmd_figure, "Fig 3: SGE-count/size sweep (verbs level)"),
+    "fig4": (_cmd_figure, "Fig 4: in-page offset sweep"),
+    "fig5": (_cmd_figure, "Fig 5: IMB SendRecv, 4 curves (Opteron)"),
     "xeon": (_cmd_xeon, "§5.1: the Xeon driver-patch experiment"),
     "registration": (_cmd_registration, "registration cost, 4K vs 2M"),
-    "fig6": (_cmd_fig6, "Fig 6: NAS hugepage improvements"),
-    "tlb": (_cmd_tlb, "§5.2: TLB miss counts"),
+    "fig6": (_cmd_figure, "Fig 6: NAS hugepage improvements"),
+    "tlb": (_cmd_figure, "§5.2: TLB miss counts"),
     "abinit": (_cmd_abinit, "§2/§3.2: the allocator comparison"),
     "pingpong": (_cmd_pingpong, "IMB PingPong latency view (companion)"),
     "breakdown": (_cmd_breakdown, "per-component message cost analysis"),

@@ -40,9 +40,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro import fastpath
 
-KB = 1024
-MB = 1024 * 1024
-
 SCHEMA = "repro-perf/1"
 
 #: ``--compare`` fails when fig5's speedup drops below this fraction of
@@ -59,83 +56,15 @@ REGRESSION_TOLERANCE = 0.8
 # ``identical`` to false.
 # ---------------------------------------------------------------------------
 
-def _bench_fig3(quick: bool):
-    """Fig 3 driver: SGE count/size sweep at the verbs level."""
-    from repro.workloads.verbs_micro import measure_send
+def _bench_figure(name: str) -> Callable[[bool], tuple]:
+    """A :mod:`repro.figures` entry's payload on its quick or full sweep."""
+    def run(quick: bool) -> tuple:
+        from repro.figures import FIGURES, Harness
 
-    sizes = [8, 64, 512, 2048] if quick else [1, 8, 32, 64, 128, 256, 512,
-                                              1024, 2048]
-    counts = [1, 2, 4, 8, 32, 128]
-    return tuple(
-        measure_send(sges=n, sge_size=s).total_ticks
-        for s in sizes for n in counts
-    )
-
-
-def _bench_fig4(quick: bool):
-    """Fig 4 driver: in-page offset sweep."""
-    from repro.workloads.verbs_micro import measure_send
-
-    offsets = range(0, 129, 32) if quick else range(0, 129, 8)
-    sizes = [8, 16, 32, 64]
-    return tuple(
-        measure_send(sges=1, sge_size=s, offset=off).total_ticks
-        for off in offsets for s in sizes
-    )
-
-
-def _bench_fig5(quick: bool):
-    """Fig 5 driver (IMB SendRecv) at benchmark scale.
-
-    Same 4 placement curves as ``repro fig5``, but swept to 64 MB
-    messages — the regime the registration/ATT fast paths target.
-    """
-    from repro.systems import presets
-    from repro.workloads.imb import SendRecvBenchmark
-
-    bench = SendRecvBenchmark(presets.opteron_infinihost_pcie)
-    if quick:
-        sizes = [1 * MB, 4 * MB, 16 * MB, 32 * MB]
-        curves = [(False, True), (True, True)]
-        iterations = 3
-    else:
-        sizes = [256 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB]
-        curves = [(False, True), (True, True), (False, False), (True, False)]
-        iterations = 5
-    payload: List[tuple] = []
-    for hugepages, lazy in curves:
-        result = bench.run(sizes, hugepages=hugepages, lazy_dereg=lazy,
-                           iterations=iterations, warmup=1)
-        payload.extend(
-            (hugepages, lazy, row.size, row.ticks_per_iter, row.latency_us,
-             row.bandwidth_mb_s)
-            for row in result.rows
-        )
-    return tuple(payload)
-
-
-def _bench_fig6(quick: bool):
-    """Fig 6 driver: the NAS hugepage comparison (class B; W when quick)."""
-    from repro.systems import presets
-    from repro.workloads.nas import KERNELS
-    from repro.workloads.nas.common import compare_hugepages
-
-    klass = "W" if quick else "B"
-    payload: List[tuple] = []
-    for name, prog in KERNELS.items():
-        c = compare_hugepages(prog, presets.opteron_infinihost_pcie(),
-                              klass=klass, nas_hugepage_pool=720)
-        payload.append((
-            name,
-            c.small.total_ticks, c.huge.total_ticks,
-            c.small.comm_ticks, c.huge.comm_ticks,
-            c.small.compute_ticks, c.huge.compute_ticks,
-            c.small.tlb_misses_4k, c.small.tlb_misses_2m,
-            c.huge.tlb_misses_4k, c.huge.tlb_misses_2m,
-            c.small.regcache_hits, c.small.regcache_misses,
-            c.huge.regcache_hits, c.huge.regcache_misses,
-        ))
-    return tuple(payload)
+        fig = FIGURES[name]
+        return fig.payload(fig.driver(fig.quick if quick else fig.full,
+                                      Harness()))
+    return run
 
 
 def _bench_nas(quick: bool):
@@ -199,10 +128,12 @@ class BenchSpec:
 
 
 BENCHMARKS: List[BenchSpec] = [
-    BenchSpec("fig3", "SGE sweep (verbs micro)", _bench_fig3, 3, 3),
-    BenchSpec("fig4", "offset sweep (verbs micro)", _bench_fig4, 3, 3),
-    BenchSpec("fig5", "IMB SendRecv placement-curve sweep", _bench_fig5, 2, 3),
-    BenchSpec("fig6", "NAS hugepage comparison, class B", _bench_fig6, 1, 1),
+    BenchSpec("fig3", "SGE sweep (verbs micro)", _bench_figure("fig3"), 3, 3),
+    BenchSpec("fig4", "offset sweep (verbs micro)", _bench_figure("fig4"), 3, 3),
+    BenchSpec("fig5", "IMB SendRecv placement-curve sweep",
+              _bench_figure("fig5"), 2, 3),
+    BenchSpec("fig6", "NAS hugepage comparison, class B",
+              _bench_figure("fig6"), 1, 1),
     BenchSpec("nas", "NAS suite, 4 KB pages, class B", _bench_nas, 1, 1),
     BenchSpec("train", "verbs message train (event-kernel bound)",
               _bench_train, 3, 3),

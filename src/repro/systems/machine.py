@@ -16,6 +16,7 @@ shared simulation kernel.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -192,6 +193,12 @@ def connect_hcas(hca_a: HCA, hca_b: HCA, kernel: SimKernel) -> Wire:
     return wire
 
 
+#: every :class:`Cluster` still alive in this process, held weakly; the
+#: hang watchdog's post-mortem reads it through
+#: :func:`repro.checkpoint.live_clusters`
+LIVE_CLUSTERS: "weakref.WeakSet[Cluster]" = weakref.WeakSet()
+
+
 class Cluster:
     """N machines of one spec, fully wired, on one kernel."""
 
@@ -218,12 +225,7 @@ class Cluster:
                 self.wires[(i, j)] = connect_hcas(
                     self.nodes[i].hca, self.nodes[j].hca, self.kernel
                 )
-        # weak registration so the hang watchdog can find live clusters
-        # for its post-mortem snapshot (function-local import: runs that
-        # build single machines only never load the checkpoint module)
-        from repro.checkpoint import note_cluster
-
-        note_cluster(self)
+        LIVE_CLUSTERS.add(self)
         # re-key the installed tracer (if any) to this cluster's clock
         # and counters; a no-op when tracing is disabled
         from repro import trace

@@ -16,8 +16,9 @@ reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
@@ -46,6 +47,42 @@ CLASSES: Dict[str, EPParams] = {
 }
 
 
+def _gaussian_block(rank: int, block: int,
+                    pairs: int) -> Tuple[float, float, np.ndarray]:
+    """One rank's block of real gaussian pairs: the x and y sums and the
+    per-annulus acceptance counts."""
+    rng = np.random.default_rng(777 + rank * 1000 + block)
+    u = rng.uniform(-1.0, 1.0, size=(pairs, 2))
+    t = np.sum(u * u, axis=1)
+    accept = t <= 1.0
+    tt = t[accept]
+    factor = np.sqrt(-2.0 * np.log(tt) / tt)
+    gx = u[accept, 0] * factor
+    gy = u[accept, 1] * factor
+    mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
+    return (float(gx.sum()), float(gy.sum()),
+            np.bincount(np.minimum(mag, 9), minlength=10))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(size: int, blocks: int,
+               pairs: int) -> Tuple[np.ndarray, float, float]:
+    """The whole world's counts and sums, summed rank by rank and block
+    by block as a sequential run would.  A pure function of its
+    arguments, so every rank of every run with this shape shares one
+    computation; the counts come back read-only."""
+    counts = np.zeros(10, dtype=np.int64)
+    sx = sy = 0.0
+    for r in range(size):
+        for block in range(blocks):
+            bx, by, bcounts = _gaussian_block(r, block, pairs)
+            sx += bx
+            sy += by
+            counts += bcounts
+    counts.flags.writeable = False
+    return counts, sx, sy
+
+
 def program(comm, klass: str = "W") -> Generator:
     """EP rank program; returns ``{"verified": bool, ...}``."""
     p = CLASSES[klass]
@@ -70,18 +107,10 @@ def program(comm, klass: str = "W") -> Generator:
         yield from comm.compute(cost)
 
         # real gaussian-pair work (seeded per rank and block)
-        rng = np.random.default_rng(777 + comm.rank * 1000 + block)
-        u = rng.uniform(-1.0, 1.0, size=(p.pairs_mini, 2))
-        t = np.sum(u * u, axis=1)
-        accept = t <= 1.0
-        tt = t[accept]
-        factor = np.sqrt(-2.0 * np.log(tt) / tt)
-        gx = u[accept, 0] * factor
-        gy = u[accept, 1] * factor
-        sx += float(gx.sum())
-        sy += float(gy.sum())
-        mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
-        counts += np.bincount(np.minimum(mag, 9), minlength=10)
+        bx, by, bcounts = _gaussian_block(comm.rank, block, p.pairs_mini)
+        sx += bx
+        sy += by
+        counts += bcounts
 
     # final reductions: the only communication EP does
     total_counts = yield from comm.allreduce(
@@ -90,24 +119,9 @@ def program(comm, klass: str = "W") -> Generator:
     total_sx = yield from comm.allreduce(8, value=sx)
     total_sy = yield from comm.allreduce(8, value=sy)
 
-    # verification: recompute the global reference locally (cheap)
-    ref_counts = np.zeros(10, dtype=np.int64)
-    ref_sx = ref_sy = 0.0
-    for r in range(comm.size):
-        for block in range(p.blocks):
-            rng = np.random.default_rng(777 + r * 1000 + block)
-            u = rng.uniform(-1.0, 1.0, size=(p.pairs_mini, 2))
-            t = np.sum(u * u, axis=1)
-            accept = t <= 1.0
-            tt = t[accept]
-            factor = np.sqrt(-2.0 * np.log(tt) / tt)
-            gx = u[accept, 0] * factor
-            gy = u[accept, 1] * factor
-            ref_sx += float(gx.sum())
-            ref_sy += float(gy.sum())
-            mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
-            ref_counts += np.bincount(np.minimum(mag, 9), minlength=10)
-
+    # verification: the global reference, recomputed independently of
+    # the reduction (once per process and shape, see _reference)
+    ref_counts, ref_sx, ref_sy = _reference(comm.size, p.blocks, p.pairs_mini)
     verified = bool(
         np.array_equal(total_counts, ref_counts)
         and abs(total_sx - ref_sx) < 1e-6

@@ -55,6 +55,7 @@ GOLDEN = {
     "fig5.txt": ["fig5"],
     "fig6.txt": ["fig6"],
     "pingpong.txt": ["pingpong"],
+    "tlb.txt": ["tlb"],
     "faults_link_loss_0.02_seed_7.txt": [
         "faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"],
 }

@@ -1,5 +1,10 @@
 """Tests for machines, presets and clusters."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine import SimKernel
@@ -100,3 +105,23 @@ class TestCluster:
         proc.malloc(100)
         agg = cluster.aggregate_counters()
         assert agg.get("alloc.libc.malloc", 0) == 1
+
+    def test_live_clusters_tracks_live_clusters(self):
+        from repro.checkpoint import live_clusters
+
+        cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
+        assert cluster in live_clusters()
+
+    def test_building_a_cluster_leaves_checkpoint_unloaded(self):
+        """A simulation run never pays for the checkpoint module: the
+        watchdog's registry of live clusters lives beside ``Cluster``."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys\n"
+                "from repro.systems import Cluster, presets\n"
+                "Cluster(presets.opteron_infinihost_pcie(), 2)\n"
+                "print('repro.checkpoint' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

@@ -4,6 +4,7 @@ The class-W comparisons are module-scoped fixtures: each kernel runs
 twice (small pages / preloaded hugepage library) on fresh clusters.
 """
 
+import numpy as np
 import pytest
 
 from repro.systems import presets
@@ -34,6 +35,31 @@ class TestFunctionalVerification:
         r = run_nas(KERNELS["CG"], presets.opteron_infinihost_pcie(),
                     hugepages=False, klass="W")
         assert r.verified
+
+    def test_ep_rejects_a_reduction_missing_a_rank(self):
+        """EP's reference is recomputed, never the reduced value: drop
+        one rank's counts from the reduction and no rank verifies."""
+
+        class DropRankCounts:
+            def __init__(self, comm, dropped):
+                self._comm, self._dropped = comm, dropped
+
+            def __getattr__(self, name):
+                return getattr(self._comm, name)
+
+            def allreduce(self, nbytes, value=None, **kw):
+                if isinstance(value, np.ndarray) and self._comm.rank == self._dropped:
+                    value = np.zeros_like(value)
+                return self._comm.allreduce(nbytes, value=value, **kw)
+
+        def ep_missing_rank_3(comm, klass="W"):
+            return (yield from KERNELS["EP"](DropRankCounts(comm, 3), klass))
+
+        ep_missing_rank_3.kernel_name = "EP"
+        spec = presets.opteron_infinihost_pcie()
+        assert run_nas(KERNELS["EP"], spec, hugepages=False, klass="W").verified
+        assert not run_nas(ep_missing_rank_3, spec, hugepages=False,
+                           klass="W").verified
 
     def test_results_deterministic(self):
         a = run_nas(KERNELS["EP"], presets.opteron_infinihost_pcie(),
