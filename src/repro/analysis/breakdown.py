@@ -4,9 +4,21 @@
 bottlenecks can be made visible" — this module is that analysis tool.
 It decomposes one message's end-to-end cost into the pipeline components
 the simulator charges (post, registration, WQE fetch, gather, wire,
-scatter, completion), using exactly the same cost models, so a user can
-see *where* a configuration spends its time and what a placement change
-would buy before running a full simulation.
+scatter, completion), so a user can see *where* a configuration spends
+its time and what a placement change would buy before running a full
+simulation.  Every term is a call into the model the simulator charges,
+on the frozen config that holds its parameters:
+
+- post: :meth:`HCAConfig.post_send_ns` with :meth:`BusConfig.doorbell_ns`;
+- registration: :meth:`OpenIBDriver.plan_uniform` for the entry count,
+  :meth:`RegistrationCosts.register_ns` per side;
+- WQE fetch: :meth:`BusConfig.wqe_fetch_ns`;
+- gather and scatter: ``dma_setup_ns``, :meth:`BusConfig.bursts_for`
+  times ``burst_ns`` and :meth:`BusConfig.stream_ns`, plus the ATT
+  misses at ``ATTConfig.fetch_ns``;
+- wire: :meth:`LinkConfig.transfer_ns`;
+- completion: the adapter's ``process_ns``, ``cqe_write_ns`` and
+  ``poll_ns`` and the RC ack, :meth:`LinkConfig.ack_ns`.
 
 The decomposition is analytic (steady-state, cold ATT for the page-count
 dependent parts), so it is instantaneous; the simulator remains the
@@ -18,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
+from repro.ib.driver import OpenIBDriver
 from repro.ib.hca import HCAConfig
 from repro.mem.physical import PAGE_2M, PAGE_4K
 from repro.systems.machine import MachineSpec
@@ -78,50 +91,24 @@ def breakdown_rdma_message(
     hca = hca if hca is not None else spec.hca
     bus, link, reg, att = spec.bus, spec.link, spec.reg_costs, spec.att
 
-    # post: WQE build + doorbell
-    post = hca.post_base_ns + hca.post_per_sge_ns + bus.mmio_write_ns
-
-    # registration (both sides), at the driver-visible entry granularity
-    pages = max(1, (size + page_size - 1) // page_size)
-    entries = pages if (spec.hugepage_aware_driver or page_size == PAGE_4K) \
-        else pages * (PAGE_2M // PAGE_4K)
-    if registration_cached:
-        registration = 0.0
-    else:
-        pin = reg.per_4k_pin_ns if page_size == PAGE_4K else reg.per_2m_pin_ns
-        one_side = (reg.base_ns + pages * (pin + reg.per_page_translate_ns)
-                    + entries * reg.per_entry_upload_ns)
-        registration = 2 * one_side
-
-    wqe_bytes = 64 + 16
-    wqe_fetch = bus.read_latency_ns + (
-        (wqe_bytes + bus.burst_bytes - 1) // bus.burst_bytes
-    ) * bus.burst_ns
-
+    pages = (size + page_size - 1) // page_size
+    _, entries = OpenIBDriver(spec.hugepage_aware_driver).plan_uniform(
+        page_size, pages)
+    registration = (0.0 if registration_cached
+                    else 2 * reg.register_ns(page_size, pages, entries))
     att_misses = 0 if (att_warm and entries <= att.entries) else entries
-    att_stall = att_misses * att.fetch_ns
-
-    stream_ns = size / bus.bandwidth_mb_s * 1e3
-    bursts = (size + bus.burst_bytes - 1) // bus.burst_bytes
-    gather = bus.dma_setup_ns + bursts * bus.burst_ns + stream_ns + att_stall
-
-    packets = max(1, (size + link.mtu_bytes - 1) // link.mtu_bytes)
-    wire = link.latency_ns + packets * link.packet_ns + \
-        size / link.payload_mb_s * 1e3
-
-    scatter = bus.dma_setup_ns + bursts * bus.burst_ns + stream_ns + att_stall
-
-    completion = hca.process_ns + hca.cqe_write_ns + hca.poll_ns + \
-        link.latency_ns  # the RC ack
-
+    # one DMA each way from a page-aligned buffer (no offset adjustment)
+    dma = (bus.dma_setup_ns + bus.bursts_for(0, size) * bus.burst_ns
+           + bus.stream_ns(size) + att_misses * att.fetch_ns)
     return MessageBreakdown(
-        post_ns=post,
+        post_ns=hca.post_send_ns(1, bus.doorbell_ns()),
         registration_ns=registration,
-        wqe_fetch_ns=wqe_fetch,
-        gather_ns=gather,
-        wire_ns=wire,
-        scatter_ns=scatter,
-        completion_ns=completion,
+        wqe_fetch_ns=bus.wqe_fetch_ns(1),
+        gather_ns=dma,
+        wire_ns=link.transfer_ns(size),
+        scatter_ns=dma,
+        completion_ns=(hca.process_ns + hca.cqe_write_ns + hca.poll_ns
+                       + link.ack_ns()),
     )
 
 

@@ -52,10 +52,9 @@ tracing on — see ``docs/observability.md``.
 The same commands accept ``--sanitize[=heap,mr,tlb,counter]`` (default
 ``all``) to run under the shadow-state sanitizer of
 :mod:`repro.sanitize`; ``repro sanitize <fig5|fig6|nas|faults>`` is the
-shorthand, and the ``REPRO_SANITIZE`` environment variable enables the
-same groups for any command.  A violation aborts the run with exit code
-3 and a one-line report naming the rule and the faulting address/key —
-see ``docs/static_analysis.md``.
+shorthand.  A violation aborts the run with exit code 3 and a one-line
+report naming the rule and the faulting address/key — see
+``docs/static_analysis.md``.
 
 ``repro batch <specfile>`` runs a JSON list of experiment specs on a
 supervised worker-process pool with a crash-safe job journal, per-job
@@ -530,11 +529,9 @@ def _cmd_sanitize(args) -> None:
 
 
 def _make_sanitizer(args):
-    """The :class:`repro.sanitize.Sanitizer` requested by ``--sanitize``
-    or ``REPRO_SANITIZE``, or None.  A bad group spec exits with code 2."""
+    """The :class:`repro.sanitize.Sanitizer` requested by ``--sanitize``,
+    or None.  A bad group spec exits with code 2."""
     spec = getattr(args, "sanitize", None)
-    if spec is None:
-        spec = os.environ.get("REPRO_SANITIZE") or None
     if spec is None:
         return None
     from repro import sanitize as sanitize_mod
@@ -565,7 +562,7 @@ def _dispatch(args) -> None:
     """Dispatch one parsed command: output-path preflight, then the
     command itself, wrapped in a capturing tracer when ``--trace`` /
     ``--trace-out`` ask for one and a capturing sanitizer when
-    ``--sanitize`` / ``REPRO_SANITIZE`` ask for one.  A violation of
+    ``--sanitize`` asks for one.  A violation of
     either trigger exits 3 on every path.  Shared by :func:`main` and
     the ``resume`` / ``trace`` / ``sanitize`` re-dispatch paths, so a
     resumed traced run traces exactly like the original."""

@@ -6,9 +6,14 @@ CQE, poll) once instead of *k* times — "the sending of 4 SGEs with same
 sizes ... is only 14 % more costly" than one.  The alternatives an MPI
 library has are separate sends, or packing through the CPU.
 
-:func:`plan_aggregation` chooses between the three using the same cost
-structure the simulated HCA charges, so the planner's decisions can be
+:func:`plan_aggregation` chooses between the three by calling the cost
+model the simulated HCA charges, so the planner's decisions can be
 validated against measured simulation results (see the ablation bench).
+Per work request it charges :meth:`HCAConfig.post_send_ns` with
+:meth:`BusConfig.doorbell_ns`, :meth:`BusConfig.wqe_fetch_ns`, the
+adapter's ``process_ns``, ``cqe_write_ns`` and ``poll_ns``, one DMA
+setup, :meth:`HCAConfig.sge_engine_ns` per SGE and one ``burst_ns``
+per SGE.
 """
 
 from __future__ import annotations
@@ -48,18 +53,18 @@ def estimate_send_overhead_ns(
 ) -> float:
     """Fixed-cost estimate of posting *n_wrs* work requests of
     *sges_per_wr* SGEs each (data streaming excluded — identical across
-    strategies)."""
+    strategies; each SGE costs at least its first burst)."""
     per_wr = (
-        hca.post_base_ns
-        + bus.mmio_write_ns  # doorbell
-        + bus.read_latency_ns  # WQE fetch
+        hca.post_send_ns(sges_per_wr, bus.doorbell_ns())
+        + bus.wqe_fetch_ns(sges_per_wr)
         + hca.process_ns
         + hca.cqe_write_ns
         + hca.poll_ns
         + bus.dma_setup_ns
+        + sum(hca.sge_engine_ns(i) for i in range(sges_per_wr))
+        + sges_per_wr * bus.burst_ns
     )
-    per_sge = hca.post_per_sge_ns + hca.sge_extra_ns + bus.burst_ns
-    return n_wrs * (per_wr + sges_per_wr * per_sge)
+    return n_wrs * per_wr
 
 
 def plan_aggregation(

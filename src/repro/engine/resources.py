@@ -81,6 +81,19 @@ class Resource:
             return True
         return False
 
+    def acquire_then(self, fn: Callable[..., None], *args: Any) -> None:
+        """Callback form of :meth:`request`: ``fn(*args)`` runs holding a
+        slot — at once when :meth:`try_acquire` succeeds, else when
+        :meth:`release` grants the slot, in FIFO order with every other
+        request."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            fn(*args)
+        else:  # what request() queues when no slot is free
+            ev = self.kernel.event()
+            ev.callbacks.append(lambda _ev: fn(*args))
+            self._waiters.append(ev)
+
     def release(self) -> None:
         """Release one held slot, granting the oldest live waiter.
 

@@ -23,7 +23,7 @@ from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.bus import BusConfig, BusModel, gx_bus, pci_express_x8, pci_x_133
 from repro.ib.driver import OpenIBDriver
 from repro.ib.hca import HCA, HCAConfig, Wire
-from repro.ib.link import IBLink, LinkConfig
+from repro.ib.link import LinkConfig
 from repro.ib.registration import RegistrationCosts, RegistrationEngine
 from repro.ib.verbs import (
     SGE,
@@ -45,7 +45,6 @@ __all__ = [
     "CompletionQueue",
     "HCA",
     "HCAConfig",
-    "IBLink",
     "IBVerbsError",
     "LinkConfig",
     "MemoryRegion",

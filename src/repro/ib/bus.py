@@ -40,7 +40,6 @@ class BusConfig:
     dma_setup_ns: fixed cost to start one DMA descriptor.
     read_latency_ns: round-trip latency of a single read (WQE fetch).
     mmio_write_ns: a CPU doorbell write (posted).
-    mmio_read_ns: a CPU read across the bus (uncacheable).
     duplex: True when read and write channels are independent.
     unaligned_fixup_ns: extra cost when a DMA start is not 8-byte aligned.
     sweet_offset_bonus_ns: saving when the start offset ≡ 64 (mod 128).
@@ -53,7 +52,6 @@ class BusConfig:
     dma_setup_ns: float = 140.0
     read_latency_ns: float = 280.0
     mmio_write_ns: float = 420.0
-    mmio_read_ns: float = 550.0
     duplex: bool = True
     unaligned_fixup_ns: float = 170.0
     sweet_offset_bonus_ns: float = 180.0
@@ -63,6 +61,39 @@ class BusConfig:
             raise ValueError("bus bandwidth must be positive")
         if self.burst_bytes <= 0 or self.burst_bytes & (self.burst_bytes - 1):
             raise ValueError("burst size must be a positive power of two")
+
+    # -- cost arithmetic (pure, ns) -------------------------------------------
+    def bursts_for(self, paddr: int, nbytes: int) -> int:
+        """Bursts needed to cover ``[paddr, paddr + nbytes)``."""
+        if nbytes <= 0:
+            raise ValueError(f"nbytes must be positive, got {nbytes}")
+        b = self.burst_bytes
+        return (paddr % b + nbytes + b - 1) // b
+
+    def offset_adjust_ns(self, paddr: int) -> float:
+        """Start-address-dependent adjustment (the Fig 4 profile)."""
+        adjust = 0.0
+        if paddr % 8:
+            adjust += self.unaligned_fixup_ns
+        if paddr % 128 == 64:
+            adjust -= self.sweet_offset_bonus_ns
+        return adjust
+
+    def stream_ns(self, nbytes: int) -> float:
+        """Pure streaming time for a bulk transfer at bus bandwidth."""
+        if nbytes < 0:
+            raise ValueError("negative byte count")
+        return nbytes / self.bandwidth_mb_s * 1e3
+
+    def wqe_fetch_ns(self, n_sges: int) -> float:
+        """Fetching one WQE (64 B base + 16 B per SGE) from host memory."""
+        wqe_bytes = 64 + 16 * max(0, n_sges)
+        bursts = (wqe_bytes + self.burst_bytes - 1) // self.burst_bytes
+        return self.read_latency_ns + bursts * self.burst_ns
+
+    def doorbell_ns(self) -> float:
+        """CPU ringing the HCA doorbell (posted MMIO write)."""
+        return self.mmio_write_ns
 
 
 def pci_express_x8() -> BusConfig:
@@ -86,7 +117,6 @@ def pci_x_133() -> BusConfig:
         dma_setup_ns=180.0,
         read_latency_ns=380.0,
         mmio_write_ns=520.0,
-        mmio_read_ns=700.0,
         duplex=False,
     )
 
@@ -100,77 +130,23 @@ def gx_bus() -> BusConfig:
         dma_setup_ns=120.0,
         read_latency_ns=240.0,
         mmio_write_ns=380.0,
-        mmio_read_ns=500.0,
         duplex=True,
     )
 
 
 class BusModel:
-    """A bus instance: cost arithmetic plus DES channel resources.
+    """A bus instance: the DES channel resources of one :class:`BusConfig`.
 
     The read and write channels are :class:`~repro.engine.resources.
     Resource` objects; on a half-duplex bus they are the *same* resource,
     so concurrent senders and receivers serialise — exactly the PCI-X
-    behaviour that exposes ATT stalls.
+    behaviour that exposes ATT stalls.  The cost arithmetic lives on the
+    config.
     """
 
     def __init__(self, kernel: SimKernel, config: BusConfig):
-        self.kernel = kernel
         self.config = config
         self.read_channel = Resource(kernel, capacity=1)
         self.write_channel = (
             Resource(kernel, capacity=1) if config.duplex else self.read_channel
         )
-
-    # -- cost arithmetic (pure, ns) -------------------------------------------
-    def bursts_for(self, paddr: int, nbytes: int) -> int:
-        """Bursts needed to cover ``[paddr, paddr + nbytes)``."""
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        b = self.config.burst_bytes
-        return (paddr % b + nbytes + b - 1) // b
-
-    def offset_adjust_ns(self, paddr: int) -> float:
-        """Start-address-dependent adjustment (the Fig 4 profile)."""
-        adjust = 0.0
-        if paddr % 8:
-            adjust += self.config.unaligned_fixup_ns
-        if paddr % 128 == 64:
-            adjust -= self.config.sweet_offset_bonus_ns
-        return adjust
-
-    def dma_read_ns(self, paddr: int, nbytes: int) -> float:
-        """One DMA read descriptor: setup + bursts + streaming time.
-
-        The offset adjustment (the Fig 4 profile) can only shave a
-        bounded fraction of the base cost — a sweet-spot start still has
-        to arbitrate, burst and stream.
-        """
-        cfg = self.config
-        base = cfg.dma_setup_ns
-        base += self.bursts_for(paddr, nbytes) * cfg.burst_ns
-        base += nbytes / cfg.bandwidth_mb_s * 1e3  # bytes / (MB/s) -> ns
-        return max(0.5 * base, base + self.offset_adjust_ns(paddr))
-
-    def dma_write_ns(self, paddr: int, nbytes: int) -> float:
-        """One DMA write descriptor (posted writes are slightly cheaper)."""
-        return max(
-            0.25 * self.config.dma_setup_ns,
-            self.dma_read_ns(paddr, nbytes) - 0.25 * self.config.dma_setup_ns,
-        )
-
-    def stream_ns(self, nbytes: int) -> float:
-        """Pure streaming time for a bulk transfer at bus bandwidth."""
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        return nbytes / self.config.bandwidth_mb_s * 1e3
-
-    def wqe_fetch_ns(self, n_sges: int) -> float:
-        """Fetching one WQE (64 B base + 16 B per SGE) from host memory."""
-        wqe_bytes = 64 + 16 * max(0, n_sges)
-        bursts = (wqe_bytes + self.config.burst_bytes - 1) // self.config.burst_bytes
-        return self.config.read_latency_ns + bursts * self.config.burst_ns
-
-    def doorbell_ns(self) -> float:
-        """CPU ringing the HCA doorbell (posted MMIO write)."""
-        return self.config.mmio_write_ns

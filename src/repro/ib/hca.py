@@ -45,7 +45,7 @@ an RDMA read runs the request and the response the same way.  With the
 MPI layer's CQ polls and bounce reposts, an ``imb-rndv`` wire message
 costs 11.6 kernel events in all (see ``docs/performance.md``).
 Uncontended resource grants are taken synchronously
-(:meth:`repro.engine.resources.Resource.try_acquire`), the send and
+(:meth:`repro.engine.resources.Resource.acquire_then`), the send and
 receive queues hand a WR straight to a waiting chain, and a clean ack
 carries no packet: the receiver schedules the sender's
 :meth:`HCA._on_ack` directly.  Fixed costs (poll, CQE write, receive
@@ -90,7 +90,7 @@ from repro.engine.core import SimKernel
 from repro.faults import FaultInjector
 from repro.ib.att import ATTCache
 from repro.ib.bus import BusModel
-from repro.ib.link import IBLink
+from repro.ib.link import LinkConfig
 from repro.ib.registration import RegistrationEngine
 from repro.ib.verbs import (
     SGE,
@@ -150,6 +150,21 @@ class HCAConfig:
     poll_ns: float = 190.0
     #: fixed adapter pipeline cost per processed WQE
     process_ns: float = 380.0
+
+    def post_send_ns(self, n_sges: int, doorbell_ns: float) -> float:
+        """CPU cost of posting one send WR of *n_sges* SGEs: WQE build
+        plus the bus's *doorbell_ns*."""
+        return self.post_base_ns + n_sges * self.post_per_sge_ns + doorbell_ns
+
+    def sge_engine_ns(self, i: int) -> float:
+        """DMA-engine cost SGE *i* (0-based) adds to its WR: nothing for
+        the first, ``sge_extra_ns`` until the descriptor pipeline is
+        full, ``sge_extra_pipelined_ns`` after."""
+        if i < 1:
+            return 0.0
+        if i < self.sge_pipeline_depth:
+            return self.sge_extra_ns
+        return self.sge_extra_pipelined_ns
 
 
 class _Packet(Record):
@@ -245,7 +260,7 @@ class HCA:
         kernel: SimKernel,
         clock: TickClock,
         bus: BusModel,
-        link: IBLink,
+        link: LinkConfig,
         att: ATTCache,
         reg_engine: RegistrationEngine,
         config: Optional[HCAConfig] = None,
@@ -294,8 +309,10 @@ class HCA:
         self._cqe_ticks = clock.ns_to_ticks(cfg.cqe_write_ns)
         self._recv_wqe_ticks = clock.ns_to_ticks(cfg.recv_wqe_ns)
         #: pipeline plus wire latency: launch to the first byte landing
-        self._launch_ticks = clock.ns_to_ticks(cfg.process_ns + link.config.latency_ns)
+        self._launch_ticks = clock.ns_to_ticks(cfg.process_ns + link.latency_ns)
         self._ack_ticks = clock.ns_to_ticks(link.ack_ns())
+        #: in ns: each post adds it before its own rounding to ticks
+        self._doorbell_ns = bus.config.doorbell_ns()
         # bus terms (see _BUS_MEMOS); a term is added to a sum exactly
         # as computed, so every float sum stays bit-identical
         self._dma_memo, self._stream_memo = _BUS_MEMOS.setdefault(
@@ -410,13 +427,8 @@ class HCA:
         except BaseException:
             trace.end(span)
             raise
-        if qp.wr_slots.try_acquire():
-            self.kernel.call_after(ticks, self._send_queued, qp, wr, span, then)
-        else:  # the queue is full: wait for a slot
-            qp.wr_slots.request().callbacks.append(
-                lambda _ev: self.kernel.call_after(
-                    ticks, self._send_queued, qp, wr, span, then)
-            )
+        qp.wr_slots.acquire_then(self.kernel.call_after, ticks,
+                                 self._send_queued, qp, wr, span, then)
 
     def _send_queued(self, qp: QueuePair, wr: SendWR, span: Optional[dict],
                      then: Callable[[], None]) -> None:
@@ -435,11 +447,7 @@ class HCA:
         if len(wr.sges) > qp.max_sge:
             raise IBVerbsError(f"{len(wr.sges)} SGEs exceeds QP max of {qp.max_sge}")
         self._check_sges(wr.sges, "post_send")
-        ns = (
-            self.config.post_base_ns
-            + len(wr.sges) * self.config.post_per_sge_ns
-            + self.bus.doorbell_ns()
-        )
+        ns = self.config.post_send_ns(len(wr.sges), self._doorbell_ns)
         self.counters.add("hca.post_send")
         return self.clock.ns_to_ticks(ns)
 
@@ -532,16 +540,11 @@ class HCA:
                                    span)
             return
         # WQE fetch is a short exclusive bus read
-        read_channel = self.bus.read_channel
-        if read_channel.try_acquire():
-            self._tx_fetch(qp, wr, span)
-        else:
-            read_channel.request().callbacks.append(
-                lambda _ev: self._tx_fetch(qp, wr, span))
+        self.bus.read_channel.acquire_then(self._tx_fetch, qp, wr, span)
 
     def _tx_fetch(self, qp: QueuePair, wr: SendWR, span: Optional[dict]) -> None:
         self.kernel.call_after(
-            self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges))),
+            self.clock.ns_to_ticks(self.bus.config.wqe_fetch_ns(len(wr.sges))),
             self._tx_launch, qp, wr, span)
 
     def _tx_launch(self, qp: QueuePair, wr: SendWR, span: Optional[dict]) -> None:
@@ -574,13 +577,9 @@ class HCA:
             self._watch(qp, packet, wire)
         # the send engine (and the bus read channel) stay busy for the
         # whole gather; the next WR on this QP starts after it
-        gather_ticks = self.clock.ns_to_ticks(gather_ns)
-        if read_channel.try_acquire():
-            self.kernel.call_after(gather_ticks, self._tx_done, qp, span)
-        else:
-            read_channel.request().callbacks.append(
-                lambda _ev: self.kernel.call_after(gather_ticks, self._tx_done,
-                                                   qp, span))
+        read_channel.acquire_then(self.kernel.call_after,
+                                  self.clock.ns_to_ticks(gather_ns),
+                                  self._tx_done, qp, span)
 
     def _tx_done(self, qp: QueuePair, span: Optional[dict]) -> None:
         self.bus.read_channel.release()
@@ -634,7 +633,7 @@ class HCA:
 
         A zero-byte WR launches no data DMA: the message is header-only
         and its cost floor is the link's per-packet time (see
-        :meth:`repro.ib.link.IBLink.serialization_ns`), identical on the
+        :meth:`repro.ib.link.LinkConfig.serialization_ns`), identical on the
         fast and reference costing paths.
         """
         if wr.total_bytes == 0:
@@ -650,10 +649,7 @@ class HCA:
             ns += burst_ns
             ns += offset_ns
             if i > 0:
-                if i < cfg.sge_pipeline_depth:
-                    ns += cfg.sge_extra_ns
-                else:
-                    ns += cfg.sge_extra_pipelined_ns
+                ns += cfg.sge_engine_ns(i)
         ns += self._stream_ns(wr.total_bytes)
         return max(0.0, ns)
 
@@ -662,8 +658,8 @@ class HCA:
         key = (addr, nbytes)
         terms = self._dma_memo.get(key)
         if terms is None:
-            bus = self.bus
-            terms = (bus.bursts_for(addr, nbytes) * bus.config.burst_ns,
+            bus = self.bus.config
+            terms = (bus.bursts_for(addr, nbytes) * bus.burst_ns,
                      bus.offset_adjust_ns(addr))
             if len(self._dma_memo) < _MEMO_MAX:
                 self._dma_memo[key] = terms
@@ -673,7 +669,7 @@ class HCA:
         """Bus streaming time of *nbytes* (memoised per byte count)."""
         ns = self._stream_memo.get(nbytes)
         if ns is None:
-            ns = self.bus.stream_ns(nbytes)
+            ns = self.bus.config.stream_ns(nbytes)
             if len(self._stream_memo) < _MEMO_MAX:
                 self._stream_memo[nbytes] = ns
         return ns
@@ -727,7 +723,7 @@ class HCA:
             3.0
             * (
                 cfg.process_ns
-                + link.config.latency_ns
+                + link.latency_ns
                 + packet.stream_ns
                 + link.ack_ns()
                 + cfg.recv_wqe_ns
@@ -872,6 +868,7 @@ class HCA:
         """
         if payload_bytes == 0:
             return 0.0
+        cfg = self.config
         ns = self.bus.config.dma_setup_ns
         remaining = payload_bytes
         for i, sge in enumerate(sges):
@@ -884,10 +881,7 @@ class HCA:
             ns += burst_ns
             ns += offset_ns
             if i > 0:
-                if i < self.config.sge_pipeline_depth:
-                    ns += self.config.sge_extra_ns
-                else:
-                    ns += self.config.sge_extra_pipelined_ns
+                ns += cfg.sge_engine_ns(i)
             remaining -= use
         ns += self._stream_ns(payload_bytes)
         return ns
@@ -912,13 +906,8 @@ class HCA:
 
     def _rx_send_grant(self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet,
                        wire: Wire, status: str, span: Optional[dict]) -> None:
-        write_channel = self.bus.write_channel
-        if write_channel.try_acquire():
-            self._rx_send_scatter(qp, recv_wr, packet, wire, status, span)
-        else:
-            write_channel.request().callbacks.append(
-                lambda _ev: self._rx_send_scatter(qp, recv_wr, packet, wire,
-                                                  status, span))
+        self.bus.write_channel.acquire_then(self._rx_send_scatter, qp, recv_wr,
+                                            packet, wire, status, span)
 
     def _rx_send_scatter(self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet,
                          wire: Wire, status: str, span: Optional[dict]) -> None:
@@ -959,12 +948,8 @@ class HCA:
         ):
             self._rx_finish(packet, "remote-access-error", wire, span)
             return
-        write_channel = self.bus.write_channel
-        if write_channel.try_acquire():
-            self._rx_write_scatter(mr, packet, wire, span)
-        else:
-            write_channel.request().callbacks.append(
-                lambda _ev: self._rx_write_scatter(mr, packet, wire, span))
+        self.bus.write_channel.acquire_then(self._rx_write_scatter, mr, packet,
+                                            wire, span)
 
     def _rx_write_scatter(self, mr: MemoryRegion, packet: _Packet, wire: Wire,
                           span: Optional[dict]) -> None:
@@ -1017,14 +1002,9 @@ class HCA:
             if span is not None:
                 trace.end(span)
             return
-        gather_ticks = self.clock.ns_to_ticks(gather_ns)
-        read_channel = self.bus.read_channel
-        if read_channel.try_acquire():
-            self.kernel.call_after(gather_ticks, self._rx_read_done, span)
-        else:
-            read_channel.request().callbacks.append(
-                lambda _ev: self.kernel.call_after(gather_ticks,
-                                                   self._rx_read_done, span))
+        self.bus.read_channel.acquire_then(self.kernel.call_after,
+                                           self.clock.ns_to_ticks(gather_ns),
+                                           self._rx_read_done, span)
 
     def _rx_read_done(self, span: Optional[dict]) -> None:
         self.bus.read_channel.release()
@@ -1047,12 +1027,8 @@ class HCA:
         if packet.status != "success":
             self._rx_response_done(qp, wr, packet, span)
             return
-        write_channel = self.bus.write_channel
-        if write_channel.try_acquire():
-            self._rx_response_scatter(qp, wr, packet, span)
-        else:
-            write_channel.request().callbacks.append(
-                lambda _ev: self._rx_response_scatter(qp, wr, packet, span))
+        self.bus.write_channel.acquire_then(self._rx_response_scatter, qp, wr,
+                                            packet, span)
 
     def _rx_response_scatter(self, qp: QueuePair, wr: SendWR, packet: _Packet,
                              span: Optional[dict]) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Link parameters.
+    """Link parameters and the cost arithmetic of one direction of the
+    wire.
 
     Attributes
     ----------
@@ -31,7 +32,7 @@ class LinkConfig:
     latency_ns: float = 650.0
     #: derived: serialization cost per payload byte (ns).  MB/s is
     #: bytes/µs, so ns/byte = 1000 / (MB/s); computed once here instead
-    #: of on every :meth:`IBLink.serialization_ns` call.
+    #: of on every :meth:`serialization_ns` call.
     ns_per_byte: float = 0.0
 
     def __post_init__(self) -> None:
@@ -41,19 +42,12 @@ class LinkConfig:
             raise ValueError("MTU must be positive")
         object.__setattr__(self, "ns_per_byte", 1e3 / self.payload_mb_s)
 
-
-class IBLink:
-    """Pure cost arithmetic for one direction of the wire."""
-
-    def __init__(self, config: LinkConfig):
-        self.config = config
-
     def packets_for(self, nbytes: int) -> int:
         """MTU packets needed for *nbytes* of payload (min 1: even a
         0-byte send or an ack is one packet)."""
         if nbytes < 0:
             raise ValueError("negative byte count")
-        return max(1, (nbytes + self.config.mtu_bytes - 1) // self.config.mtu_bytes)
+        return max(1, (nbytes + self.mtu_bytes - 1) // self.mtu_bytes)
 
     def serialization_ns(self, nbytes: int) -> float:
         """Time to clock *nbytes* onto the wire (no latency).
@@ -66,12 +60,11 @@ class IBLink:
         """
         if nbytes < 0:
             raise ValueError(f"negative byte count {nbytes}")
-        cfg = self.config
-        return self.packets_for(nbytes) * cfg.packet_ns + nbytes * cfg.ns_per_byte
+        return self.packets_for(nbytes) * self.packet_ns + nbytes * self.ns_per_byte
 
     def transfer_ns(self, nbytes: int) -> float:
         """First-byte latency + serialization: one message, one way."""
-        return self.config.latency_ns + self.serialization_ns(nbytes)
+        return self.latency_ns + self.serialization_ns(nbytes)
 
     def train_ns(self, nbytes: int, count: int) -> float:
         """Closed-form serialization of a back-to-back message train.
@@ -93,4 +86,4 @@ class IBLink:
 
     def ack_ns(self) -> float:
         """A zero-payload RC acknowledgement coming back."""
-        return self.config.latency_ns + self.config.packet_ns
+        return self.latency_ns + self.packet_ns

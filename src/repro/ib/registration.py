@@ -64,6 +64,14 @@ class RegistrationCosts:
             return self.per_2m_pin_ns
         raise ValueError(f"unsupported page size {page_size}")
 
+    def register_ns(self, page_size: int, n_pages: int, n_entries: int) -> float:
+        """Registering *n_pages* pages of *page_size* uploaded as
+        *n_entries* translation entries: base, pin + translate per page
+        (steps 1-2), upload per entry (step 3)."""
+        return (self.base_ns
+                + n_pages * (self.pin_ns(page_size) + self.per_page_translate_ns)
+                + n_entries * self.per_entry_upload_ns)
+
 
 class RegistrationEngine:
     """Registers/deregisters user buffers against one HCA."""
@@ -110,7 +118,7 @@ class RegistrationEngine:
                     f"registration of [{vaddr:#x}+{length}] failed transiently "
                     "(driver resource shortage; retry may succeed)"
                 )
-        ns = self.costs.base_ns
+        costs = self.costs
         run = aspace.translation_run(vaddr, length) if fastpath.enabled() else None
         if run is not None:
             # one page run: pin the whole span with one slice operation
@@ -118,33 +126,29 @@ class RegistrationEngine:
             page_size = pages.page_size
             n_pages = last - first + 1
             pages.pins[first:last + 1] += 1
-            ns += n_pages * (self.costs.pin_ns(page_size)
-                             + self.costs.per_page_translate_ns)
             entry_page_size, n_entries = self.driver.plan_uniform(
                 page_size, n_pages)
+            ns = costs.register_ns(page_size, n_pages, n_entries)
             base = pages.start + first * page_size
         else:
             entries = list(aspace.page_table.pages_in_range(vaddr, length))
             n_pages = len(entries)
-            # step 1: pin + step 2: translate, per real kernel page
-            if entries[0].page_size == entries[-1].page_size:
-                # one VMA's pages share a size: hoist the cost lookup
-                per_page = (
-                    self.costs.pin_ns(entries[0].page_size)
-                    + self.costs.per_page_translate_ns
-                )
-                for page in entries:
-                    page.pin_count += 1
-                ns += n_pages * per_page
-            else:
-                for page in entries:
-                    page.pin_count += 1
-                    ns += self.costs.pin_ns(page.page_size)
-                    ns += self.costs.per_page_translate_ns
+            for page in entries:
+                page.pin_count += 1
             entry_page_size, n_entries = self.driver.plan_entries(entries)
+            page_size = entries[0].page_size
+            if page_size == entries[-1].page_size:
+                # one VMA's pages share a size
+                ns = costs.register_ns(page_size, n_pages, n_entries)
+            else:
+                # step 1: pin + step 2: translate, per real kernel page;
+                # step 3: upload at the driver's chosen granularity
+                ns = costs.base_ns
+                for page in entries:
+                    ns += costs.pin_ns(page.page_size)
+                    ns += costs.per_page_translate_ns
+                ns += n_entries * costs.per_entry_upload_ns
             base = entries[0].vaddr
-        # step 3: upload translations at the driver's chosen granularity
-        ns += n_entries * self.costs.per_entry_upload_ns
         mr = MemoryRegion(
             mr_id=next(_keys),
             pd=pd,

@@ -35,8 +35,9 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro import fastpath
 
@@ -225,59 +226,43 @@ def write_results(path: str, mode: str, results: Dict[str, dict]) -> None:
         fh.write("\n")
 
 
-def measure_trace_overhead(quick: bool = True, repeats: int = 3) -> Dict[str, float]:
-    """Time the fig5 sweep with tracing disabled vs enabled.
-
-    ``off_s`` is the default mode every figure command runs in: the
-    instrumentation sites pay one module-global read plus a None check
-    (see ``repro.trace``).  ``on_s`` carries the full span/counter
-    sampling cost.  Returns best-of-*repeats* seconds for each plus the
-    enabled-mode ``overhead`` fraction (``on_s / off_s - 1``).
-    """
+@contextmanager
+def _tracing() -> Iterator[None]:
+    """Trace the block, flushing the tracer's last spans inside it."""
     from repro import trace
 
-    spec = next(s for s in BENCHMARKS if s.name == "fig5")
-
-    def best(traced: bool) -> float:
-        out = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            if traced:
-                with trace.capturing(trace.Tracer()) as tracer:
-                    spec.run(quick)
-                    tracer.flush()
-            else:
-                spec.run(quick)
-            out = min(out, time.perf_counter() - start)
-        return out
-
-    _prime()
-    off_s = best(False)
-    on_s = best(True)
-    return {"off_s": round(off_s, 4), "on_s": round(on_s, 4),
-            "overhead": round(on_s / off_s - 1.0, 4) if off_s else 0.0}
+    with trace.capturing(trace.Tracer()) as tracer:
+        yield
+        tracer.flush()
 
 
-def measure_sanitize_overhead(quick: bool = True,
-                              repeats: int = 3) -> Dict[str, float]:
-    """Time the fig5 sweep with the sanitizer disabled vs enabled.
-
-    ``off_s`` is the default mode: every hook site pays one module-global
-    read plus a None check (see :mod:`repro.sanitize` — the same pattern
-    as :mod:`repro.trace`).  ``on_s`` carries the full shadow-state
-    bookkeeping for every group.  Returns best-of-*repeats* seconds for
-    each plus the enabled-mode ``overhead`` fraction (``on_s/off_s - 1``).
-    """
+def _sanitizing() -> ContextManager:
+    """Run the block under a sanitizer with every rule group on."""
     from repro import sanitize
 
+    return sanitize.capturing(sanitize.Sanitizer())
+
+
+def measure_overhead(capture: Callable[[], ContextManager],
+                     quick: bool = True, repeats: int = 3) -> Dict[str, float]:
+    """Time the fig5 sweep plain vs inside ``with capture():``.
+
+    ``off_s`` is the default mode every figure command runs in: each
+    instrumentation site pays one module-global read plus a None check
+    (the pattern :mod:`repro.trace` and :mod:`repro.sanitize` share).
+    ``on_s`` carries the full cost of what *capture* installs
+    (:func:`_tracing`, :func:`_sanitizing`).  Returns best-of-*repeats*
+    seconds for each plus the enabled-mode ``overhead`` fraction
+    (``on_s / off_s - 1``).
+    """
     spec = next(s for s in BENCHMARKS if s.name == "fig5")
 
-    def best(sanitized: bool) -> float:
+    def best(captured: bool) -> float:
         out = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            if sanitized:
-                with sanitize.capturing(sanitize.Sanitizer()):
+            if captured:
+                with capture():
                     spec.run(quick)
             else:
                 spec.run(quick)
@@ -344,12 +329,12 @@ def run_perf(quick: bool = False, out: str = "BENCH_PR2.json",
     """The ``repro perf`` entry point; returns a process exit code."""
     mode = "quick" if quick else "full"
     if trace_overhead:
-        oh = measure_trace_overhead(quick=quick)
+        oh = measure_overhead(_tracing, quick=quick)
         print(f"fig5 trace overhead: off={oh['off_s']:.3f}s "
               f"on={oh['on_s']:.3f}s (+{oh['overhead'] * 100:.1f}% when "
               f"tracing is enabled; disabled mode pays only the None check)")
     if sanitize_overhead:
-        oh = measure_sanitize_overhead(quick=quick)
+        oh = measure_overhead(_sanitizing, quick=quick)
         print(f"fig5 sanitize overhead: off={oh['off_s']:.3f}s "
               f"on={oh['on_s']:.3f}s (+{oh['overhead'] * 100:.1f}% when "
               f"the sanitizer is enabled; disabled mode pays only the "

@@ -9,8 +9,8 @@ relationships between layers that no single layer can see broken.
 Rules both triggers check share one predicate, so a corruption gets the
 same rule id whichever trigger finds it.
 
-Rule groups (``--sanitize=heap,mr,tlb,counter`` / ``REPRO_SANITIZE``)
-select the access hooks:
+Rule groups (``--sanitize=heap,mr,tlb,counter``) select the access
+hooks:
 
 ``heap`` — shadow intervals over every outermost allocation of
 :class:`repro.alloc.base.Allocator` (libc and the hugepage library),
@@ -136,7 +136,7 @@ def capturing(sanitizer: "Sanitizer") -> Iterator["Sanitizer"]:
 
 
 def parse_rules(spec: Optional[str]) -> Tuple[str, ...]:
-    """Parse a ``--sanitize``/``REPRO_SANITIZE`` value into rule groups.
+    """Parse a ``--sanitize`` value into rule groups.
 
     ``None``, ``""``, ``"1"``, ``"true"``, ``"on"`` and ``"all"`` mean
     every group; otherwise a comma-separated subset of

@@ -30,7 +30,7 @@ from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.bus import BusConfig, BusModel, pci_express_x8
 from repro.ib.driver import OpenIBDriver
 from repro.ib.hca import HCA, HCAConfig, Wire
-from repro.ib.link import IBLink, LinkConfig
+from repro.ib.link import LinkConfig
 from repro.ib.registration import RegistrationCosts, RegistrationEngine
 from repro.mem.access import MemoryAccessEngine
 from repro.mem.address_space import AddressSpace
@@ -158,7 +158,7 @@ class Machine:
             self.driver, self.att, spec.reg_costs, self.counters,
             faults=self.faults,
         )
-        self.link = IBLink(spec.link)
+        self.link = spec.link
         self.hca = HCA(
             kernel,
             self.clock,

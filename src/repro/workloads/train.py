@@ -12,7 +12,7 @@ dispatch, resource grants, completions.  ``repro perf`` times it as the
 The driver also carries the closed-form model it is pinned against:
 with ``window=1`` the steady-state per-message period is a pure sum of
 pipeline stages (every stage tick-rounded exactly as the DES rounds it,
-the wire part through :meth:`repro.ib.link.IBLink.train_ns`), and
+the wire part through :meth:`repro.ib.link.LinkConfig.train_ns`), and
 ``tests/test_wire_train.py`` asserts the simulated train matches it
 tick-exactly.  That is the contract that lets the adapter's delivery
 path (see "Callback chains" in :mod:`repro.ib.hca`) claim analytic
@@ -69,28 +69,28 @@ def analytic_period_ticks(
     """
     cfg = hca_a.config
     clock = hca_a.clock
-    bus_a, bus_b = hca_a.bus, hca_b.bus
+    bus_a, bus_b = hca_a.bus.config, hca_b.bus.config
     link = hca_a.link
 
     post_ns = cfg.post_base_ns + cfg.post_per_sge_ns + bus_a.doorbell_ns()
     gather_ns = (
-        bus_a.config.dma_setup_ns
-        + bus_a.bursts_for(src_addr, msg_bytes) * bus_a.config.burst_ns
+        bus_a.dma_setup_ns
+        + bus_a.bursts_for(src_addr, msg_bytes) * bus_a.burst_ns
         + bus_a.offset_adjust_ns(src_addr)
         + bus_a.stream_ns(msg_bytes)
     )
-    # the wire half of the train: IBLink.train_ns(b, 1) per message
+    # the wire half of the train: LinkConfig.train_ns(b, 1) per message
     stream_ns = max(gather_ns, link.train_ns(msg_bytes, 1))
     scatter_ns = (
-        bus_b.config.dma_setup_ns
-        + bus_b.bursts_for(dst_addr, msg_bytes) * bus_b.config.burst_ns
+        bus_b.dma_setup_ns
+        + bus_b.bursts_for(dst_addr, msg_bytes) * bus_b.burst_ns
         + bus_b.offset_adjust_ns(dst_addr)
         + bus_b.stream_ns(msg_bytes)
     )
     return (
         clock.ns_to_ticks(post_ns)
         + clock.ns_to_ticks(bus_a.wqe_fetch_ns(1))
-        + clock.ns_to_ticks(cfg.process_ns + link.config.latency_ns)
+        + clock.ns_to_ticks(cfg.process_ns + link.latency_ns)
         + clock.ns_to_ticks(cfg.recv_wqe_ns)
         + clock.ns_to_ticks(max(scatter_ns, stream_ns) + cfg.cqe_write_ns)
         + clock.ns_to_ticks(link.ack_ns())

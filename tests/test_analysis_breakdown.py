@@ -84,3 +84,45 @@ class TestBreakdownShapes:
         )
         assert b.registration_ns > aware.registration_ns
         assert b.gather_ns > aware.gather_ns  # 512x the ATT traffic
+
+
+#: ``breakdown_rdma_message`` components (post, registration, WQE fetch,
+#: gather, wire, scatter, completion) recorded when the breakdown still
+#: typed its own copy of the cost model, which acked in ``latency_ns``
+KB = 1024
+PINNED = {
+    ("opteron", 64 * KB, PAGE_4K, False): (1136.0, 40240.0, 292.0, 46692.88888888889, 71809.14893617021, 46692.88888888889, 1390.0),
+    ("opteron", 64 * KB, PAGE_4K, True): (1136.0, 0.0, 292.0, 46692.88888888889, 71809.14893617021, 46692.88888888889, 1390.0),
+    ("opteron", 64 * KB, PAGE_2M, False): (1136.0, 31120.0, 292.0, 42942.88888888889, 71809.14893617021, 42942.88888888889, 1390.0),
+    ("opteron", 64 * KB, PAGE_2M, True): (1136.0, 0.0, 292.0, 42942.88888888889, 71809.14893617021, 42942.88888888889, 1390.0),
+    ("opteron", 4 * MB, PAGE_4K, False): (1136.0, 685360.0, 292.0, 2979524.888888889, 4554835.531914894, 2979524.888888889, 1390.0),
+    ("opteron", 4 * MB, PAGE_4K, True): (1136.0, 0.0, 292.0, 2979524.888888889, 4554835.531914894, 2979524.888888889, 1390.0),
+    ("opteron", 4 * MB, PAGE_2M, False): (1136.0, 32240.0, 292.0, 2724024.888888889, 4554835.531914894, 2724024.888888889, 1390.0),
+    ("opteron", 4 * MB, PAGE_2M, True): (1136.0, 0.0, 292.0, 2724024.888888889, 4554835.531914894, 2724024.888888889, 1390.0),
+    ("xeon", 64 * KB, PAGE_4K, False): (1236.0, 40240.0, 398.0, 86213.77777777778, 71809.14893617021, 86213.77777777778, 1390.0),
+    ("xeon", 64 * KB, PAGE_4K, True): (1236.0, 0.0, 398.0, 86213.77777777778, 71809.14893617021, 86213.77777777778, 1390.0),
+    ("xeon", 64 * KB, PAGE_2M, False): (1236.0, 92440.0, 398.0, 210213.77777777778, 71809.14893617021, 210213.77777777778, 1390.0),
+    ("xeon", 64 * KB, PAGE_2M, True): (1236.0, 0.0, 398.0, 210213.77777777778, 71809.14893617021, 210213.77777777778, 1390.0),
+    ("xeon", 4 * MB, PAGE_4K, False): (1236.0, 685360.0, 398.0, 5506341.777777778, 4554835.531914894, 5506341.777777778, 1390.0),
+    ("xeon", 4 * MB, PAGE_4K, True): (1236.0, 0.0, 398.0, 5506341.777777778, 4554835.531914894, 5506341.777777778, 1390.0),
+    ("xeon", 4 * MB, PAGE_2M, False): (1236.0, 154880.0, 398.0, 5506341.777777778, 4554835.531914894, 5506341.777777778, 1390.0),
+    ("xeon", 4 * MB, PAGE_2M, True): (1236.0, 0.0, 398.0, 5506341.777777778, 4554835.531914894, 5506341.777777778, 1390.0),
+}
+
+SPECS = {"opteron": presets.opteron_infinihost_pcie,
+         "xeon": presets.xeon_infinihost_pcix}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED, key=repr), ids=repr)
+def test_breakdown_matches_pinned_components(key):
+    """Every component is the model's own term: unchanged from the pin,
+    except the ack, which is now the adapter's ``LinkConfig.ack_ns()``
+    (latency plus one header packet)."""
+    machine, size, page_size, cached = key
+    spec = SPECS[machine]()
+    b = breakdown_rdma_message(spec, size, page_size,
+                               registration_cached=cached)
+    post, reg, wqe, gather, wire, scatter, completion = PINNED[key]
+    assert (b.post_ns, b.registration_ns, b.wqe_fetch_ns, b.gather_ns,
+            b.wire_ns, b.scatter_ns) == (post, reg, wqe, gather, wire, scatter)
+    assert b.completion_ns == completion + spec.link.packet_ns

@@ -62,6 +62,51 @@ class TestResource:
         assert res.queue_length == 2
 
 
+class TestAcquireThen:
+    def test_free_slot_runs_synchronously(self, kernel):
+        res = Resource(kernel, capacity=1)
+        ran = []
+        res.acquire_then(ran.append, "a")
+        # granted inside the call, with no kernel event behind it
+        assert ran == ["a"]
+        assert res.in_use == 1
+        assert res.queue_length == 0
+
+    def test_contended_callbacks_run_in_fifo_order(self, kernel):
+        res = Resource(kernel, capacity=1)
+        grants = []
+
+        def hold(name, ticks):
+            grants.append((kernel.now, name))
+            kernel.call_after(ticks, res.release)
+
+        res.acquire_then(hold, "a", 10)
+        res.acquire_then(hold, "b", 5)
+        res.acquire_then(hold, "c", 1)
+        assert res.queue_length == 2
+        kernel.run()
+        assert grants == [(0, "a"), (10, "b"), (15, "c")]
+        assert res.in_use == 0
+
+    def test_waits_behind_a_process_request(self, kernel):
+        """Callback and process waiters share one FIFO queue."""
+        res = Resource(kernel, capacity=1)
+        order = []
+        assert res.try_acquire()
+
+        def proc():
+            yield res.request()
+            order.append("process")
+            res.release()
+
+        kernel.process(proc())
+        kernel.run()
+        res.acquire_then(order.append, "callback")
+        res.release()
+        kernel.run()
+        assert order == ["process", "callback"]
+
+
 class TestStore:
     def test_put_then_get(self, kernel):
         store = Store(kernel)

@@ -21,7 +21,7 @@ from repro.analysis import CounterSet
 from repro.engine import SimKernel, TickClock
 from repro.fastpath import RunLRU
 from repro.ib.att import ATTCache, ATTConfig
-from repro.ib.link import IBLink, LinkConfig
+from repro.ib.link import LinkConfig
 from repro.mem import (
     AddressSpace,
     CacheConfig,
@@ -340,7 +340,7 @@ class TestLinkSerialization:
         assert LinkConfig().ns_per_byte == 1e3 / 940.0
 
     def test_negative_byte_count_rejected(self):
-        link = IBLink(LinkConfig())
+        link = LinkConfig()
         with pytest.raises(ValueError):
             link.serialization_ns(-1)
         with pytest.raises(ValueError):
@@ -349,9 +349,8 @@ class TestLinkSerialization:
     @given(nbytes=st.integers(min_value=0, max_value=64 * MB))
     @settings(max_examples=200, deadline=None)
     def test_serialization_formula_and_monotonicity(self, nbytes):
-        link = IBLink(LinkConfig())
-        config = link.config
+        link = LinkConfig()
         got = link.serialization_ns(nbytes)
-        assert got == (link.packets_for(nbytes) * config.packet_ns
-                       + nbytes * config.ns_per_byte)
-        assert link.serialization_ns(nbytes + config.mtu_bytes) > got
+        assert got == (link.packets_for(nbytes) * link.packet_ns
+                       + nbytes * link.ns_per_byte)
+        assert link.serialization_ns(nbytes + link.mtu_bytes) > got

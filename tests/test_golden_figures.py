@@ -50,12 +50,15 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "figures"
 #: fixture file -> the CLI arguments whose stdout it holds
 GOLDEN = {
     "abinit.txt": ["abinit"],
+    "breakdown.txt": ["breakdown"],
     "fig3.txt": ["fig3"],
     "fig4.txt": ["fig4"],
     "fig5.txt": ["fig5"],
     "fig6.txt": ["fig6"],
     "pingpong.txt": ["pingpong"],
+    "registration.txt": ["registration"],
     "tlb.txt": ["tlb"],
+    "xeon.txt": ["xeon"],
     "faults_link_loss_0.02_seed_7.txt": [
         "faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"],
 }

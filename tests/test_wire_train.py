@@ -6,7 +6,7 @@ Two parties must agree tick-exactly on a back-to-back message train
 - the **adapter pipeline** — the callback chains in :mod:`repro.ib.hca`
   walking every pipeline hop;
 - the **closed form** — :func:`repro.workloads.train.analytic_period_ticks`
-  built on :meth:`repro.ib.link.IBLink.train_ns`.
+  built on :meth:`repro.ib.link.LinkConfig.train_ns`.
 
 The adapter once also had a per-message generator form; the ticks it
 produced for two windowed trains are kept below as literals.
@@ -17,18 +17,18 @@ from __future__ import annotations
 import pytest
 
 from repro import fastpath
-from repro.ib.link import IBLink, LinkConfig
+from repro.ib.link import LinkConfig
 from repro.workloads.train import run_train
 
 
 # ---------------------------------------------------------------------------
-# IBLink.train_ns: the closed-form wire half
+# LinkConfig.train_ns: the closed-form wire half
 # ---------------------------------------------------------------------------
 
 
 class TestTrainNs:
     def test_is_count_times_serialization(self):
-        link = IBLink(LinkConfig())
+        link = LinkConfig()
         for nbytes in (0, 1, 1024, 2048, 2049, 65536):
             one = link.serialization_ns(nbytes)
             assert link.train_ns(nbytes, 1) == one
@@ -36,14 +36,14 @@ class TestTrainNs:
         assert link.train_ns(1024, 0) == 0.0
 
     def test_negative_count_rejected(self):
-        link = IBLink(LinkConfig())
+        link = LinkConfig()
         with pytest.raises(ValueError, match="negative message count"):
             link.train_ns(1024, -1)
 
     def test_zero_byte_train_pays_packet_floor(self):
         # a train of headers is still a train of packets, never free
-        link = IBLink(LinkConfig())
-        assert link.train_ns(0, 5) == 5 * link.config.packet_ns
+        link = LinkConfig()
+        assert link.train_ns(0, 5) == 5 * link.packet_ns
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ PASS_ID = "host-taint"
 #: (never a simulated quantity), so reading them is not a host leak
 SANCTIONED_ENV = {
     "REPRO_NO_FASTPATH",
-    "REPRO_SANITIZE",
 }
 
 #: host clock reads — includes the monotonic/perf family that the
