@@ -1,10 +1,12 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one of the paper's tables or figures: it runs
-the relevant simulation once (``benchmark.pedantic(..., rounds=1)`` — the
-interesting time is *simulated* time, not harness wall time), prints the
-same rows/series the paper reports, asserts the paper's shape claims, and
-attaches the headline numbers to ``benchmark.extra_info``.
+Every benchmark regenerates one of the paper's tables or figures, or
+an ablation: it runs the relevant simulation once
+(``benchmark.pedantic(..., rounds=1)`` — the interesting time is
+*simulated* time, not harness wall time), prints the same rows/series
+the paper reports and asserts the paper's shape claims.  The ablations
+also attach their headline numbers to ``benchmark.extra_info``; the
+paper's experiments (``test_figures.py``) leave that to their tables.
 
 The emitted tables go to two places: the live stdout (visible with
 ``pytest -s``) and ``.bench_build/bench_results.txt`` under the

@@ -1,4 +1,5 @@
-"""FIG3-FIG6 and TLB8 at paper scale: one test per ``repro.figures`` entry.
+"""The paper's experiments at paper scale: one test per ``repro.figures``
+entry (FIG3-FIG6, XEON6, REG100, TLB8 and ABINIT).
 
 Each runs the entry's paper sweep once, emits its tables (the rows and
 series the paper reports) and asserts every claim the entry tags with

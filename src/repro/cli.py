@@ -18,10 +18,10 @@
     python -m repro batch specs.json     # crash-tolerant batch runner
 
 Each command prints the same rows/series the paper reports.  ``fig3``
-to ``fig6`` and ``tlb`` run the CLI sweep of their :mod:`repro.figures`
-entry, which also holds the paper-scale sweep and claims that
-``benchmarks/`` checks; ``tlb`` prints other columns of the ``fig6``
-driver's result.  The NAS commands accept ``--class W|B|C`` (the
+to ``fig6``, ``xeon``, ``registration``, ``tlb`` and ``abinit`` run the
+CLI sweep of their :mod:`repro.figures` entry, which also holds the
+paper-scale sweep and claims that ``benchmarks/`` checks; ``tlb`` prints
+other columns of the ``fig6`` driver's result.  The NAS commands accept ``--class W|B|C`` (the
 benchmark suite uses C).
 
 Every command accepts ``--no-fastpath`` (before or after the command
@@ -180,8 +180,8 @@ def _harness(args):
 
 
 def _cmd_figure(args) -> None:
-    """fig3-fig6 and tlb: run the figure's CLI sweep (the NAS ones at
-    ``--class``) and print its table; see :mod:`repro.figures`."""
+    """Every :mod:`repro.figures` entry: run its CLI sweep (the NAS ones
+    at ``--class``) and print its table."""
     from dataclasses import replace
 
     from repro.figures import FIGURES, Harness, NASSweep
@@ -199,71 +199,6 @@ def _cmd_figure(args) -> None:
             progress=lambda line: print(line, file=sys.stderr)))
     note = f" under faults: {args.fault_plan}" if plan is not None else ""
     print(fig.render_cli(result, note))
-
-
-def _cmd_xeon(args) -> None:
-    from repro.analysis.report import Table
-    from repro.systems import presets
-    from repro.workloads.imb import SendRecvBenchmark
-
-    sizes = [256 * KB, 1 * MB, 4 * MB]
-    bench = SendRecvBenchmark(presets.xeon_infinihost_pcix)
-    stock = bench.run(sizes, hugepages=True, lazy_dereg=True,
-                      driver_hugepage_aware=False)
-    patched = bench.run(sizes, hugepages=True, lazy_dereg=True,
-                        driver_hugepage_aware=True)
-    table = Table(["size [KB]", "stock driver", "patched driver", "gain %"],
-                  title="Xeon/PCI-X: hugepage buffers, OpenIB driver patch")
-    for size in sizes:
-        a, b = stock.bandwidth_at(size), patched.bandwidth_at(size)
-        table.add_row([size // KB, a, b, (b - a) / a * 100])
-    print(table.render())
-
-
-def _cmd_registration(args) -> None:
-    from repro.analysis.report import Table
-    from repro.engine import SimKernel
-    from repro.ib.verbs import ProtectionDomain
-    from repro.mem.physical import PAGE_2M, PAGE_4K
-    from repro.systems import Machine, presets
-
-    machine = Machine(SimKernel(), presets.opteron_infinihost_pcie(
-        hugepages=256))
-    proc = machine.new_process()
-    pd = ProtectionDomain.fresh()
-    table = Table(["size [KB]", "4K pages [us]", "2M pages [us]", "ratio %"],
-                  title="Registration cost (patched driver)")
-    for size in (64 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB):
-        costs = {}
-        for page_size, label in ((PAGE_4K, "4k"), (PAGE_2M, "2m")):
-            vma = proc.aspace.mmap(size, page_size=page_size)
-            mr, ns = machine.reg_engine.register(proc.aspace, pd, vma.start,
-                                                 size)
-            costs[label] = ns
-            machine.reg_engine.deregister(proc.aspace, mr)
-            proc.aspace.munmap(vma.start)
-        table.add_row([size // KB, costs["4k"] / 1000, costs["2m"] / 1000,
-                       costs["2m"] / costs["4k"] * 100])
-    print(table.render())
-
-
-def _cmd_abinit(args) -> None:
-    from repro.analysis.report import Table
-    from repro.systems import presets
-    from repro.workloads.abinit import compare_allocators
-
-    app = compare_allocators(presets.opteron_infinihost_pcie)
-    table = Table(["allocator", "runtime [ms]", "alloc time [ms]",
-                   "alloc share %"],
-                  title="Abinit-like run: libc vs the hugepage library")
-    for name, r in app.items():
-        table.add_row([name, r.total_ns / 1e6, r.alloc_ns / 1e6,
-                       r.alloc_fraction * 100])
-    print(table.render())
-    libc, lib = app["libc"], app["hugepage_lib"]
-    print(f"\nallocator speedup: {libc.alloc_ns / lib.alloc_ns:.1f}x; "
-          f"runtime saving from allocator time alone: "
-          f"{(libc.alloc_ns - lib.alloc_ns) / libc.total_ns * 100:.1f}%")
 
 
 def _cmd_pingpong(args) -> None:
@@ -611,11 +546,11 @@ COMMANDS = {
     "fig3": (_cmd_figure, "Fig 3: SGE-count/size sweep (verbs level)"),
     "fig4": (_cmd_figure, "Fig 4: in-page offset sweep"),
     "fig5": (_cmd_figure, "Fig 5: IMB SendRecv, 4 curves (Opteron)"),
-    "xeon": (_cmd_xeon, "§5.1: the Xeon driver-patch experiment"),
-    "registration": (_cmd_registration, "registration cost, 4K vs 2M"),
+    "xeon": (_cmd_figure, "§5.1: the Xeon driver-patch experiment"),
+    "registration": (_cmd_figure, "registration cost, 4K vs 2M"),
     "fig6": (_cmd_figure, "Fig 6: NAS hugepage improvements"),
     "tlb": (_cmd_figure, "§5.2: TLB miss counts"),
-    "abinit": (_cmd_abinit, "§2/§3.2: the allocator comparison"),
+    "abinit": (_cmd_figure, "§2/§3.2: the allocator comparison"),
     "pingpong": (_cmd_pingpong, "IMB PingPong latency view (companion)"),
     "breakdown": (_cmd_breakdown, "per-component message cost analysis"),
     "faults": (_cmd_faults, "fault-injection demo: lossy link + report"),

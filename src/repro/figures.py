@@ -1,13 +1,14 @@
-"""The paper's five measurements, each defined once.
+"""The paper's experiments, each defined once.
 
-Figs 3-6 and the §5.2 TLB counts are the entries of :data:`FIGURES`.
-Each :class:`Figure` holds a driver returning a typed result; its sweeps
-as plain data (``cli`` for ``repro <name>``, ``paper`` for
-``benchmarks/test_figures.py``, ``quick``/``full`` for ``repro perf``);
-the payload tuple ``repro perf`` compares between the costing paths; the
-command's table and the paper-claims tables; and the paper's claims as
-predicates, each tagged with its EXPERIMENTS.md section and rows.
-``tlb`` runs the fig6 driver and renders other columns of its result.
+Figs 3-6, the §5.1 Xeon driver patch and registration cost, the §5.2
+TLB counts and the §2/§3.2 Abinit allocator comparison are the entries
+of :data:`FIGURES`.  Each :class:`Figure` holds a driver returning a
+typed result; its sweeps as plain data (``cli`` for ``repro <name>``,
+``paper`` for ``benchmarks/test_figures.py``); the command's table and
+the paper-claims tables; and the paper's claims as predicates, each
+tagged with its EXPERIMENTS.md section and rows.  ``tlb`` runs the fig6
+driver and renders other columns of its result.  ``repro perf`` keeps
+its own sweeps and payloads of fig3-fig6 (:mod:`repro.perf`).
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
+from repro.alloc import (HugepageLibraryAllocator, LibcAllocator, LibhugepageallocAllocator,
+                         LibhugetlbfsAllocator, ReplayResult, abinit_like_trace, replay)
 from repro.analysis.report import Table, format_series
+from repro.engine import SimKernel
 from repro.faults import FaultPlan
+from repro.ib.verbs import ProtectionDomain
+from repro.mem import AddressSpace, HugeTLBfs, PhysicalMemory
+from repro.mem.physical import PAGE_2M, PAGE_4K
 from repro.systems import presets
-from repro.systems.machine import MachineSpec
+from repro.systems.machine import Machine, MachineSpec
+from repro.workloads.abinit import AbinitResult, compare_allocators
 from repro.workloads.imb import IMBResult, SendRecvBenchmark
 from repro.workloads.nas import KERNELS
 from repro.workloads.nas.common import HugepageComparison, compare_hugepages
@@ -70,15 +78,12 @@ class Claim(Generic[R]):
 
 @dataclass(frozen=True)
 class Figure(Generic[S, R]):
-    """One measurement: driver, sweeps, payload, tables and claims."""
+    """One measurement: driver, sweeps, tables and claims."""
 
     name: str
     driver: Callable[[S, Harness], R]
     cli: S
     paper: S
-    quick: S
-    full: S
-    payload: Callable[[R], tuple]
     #: the command's stdout, given a note to append to the table title
     render_cli: Callable[[R, str], str]
     #: the blocks the paper-claims run emits, in order
@@ -150,9 +155,6 @@ FIG3: Figure[VerbsSweep, VerbsResult] = Figure(
     driver=run_verbs,
     cli=VerbsSweep(FIG3_SIZES, (1, 2, 4, 8), extra=((128, 64),)),
     paper=VerbsSweep(FIG3_SIZES, (1, 2, 4, 8), extra=((128, 64), (1, 65536))),
-    quick=VerbsSweep((8, 64, 512, 2048), (1, 2, 4, 8, 32, 128)),
-    full=VerbsSweep(FIG3_SIZES, (1, 2, 4, 8, 32, 128)),
-    payload=lambda r: tuple(r.total(n, s) for s in r.sweep.sizes for n in r.sweep.counts),
     render_cli=_fig3_cli,
     render_paper=_fig3_paper,
     claims=(
@@ -207,10 +209,6 @@ FIG4: Figure[VerbsSweep, VerbsResult] = Figure(
     driver=run_verbs,
     cli=VerbsSweep(FIG4_SIZES, offsets=tuple(range(0, 129, 8))),
     paper=VerbsSweep(FIG4_SIZES, offsets=tuple(sorted({*range(0, 129, 8), 1, 63, 127}))),
-    quick=VerbsSweep(FIG4_SIZES, offsets=tuple(range(0, 129, 32))),
-    full=VerbsSweep(FIG4_SIZES, offsets=tuple(range(0, 129, 8))),
-    payload=lambda r: tuple(r.total(1, s, off) for off in r.sweep.offsets
-                            for s in r.sweep.sizes),
     render_cli=lambda r, note: _offset_table(
         r, f"Fig 4: duration vs in-page offset [TBR ticks]{note}"),
     render_paper=_fig4_paper,
@@ -291,11 +289,6 @@ FIG5: Figure[IMBSweep, IMBCurves] = Figure(
                     16 * MB),
                    _curves("small pages", "hugepages", "small pages, no lazy dereg",
                            "hugepages, no lazy dereg")),
-    quick=IMBSweep((1 * MB, 4 * MB, 16 * MB, 32 * MB), FIG5_CURVES[:2], iterations=3),
-    full=IMBSweep((256 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB), FIG5_CURVES, iterations=5),
-    payload=lambda r: tuple(
-        (hp, lazy, row.size, row.ticks_per_iter, row.latency_us, row.bandwidth_mb_s)
-        for _, hp, lazy in r.sweep.curves for row in r.curves[(hp, lazy)].rows),
     render_cli=lambda r, note: _imb_table(
         r, f"Fig 5: IMB SendRecv bandwidth [MB/s] (AMD Opteron){note}"),
     render_paper=lambda r: [
@@ -322,6 +315,162 @@ FIG5: Figure[IMBSweep, IMBCurves] = Figure(
         Claim("FIG5", ("registration invisible ≤ eager/copy-rendezvous sizes",),
               "hugepages uncached: within 1 % at 8 KB",
               lambda r: abs(r.uncached(True, 8 * KB) - 1.0) <= 0.01),
+    ),
+)
+
+
+# -- XEON6 and REG100: the §5.1 driver patch and registration cost ---------
+
+@dataclass(frozen=True)
+class DriverSweep:
+    """Hugepage buffers with lazy deregistration, one SendRecv sweep per
+    run on a fresh cluster (earlier sizes warm the ATT for later ones)."""
+
+    sizes: Tuple[int, ...]
+    #: (label, preset, patched driver) per run
+    runs: Tuple[Tuple[str, Callable[[], MachineSpec], bool], ...]
+
+
+@dataclass(frozen=True)
+class DriverRuns:
+    sweep: DriverSweep
+    #: run label -> sweep result
+    runs: Dict[str, IMBResult]
+
+    def bw(self, label: str, size: int) -> float:
+        return self.runs[label].bandwidth_at(size)
+
+    def gain_pct(self, machine: str, size: int) -> float:
+        """The patched driver's bandwidth over the stock one's, in % gained."""
+        stock = self.bw(f"{machine} stock", size)
+        return (self.bw(f"{machine} patched", size) - stock) / stock * 100
+
+
+def run_driver_patch(sweep: DriverSweep, harness: Harness) -> DriverRuns:
+    """XEON6 driver: one SendRecv sweep per run."""
+    return DriverRuns(sweep, {
+        label: SendRecvBenchmark(preset).run(list(sweep.sizes), hugepages=True,
+                                             lazy_dereg=True,
+                                             driver_hugepage_aware=patched)
+        for label, preset, patched in sweep.runs})
+
+
+def _driver_table(r: DriverRuns, title: str, columns: List[str]) -> str:
+    """The Xeon's stock, patched and gain columns, then every other run."""
+    others = [label for label, _, _ in r.sweep.runs if not label.startswith("xeon ")]
+    table = Table(["size [KB]"] + columns, title=title)
+    for size in r.sweep.sizes:
+        table.add_row([size // KB, r.bw("xeon stock", size), r.bw("xeon patched", size),
+                       r.gain_pct("xeon", size)] + [r.bw(label, size) for label in others])
+    return table.render()
+
+
+XEON_RUNS = (("xeon stock", presets.xeon_infinihost_pcix, False),
+             ("xeon patched", presets.xeon_infinihost_pcix, True))
+
+XEON: Figure[DriverSweep, DriverRuns] = Figure(
+    name="xeon",
+    driver=run_driver_patch,
+    cli=DriverSweep((256 * KB, 1 * MB, 4 * MB), XEON_RUNS),
+    paper=DriverSweep((64 * KB, 256 * KB, 1 * MB, 4 * MB, 16 * MB), XEON_RUNS + (
+        ("opteron stock", presets.opteron_infinihost_pcie, False),
+        ("opteron patched", presets.opteron_infinihost_pcie, True))),
+    render_cli=lambda r, note: _driver_table(
+        r, f"Xeon/PCI-X: hugepage buffers, OpenIB driver patch{note}",
+        ["stock driver", "patched driver", "gain %"]),
+    render_paper=lambda r: ["\n" + _driver_table(
+        r, "XEON6: hugepage buffers, stock vs patched driver [MB/s]",
+        ["Xeon 4K->HCA", "Xeon 2M->HCA", "gain %", "Opteron 4K->HCA", "Opteron 2M->HCA"])],
+    claims=(
+        Claim("XEON6", ("hugepage buffers + lazy dereg, patched vs stock driver on Xeon/PCI-X",),
+              "the patched driver's best gain at >= 256 KB is 2-8 % ('up to 6 %')",
+              lambda r: 2.0 < max(r.gain_pct("xeon", s) for s in r.sweep.sizes
+                                  if s >= 256 * KB) < 8.0),
+        Claim("XEON6", ("same comparison on Opteron/PCIe",),
+              "the Opteron control differs by < 2 % at 1 MB and 4 MB",
+              lambda r: all(abs(r.gain_pct("opteron", s)) < 2.0 for s in (1 * MB, 4 * MB))),
+    ),
+)
+
+
+@dataclass(frozen=True)
+class RegistrationSweep:
+    sizes: Tuple[int, ...]
+    #: driver states (patched = hugepage-aware), one Opteron machine each
+    drivers: Tuple[bool, ...]
+
+
+@dataclass(frozen=True)
+class RegistrationResult:
+    sweep: RegistrationSweep
+    #: (patched driver, page size, buffer size) -> registration ns
+    ns: Dict[Tuple[bool, int, int], float]
+
+    def us(self, patched: bool, page_size: int, size: int) -> float:
+        return self.ns[(patched, page_size, size)] / 1000
+
+    def ratio(self, size: int) -> float:
+        """2 MB over 4 KB pages with the patched driver."""
+        return self.ns[(True, PAGE_2M, size)] / self.ns[(True, PAGE_4K, size)]
+
+
+def run_registration(sweep: RegistrationSweep, harness: Harness) -> RegistrationResult:
+    """REG100 driver: register and release each size on 4 KB, then 2 MB
+    pages."""
+    ns: Dict[Tuple[bool, int, int], float] = {}
+    for patched in sweep.drivers:
+        machine = Machine(SimKernel(), presets.opteron_infinihost_pcie(
+            hugepages=256, hugepage_aware_driver=patched))
+        proc = machine.new_process()
+        pd = ProtectionDomain.fresh()
+        for size in sweep.sizes:
+            for page_size in (PAGE_4K, PAGE_2M):
+                vma = proc.aspace.mmap(size, page_size=page_size)
+                mr, ns[(patched, page_size, size)] = machine.reg_engine.register(
+                    proc.aspace, pd, vma.start, size)
+                machine.reg_engine.deregister(proc.aspace, mr)
+                proc.aspace.munmap(vma.start)
+    return RegistrationResult(sweep, ns)
+
+
+def _registration_table(r: RegistrationResult, title: str, columns: List[str]) -> str:
+    """The patched driver's costs and ratio, then the stock driver's 2 MB
+    cost when the sweep ran it."""
+    table = Table(["size [KB]"] + columns, title=title)
+    for size in r.sweep.sizes:
+        stock = [r.us(False, PAGE_2M, size)] if False in r.sweep.drivers else []
+        table.add_row([size // KB, r.us(True, PAGE_4K, size), r.us(True, PAGE_2M, size),
+                       r.ratio(size) * 100] + stock)
+    return table.render()
+
+
+def _ratios(r: RegistrationResult) -> List[float]:
+    return [r.ratio(s) for s in r.sweep.sizes]
+
+
+REGISTRATION: Figure[RegistrationSweep, RegistrationResult] = Figure(
+    name="registration",
+    driver=run_registration,
+    cli=RegistrationSweep((64 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB), (True,)),
+    paper=RegistrationSweep((64 * KB, 256 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB),
+                            (True, False)),
+    render_cli=lambda r, note: _registration_table(
+        r, f"Registration cost (patched driver){note}",
+        ["4K pages [us]", "2M pages [us]", "ratio %"]),
+    render_paper=lambda r: ["\n" + _registration_table(
+        r, "REG100: memory registration cost (patched driver unless noted)",
+        ["4K pages [us]", "2M pages [us]", "2M/4K %", "2M stock driver [us]"])],
+    claims=(
+        Claim("REG100", ("hugepage registration for large buffers",),
+              "2M/4K < 2 % at 64 MB ('down to 1 %')", lambda r: r.ratio(64 * MB) < 0.02),
+        Claim("REG100", ("hugepage registration for large buffers",),
+              "2M/4K < 3 % at 16 MB", lambda r: r.ratio(16 * MB) < 0.03),
+        Claim("REG100", ("hugepage registration for large buffers",),
+              "2M/4K falls monotonically with size",
+              lambda r: _ratios(r) == sorted(_ratios(r), reverse=True)),
+        Claim("REG100", ("without the driver patch",),
+              "the stock driver's 2 MB registration costs > 5x the patched one's at 16 MB",
+              lambda r: r.ns[(False, PAGE_2M, 16 * MB)] > 5 * r.ns[(True, PAGE_2M, 16 * MB)]),
     ),
 )
 
@@ -371,16 +520,6 @@ def run_nas_comparisons(sweep: NASSweep, harness: Harness) -> NASResult:
     return NASResult(sweep, out)
 
 
-def _nas_payload(r: NASResult) -> tuple:
-    return tuple(
-        (kernel, c.small.total_ticks, c.huge.total_ticks, c.small.comm_ticks,
-         c.huge.comm_ticks, c.small.compute_ticks, c.huge.compute_ticks,
-         c.small.tlb_misses_4k, c.small.tlb_misses_2m, c.huge.tlb_misses_4k,
-         c.huge.tlb_misses_2m, c.small.regcache_hits, c.small.regcache_misses,
-         c.huge.regcache_hits, c.huge.regcache_misses)
-        for on in r.comparisons.values() for kernel, c in on.items())
-
-
 def _nas_table(r: NASResult, machine: str, columns: List[str], title: str,
                row: Callable[[HugepageComparison], List[Any]]) -> str:
     table = Table(["kernel"] + columns, title=title)
@@ -407,9 +546,6 @@ FIG6: Figure[NASSweep, NASResult] = Figure(
     # the paper ran class C, MG on the 2 GB Opteron nodes at class B
     paper=NASSweep(OPTERON + (("systemp", presets.systemp_ehca, 2048),), "C",
                    class_overrides=(("opteron", "MG", "B"),)),
-    quick=NASSweep(OPTERON, "W"),
-    full=NASSweep(OPTERON, "B"),
-    payload=_nas_payload,
     render_cli=lambda r, note: _nas_table(
         r, "opteron", ["comm %", "other %", "overall %", "TLB x"],
         f"Fig 6: NAS class {r.sweep.klass}, AMD Opteron, 2 nodes x 4 ranks{note}",
@@ -461,5 +597,101 @@ TLB: Figure[NASSweep, NASResult] = replace(
     ),
 )
 
+
+# -- ABINIT: the §2/§3.2 allocator comparison -------------------------------
+
+@dataclass(frozen=True)
+class AbinitSweep:
+    #: SCF iterations of the Abinit-like trace
+    iterations: int
+    #: first replay the bare trace under the four allocators, cold then warm
+    replay: bool
+
+
+@dataclass(frozen=True)
+class AllocatorRuns:
+    sweep: AbinitSweep
+    #: allocator -> its first (cold) and second (warm) replay on one heap
+    cold: Dict[str, ReplayResult]
+    warm: Dict[str, ReplayResult]
+    #: allocator -> the application run (allocation + compute)
+    app: Dict[str, AbinitResult]
+
+    def speedup(self, replays: Dict[str, ReplayResult]) -> float:
+        """libc's allocator time over the hugepage library's."""
+        return replays["libc"].total_ns / replays["hugepage_lib"].total_ns
+
+    def saving_pct(self) -> float:
+        """The library's allocator-time saving, in % of libc's runtime."""
+        libc, lib = self.app["libc"], self.app["hugepage_lib"]
+        return (libc.alloc_ns - lib.alloc_ns) / libc.total_ns * 100
+
+
+def run_allocators(sweep: AbinitSweep, harness: Harness) -> AllocatorRuns:
+    """ABINIT driver: the replays if asked, then libc vs the library in
+    the application run."""
+    cold: Dict[str, ReplayResult] = {}
+    warm: Dict[str, ReplayResult] = {}
+    if sweep.replay:
+        trace = abinit_like_trace(iterations=sweep.iterations)
+        for factory in (LibcAllocator, HugepageLibraryAllocator, LibhugetlbfsAllocator,
+                        LibhugepageallocAllocator):
+            pm = PhysicalMemory(2048 * MB, hugepages=720)
+            alloc = factory(AddressSpace(pm, HugeTLBfs(pm)))
+            cold[alloc.name] = replay(trace, alloc)
+            warm[alloc.name] = replay(trace, alloc)
+    return AllocatorRuns(sweep, cold, warm, compare_allocators(
+        presets.opteron_infinihost_pcie, iterations=sweep.iterations))
+
+
+def _abinit_cli(r: AllocatorRuns, note: str) -> str:
+    table = Table(["allocator", "runtime [ms]", "alloc time [ms]", "alloc share %"],
+                  title=f"Abinit-like run: libc vs the hugepage library{note}")
+    for name, a in r.app.items():
+        table.add_row([name, a.total_ns / 1e6, a.alloc_ns / 1e6, a.alloc_fraction * 100])
+    libc, lib = r.app["libc"], r.app["hugepage_lib"]
+    return (table.render() + f"\n\nallocator speedup: {libc.alloc_ns / lib.alloc_ns:.1f}x; "
+            f"runtime saving from allocator time alone: {r.saving_pct():.1f}%")
+
+
+def _abinit_paper(r: AllocatorRuns) -> List[str]:
+    replays = Table(["allocator", "cold [ms]", "vs libc", "warm [ms]", "vs libc (warm)"],
+                    title="ABINIT: allocator time on the Abinit-like trace")
+    for name in r.cold:
+        replays.add_row([name, r.cold[name].total_ns / 1e6,
+                         r.cold["libc"].total_ns / r.cold[name].total_ns,
+                         r.warm[name].total_ns / 1e6,
+                         r.warm["libc"].total_ns / r.warm[name].total_ns])
+    app = Table(["allocator", "runtime [ms]", "alloc share %", "runtime impr. %"],
+                title="ABINIT: application context (allocation + compute)")
+    for name, a in r.app.items():
+        app.add_row([name, a.total_ns / 1e6, a.alloc_fraction * 100,
+                     (1 - a.total_ns / r.app["libc"].total_ns) * 100])
+    return ["\n" + replays.render(), app.render()]
+
+
+ABINIT: Figure[AbinitSweep, AllocatorRuns] = Figure(
+    name="abinit",
+    driver=run_allocators,
+    cli=AbinitSweep(12, replay=False),
+    paper=AbinitSweep(20, replay=True),
+    render_cli=_abinit_cli,
+    render_paper=_abinit_paper,
+    claims=(
+        Claim("ABINIT", ("allocator time vs libc on the Abinit trace",),
+              "cold replay: the library's allocator time is 5-25x below libc's "
+              "('up to 10 times')", lambda r: 5.0 < r.speedup(r.cold) < 25.0),
+        Claim("ABINIT", ("allocator time vs libc on the Abinit trace",),
+              "warm replay: more than 8x below libc's", lambda r: r.speedup(r.warm) > 8.0),
+        Claim("ABINIT", ("application-runtime improvement from allocator time alone",),
+              "the allocator saving is 0.5-6 % of runtime (the paper: 1.5 %)",
+              lambda r: 0.5 < r.saving_pct() < 6.0),
+        Claim("ABINIT", ("application runtime, allocation + compute",),
+              "the library's run is shorter than libc's",
+              lambda r: r.app["hugepage_lib"].total_ns < r.app["libc"].total_ns),
+    ),
+)
+
 #: every figure, by command name
-FIGURES: Dict[str, Figure[Any, Any]] = {fig.name: fig for fig in (FIG3, FIG4, FIG5, FIG6, TLB)}
+FIGURES: Dict[str, Figure[Any, Any]] = {
+    fig.name: fig for fig in (FIG3, FIG4, FIG5, XEON, REGISTRATION, FIG6, TLB, ABINIT)}

@@ -37,9 +37,11 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro import fastpath
+from repro.figures import (FIG3_SIZES, FIG4_SIZES, FIG5_CURVES, FIGURES, KB, MB, OPTERON,
+                           Harness, IMBSweep, NASResult, NASSweep, VerbsSweep)
 
 SCHEMA = "repro-perf/1"
 
@@ -57,19 +59,25 @@ REGRESSION_TOLERANCE = 0.8
 # ``identical`` to false.
 # ---------------------------------------------------------------------------
 
-def _bench_figure(name: str) -> Callable[[bool], tuple]:
-    """A :mod:`repro.figures` entry's payload on its quick or full sweep."""
-    def run(quick: bool) -> tuple:
-        from repro.figures import FIGURES, Harness
-
-        fig = FIGURES[name]
-        return fig.payload(fig.driver(fig.quick if quick else fig.full,
-                                      Harness()))
+def _figure(name: str, payload: Callable[[Any], tuple]) -> Callable[[Any], tuple]:
+    """*payload* of the :mod:`repro.figures` entry *name*'s result on a sweep."""
+    def run(sweep: Any) -> tuple:
+        return payload(FIGURES[name].driver(sweep, Harness()))
     return run
 
 
-def _bench_nas(quick: bool):
-    """The NAS suite on 4 KB pages (class B; W when quick).
+def _nas_payload(r: NASResult) -> tuple:
+    return tuple(
+        (kernel, c.small.total_ticks, c.huge.total_ticks, c.small.comm_ticks,
+         c.huge.comm_ticks, c.small.compute_ticks, c.huge.compute_ticks,
+         c.small.tlb_misses_4k, c.small.tlb_misses_2m, c.huge.tlb_misses_4k,
+         c.huge.tlb_misses_2m, c.small.regcache_hits, c.small.regcache_misses,
+         c.huge.regcache_hits, c.huge.regcache_misses)
+        for on in r.comparisons.values() for kernel, c in on.items())
+
+
+def _bench_nas(klass: str) -> tuple:
+    """The NAS suite on 4 KB pages at *klass*.
 
     The small-page configuration is the page-count-heavy half of Fig 6 —
     the regime where per-page reference loops dominate (the hugepage
@@ -80,7 +88,6 @@ def _bench_nas(quick: bool):
     from repro.workloads.nas import KERNELS
     from repro.workloads.nas.common import run_nas
 
-    klass = "W" if quick else "B"
     payload: List[tuple] = []
     for name, prog in KERNELS.items():
         r = run_nas(prog, presets.opteron_infinihost_pcie(), hugepages=False,
@@ -93,8 +100,9 @@ def _bench_nas(quick: bool):
     return tuple(payload)
 
 
-def _bench_train(quick: bool):
-    """Verbs message train (:mod:`repro.workloads.train`).
+def _bench_train(count: int) -> tuple:
+    """Verbs message train (:mod:`repro.workloads.train`) of *count*
+    messages.
 
     The one benchmark that is genuinely event-kernel-bound: a windowed
     back-to-back train where nearly all simulated work is scheduling,
@@ -105,7 +113,6 @@ def _bench_train(quick: bool):
     """
     from repro.workloads.train import run_train
 
-    count = 600 if quick else 2000
     payload: List[tuple] = []
     for msg_bytes, window in ((1024, 16), (4096, 4)):
         r = run_train(msg_bytes=msg_bytes, count=count, window=window)
@@ -118,26 +125,46 @@ def _bench_train(quick: bool):
 
 @dataclass
 class BenchSpec:
-    """One tracked benchmark: a driver and how often to repeat it."""
+    """One tracked benchmark: its payload on a sweep, the quick and the
+    full sweep, and how often to repeat it."""
 
     name: str
     describe: str
-    run: Callable[[bool], tuple]
+    #: a sweep -> the plain tuple of every number its run reports
+    payload: Callable[[Any], tuple]
+    quick: Any
+    full: Any
     #: timed repetitions per path (min is reported); heavy drivers run once
     repeats: int
     quick_repeats: int
 
+    def run(self, quick: bool) -> tuple:
+        return self.payload(self.quick if quick else self.full)
+
 
 BENCHMARKS: List[BenchSpec] = [
-    BenchSpec("fig3", "SGE sweep (verbs micro)", _bench_figure("fig3"), 3, 3),
-    BenchSpec("fig4", "offset sweep (verbs micro)", _bench_figure("fig4"), 3, 3),
+    BenchSpec("fig3", "SGE sweep (verbs micro)",
+              _figure("fig3", lambda r: tuple(
+                  r.total(n, s) for s in r.sweep.sizes for n in r.sweep.counts)),
+              VerbsSweep((8, 64, 512, 2048), (1, 2, 4, 8, 32, 128)),
+              VerbsSweep(FIG3_SIZES, (1, 2, 4, 8, 32, 128)), 3, 3),
+    BenchSpec("fig4", "offset sweep (verbs micro)",
+              _figure("fig4", lambda r: tuple(
+                  r.total(1, s, off) for off in r.sweep.offsets for s in r.sweep.sizes)),
+              VerbsSweep(FIG4_SIZES, offsets=tuple(range(0, 129, 32))),
+              VerbsSweep(FIG4_SIZES, offsets=tuple(range(0, 129, 8))), 3, 3),
     BenchSpec("fig5", "IMB SendRecv placement-curve sweep",
-              _bench_figure("fig5"), 2, 3),
-    BenchSpec("fig6", "NAS hugepage comparison, class B",
-              _bench_figure("fig6"), 1, 1),
-    BenchSpec("nas", "NAS suite, 4 KB pages, class B", _bench_nas, 1, 1),
+              _figure("fig5", lambda r: tuple(
+                  (hp, lazy, row.size, row.ticks_per_iter, row.latency_us, row.bandwidth_mb_s)
+                  for _, hp, lazy in r.sweep.curves for row in r.curves[(hp, lazy)].rows)),
+              IMBSweep((1 * MB, 4 * MB, 16 * MB, 32 * MB), FIG5_CURVES[:2], iterations=3),
+              IMBSweep((256 * KB, 1 * MB, 4 * MB, 16 * MB, 64 * MB), FIG5_CURVES,
+                       iterations=5), 2, 3),
+    BenchSpec("fig6", "NAS hugepage comparison, class B", _figure("fig6", _nas_payload),
+              NASSweep(OPTERON, "W"), NASSweep(OPTERON, "B"), 1, 1),
+    BenchSpec("nas", "NAS suite, 4 KB pages, class B", _bench_nas, "W", "B", 1, 1),
     BenchSpec("train", "verbs message train (event-kernel bound)",
-              _bench_train, 3, 3),
+              _bench_train, 600, 2000, 3, 3),
 ]
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, main
+from repro.cli import COMMANDS, _cmd_figure, main
+from repro.figures import FIGURES
 
 RUN_LEDGER_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "run_ledger"
 FAULTS_ARGV = ["faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"]
@@ -17,6 +18,11 @@ class TestCLI:
         out = capsys.readouterr().out
         for name in COMMANDS:
             assert name in out
+
+    def test_figure_commands_are_the_figures(self):
+        # an entry without a command, or a command without an entry, fails
+        assert {name for name, (fn, _) in COMMANDS.items()
+                if fn is _cmd_figure} == set(FIGURES)
 
     def test_no_args_lists(self, capsys):
         assert main([]) == 0

@@ -105,7 +105,7 @@ class TestSocketIo:
                 "# detlint: ignore[socket-io]\n")
         assert rules_of(code) == []
 
-    def test_serve_layer_carries_suppressions(self):
+    def test_package_opens_no_socket(self):
         # repro.serve, once the one sanctioned home for real sockets,
         # is gone; nothing left in the package opens a socket, so
         # there is no sanctioned suppression either: the raw
@@ -118,7 +118,7 @@ class TestSocketIo:
             raw.extend(f for f in linter.findings if f.rule == "socket-io")
         assert raw == []
 
-    def test_serve_layer_wallclock_is_all_suppressed(self):
+    def test_package_wallclock_is_all_suppressed(self):
         # with repro.serve gone the host-time profiler is the remaining
         # wallclock escape hatch; every read in the package is marked,
         # so the tree lints clean while the raw pattern count is non-zero

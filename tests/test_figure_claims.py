@@ -5,8 +5,12 @@ planted regression, a copy of that run's result edited the way a
 known regression would change it.  The real runs are cut to the points
 the claims read (the NAS ones at class W, where the Fig 6 and §5.2
 claims already hold); the paper-scale sweeps run only in
-``benchmarks/``.  Each claim's EXPERIMENTS.md tag must name a section
-and rows of its tables.
+``benchmarks/``, except XEON6's, REG100's and ABINIT's, which take
+about a second together.  Each claim's EXPERIMENTS.md tag must name a
+section and rows of its tables.
+
+An effect must also hold for its modelled reason: with the mechanism
+DESIGN.md names switched off, the effect must vanish.
 """
 
 from dataclasses import replace
@@ -15,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.figures import FIGURES, Harness
+from repro.ib.att import ATTConfig
+from repro.mem.physical import PAGE_2M, PAGE_4K
+from repro.systems import presets
 
 KB = 1024
 MB = 1024 * 1024
@@ -26,6 +33,8 @@ def baselines():
     fig3, fig4, fig5, fig6 = (FIGURES[n] for n in ("fig3", "fig4", "fig5", "fig6"))
     nas = fig6.driver(fig6.cli, Harness())
     return {
+        **{n: FIGURES[n].driver(FIGURES[n].paper, Harness())
+           for n in ("xeon", "registration", "abinit")},
         "fig3": fig3.driver(replace(fig3.paper, sizes=(1, 8, 32, 64, 128, 512, 2048),
                                     counts=(1, 4)), Harness()),
         "fig4": fig4.driver(replace(fig4.paper, offsets=(0, 1, 8, 63, 64, 127)),
@@ -43,11 +52,35 @@ def _timing(r, key, **changes):
     return replace(r, timings={**r.timings, key: replace(r.timings[key], **changes)})
 
 
+def _scaled(res, scale, sizes=None):
+    """An IMB result with the bandwidth at *sizes* (default all) scaled."""
+    return replace(res, rows=[replace(row, bandwidth_mb_s=row.bandwidth_mb_s * scale)
+                              if sizes is None or row.size in sizes else row
+                              for row in res.rows])
+
+
 def _bandwidths(r, curve, scale, sizes=None):
-    res = r.curves[curve]
-    rows = [replace(row, bandwidth_mb_s=row.bandwidth_mb_s * scale)
-            if sizes is None or row.size in sizes else row for row in res.rows]
-    return replace(r, curves={**r.curves, curve: replace(res, rows=rows)})
+    return replace(r, curves={**r.curves, curve: _scaled(r.curves[curve], scale, sizes)})
+
+
+def _run(r, label, res):
+    return replace(r, runs={**r.runs, label: res})
+
+
+def _reg(r, patched, size, ns):
+    """Set the 2 MB registration cost of *size* for one driver state."""
+    return replace(r, ns={**r.ns, (patched, PAGE_2M, size): ns})
+
+
+def _app(r, name, **changes):
+    return replace(r, app={**r.app, name: replace(r.app[name], **changes)})
+
+
+def _library_speedup(replays, speedup):
+    """Replays where libc's time is *speedup* times the library's."""
+    libc = replays["libc"].total_ns
+    return {**replays, "hugepage_lib": replace(replays["hugepage_lib"],
+                                               alloc_ns=libc / speedup, free_ns=0.0)}
 
 
 def _huge_run(r, kernels, **scales):
@@ -109,6 +142,34 @@ PLANTS = {
         "no kernel gains over 1 %": lambda r: _huge_run(
             r, ["CG", "EP", "IS", "LU", "MG"], total_ticks=0.99),
     },
+    "xeon": {
+        "the patched driver gains nothing on the Xeon": lambda r: _run(
+            r, "xeon patched", r.runs["xeon stock"]),
+        "the patched driver gains 10 % on the Xeon": lambda r: _run(
+            r, "xeon patched", _scaled(r.runs["xeon stock"], 1.1)),
+        "the Opteron control gains 5 %": lambda r: _run(
+            r, "opteron patched", _scaled(r.runs["opteron stock"], 1.05)),
+    },
+    "registration": {
+        "2 MB pages at 64 MB cost half of 4 KB pages": lambda r: _reg(
+            r, True, 64 * MB, r.ns[(True, PAGE_4K, 64 * MB)] / 2),
+        "2 MB pages at 16 MB cost 4 % of 4 KB pages": lambda r: _reg(
+            r, True, 16 * MB, r.ns[(True, PAGE_4K, 16 * MB)] * 0.04),
+        "the ratio rises from 1 MB to 4 MB": lambda r: _reg(
+            r, True, 4 * MB, r.ns[(True, PAGE_4K, 4 * MB)] * 0.2),
+        "the stock driver uploads 2 MB entries": lambda r: _reg(
+            r, False, 16 * MB, r.ns[(True, PAGE_2M, 16 * MB)]),
+    },
+    "abinit": {
+        "the cold library only 2x faster": lambda r: replace(
+            r, cold=_library_speedup(r.cold, 2.0)),
+        "the warm library only 4x faster": lambda r: replace(
+            r, warm=_library_speedup(r.warm, 4.0)),
+        "the library saves no allocator time": lambda r: _app(
+            r, "hugepage_lib", alloc_ns=r.app["libc"].alloc_ns),
+        "the library's run longer than libc's": lambda r: _app(
+            r, "hugepage_lib", total_ns=r.app["libc"].total_ns * 1.01),
+    },
     "tlb": {
         "LU's misses double": lambda r: _huge_run(
             r, ["LU"], tlb_misses_4k=2.0, tlb_misses_2m=0.0),
@@ -147,3 +208,19 @@ def test_claims_are_tagged_with_experiments_rows():
             assert claim.section in sections, claim.describe()
             for row in claim.rows:
                 assert f"\n| {row} |" in sections[claim.section], claim.describe()
+
+
+def _xeon_without_att_fetch():
+    return replace(presets.xeon_infinihost_pcix(), att=ATTConfig(entries=64, fetch_ns=0.0))
+
+
+def test_xeon_gain_vanishes_without_att_fetch_stalls():
+    # XEON6's mechanism: the patched driver gains because 2 MB entries
+    # miss the adapter's ATT less; with free ATT fetches there is
+    # nothing left to gain
+    xeon = FIGURES["xeon"]
+    sweep = replace(xeon.cli, runs=tuple((label, _xeon_without_att_fetch, patched)
+                                         for label, _, patched in xeon.cli.runs))
+    result = xeon.driver(sweep, Harness())
+    assert [result.gain_pct("xeon", s) for s in sweep.sizes] == [0.0, 0.0, 0.0]
+    assert not xeon.claims[0].holds(result)

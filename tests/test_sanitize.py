@@ -299,6 +299,38 @@ class TestTLBRules:
         assert exc.value.address == vma.start
 
 
+class TestSweepOnlyRules:
+    """Rules only the snapshot sweep checks, each fired on a planted state."""
+
+    def test_live_mr_over_a_dropped_mapping(self):
+        cluster = Cluster(presets.opteron_infinihost_pcie(), 1)
+        machine = cluster.nodes[0]
+        proc = machine.new_process()
+        buf = proc.aspace.mmap(MB).start
+        mrs = []
+
+        def register():
+            mrs.append((yield from machine.hca.register_memory(
+                proc.aspace, ProtectionDomain.fresh(), buf, MB)))
+
+        cluster.kernel.process(register())
+        cluster.kernel.run()
+        (mr,) = mrs
+        page = buf + 3 * PAGE_4K
+        proc.aspace.page_table.leaf_table(PAGE_4K).pop(page)
+        (v,) = [v for v in sanitize.sweep_cluster(cluster)
+                if v.rule == "mr.unmapped-frame"]
+        assert (v.address, v.key) == (page, mr.mr_id)
+
+    def test_cache_line_past_physical_memory(self):
+        cluster = Cluster(presets.opteron_infinihost_pcie(), 1)
+        machine = cluster.nodes[0]
+        proc = machine.new_process()
+        proc.engine.cache.access(machine.physical.total_bytes + 64)
+        assert [v.rule for v in sanitize.sweep_cluster(cluster)] == [
+            "cache.unbacked-line"]
+
+
 class TestCounterRules:
     def test_float_amount(self):
         san = sanitize.Sanitizer()
