@@ -31,9 +31,7 @@ from repro.alloc.traces import (
     ReplayResult,
     TraceOp,
     abinit_like_trace,
-    load_trace,
     replay,
-    save_trace,
 )
 
 __all__ = [
@@ -51,7 +49,5 @@ __all__ = [
     "ReplayResult",
     "TraceOp",
     "abinit_like_trace",
-    "load_trace",
     "replay",
-    "save_trace",
 ]

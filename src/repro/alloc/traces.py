@@ -16,7 +16,6 @@ reports the simulated allocator time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -121,7 +120,7 @@ def abinit_like_trace(
     seed: int = 42,
 ) -> List[TraceOp]:
     """:func:`abinit_like_records` as validated :class:`TraceOp` records,
-    the form :func:`replay` and :func:`save_trace` take."""
+    the form :func:`replay` takes."""
     return [
         TraceOp(op, handle, size)
         for op, handle, size in abinit_like_records(
@@ -151,29 +150,3 @@ def replay(trace: List[TraceOp], allocator: Allocator) -> ReplayResult:
         result.peak_bytes = max(result.peak_bytes, allocator.stats.current_bytes)
     return result
 
-
-def save_trace(trace: List[TraceOp], path: str) -> None:
-    """Write a trace as JSON lines (one op per line, diffable)."""
-    with open(path, "w") as fh:
-        for op in trace:
-            fh.write(json.dumps(
-                {"op": op.op, "handle": op.handle, "size": op.size}
-            ) + "\n")
-
-
-def load_trace(path: str) -> List[TraceOp]:
-    """Read a trace written by :func:`save_trace`."""
-    trace: List[TraceOp] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                trace.append(TraceOp(op=rec["op"], handle=rec["handle"],
-                                     size=rec.get("size", 0)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad trace record "
-                                 f"({exc})") from exc
-    return trace

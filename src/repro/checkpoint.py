@@ -9,16 +9,6 @@ pickle body.  Files are written atomically (temp file + ``fsync`` +
 ``os.replace``), so a crash mid-write never leaves a truncated snapshot
 behind, and the checksum catches bit rot or hand-editing on read.
 
-**Post-mortem capture** — :func:`capture_cluster` dumps every layer of a
-:class:`~repro.systems.machine.Cluster` — engine clock and pending
-events, physical frames / page tables / VMAs / the HugeTLB pool, TLB /
-data cache / ATT LRU order, both allocator heaps, MR/QP/CQ bookkeeping,
-counters and the fault injector's RNG stream — into one picklable
-payload for the hang watchdog.  It is forensic only: pending events are
-summarised rather than pickled (generators cannot be), and nothing
-reads a capture back into a live cluster.  Every resume replays
-hermetic units from the run ledger instead.
-
 **Run harnessing** — :class:`RunCheckpointer` is the driver-facing unit
 ledger: a CLI run decomposes into named units (one benchmark curve, one
 NAS kernel, ...), each unit's picklable result is recorded, and
@@ -26,8 +16,9 @@ NAS kernel, ...), each unit's picklable result is recorded, and
 the remainder of the run produces byte-identical output without
 re-simulating.  :class:`HangWatchdog` watches the active kernel's
 ``(seq, now)`` progress from a daemon thread; a stall (e.g. a livelocked
-retry storm wedging the event loop) dumps a post-mortem report plus a
-best-effort snapshot of every live cluster and exits non-zero.
+retry storm wedging the event loop) writes a post-mortem report — the
+pending events, each live cluster's QPs, pending work and sanitizer
+findings — and exits non-zero.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ import pickle
 import sys
 import threading
 import time
-from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine import core as engine_core
@@ -127,7 +117,7 @@ def read_snapshot(path: str):
 
 
 # ---------------------------------------------------------------------------
-# post-mortem capture
+# post-mortem forensics
 # ---------------------------------------------------------------------------
 
 def pending_work(cluster) -> List[str]:
@@ -168,136 +158,6 @@ def _describe_event(entry) -> dict:
         "seq": seq,
         "type": engine_core.item_name(ev),
         "wakes": wakes,
-    }
-
-
-def _capture_libc(libc) -> dict:
-    blocks = sorted(libc._blocks.values(), key=lambda b: b.addr)
-    return {
-        "blocks": [(b.addr, b.size, b.free, b.in_fastbin, b.prev, b.next)
-                   for b in blocks],
-        "fastbins": {size: list(addrs) for size, addrs in libc._fastbins.items()},
-        "sorted_bin": [tuple(t) for t in libc._sorted_bin],
-        "mmapped": dict(libc._mmapped),
-        "heap_end": libc._heap_end,
-        "sizes": dict(libc._sizes),
-        "stats": asdict(libc.stats),
-    }
-
-
-def _capture_process(proc) -> dict:
-    aspace = proc.aspace
-    leaves = aspace.page_table.dump_state()
-    state = {
-        "name": proc.name,
-        "counters": proc.counters.snapshot(),
-        "aspace": {
-            "vmas": [(v.start, v.length, v.page_size, v.kind, v.name)
-                     for v in aspace.vmas],
-            "brk": aspace._brk,
-            "mmap_cursor": aspace._mmap_cursor,
-            "huge_cursor": aspace._huge_cursor,
-            "pt_small": leaves["small"],
-            "pt_huge": leaves["huge"],
-        },
-        "tlb": proc.engine.tlb.dump_state(),
-        "cache": proc.engine.cache.dump_state(),
-        "libc": _capture_libc(proc.libc),
-        "hugepage_lib": None,
-    }
-    alloc = proc.allocator
-    if alloc is not proc.libc:  # the preloaded hugepage-library facade
-        state["hugepage_lib"] = {
-            "config": alloc.config,
-            "pages_mapped": alloc.mapping.pages_mapped,
-            "freelist": alloc.management.freelist.dump_state(),
-            "live": dict(alloc.management._live),
-            "sizes": dict(alloc._sizes),
-            "stats": asdict(alloc.stats),
-        }
-    return state
-
-
-def _capture_machine(cluster, index: int) -> dict:
-    node = cluster.nodes[index]
-    hca = node.hca
-    cqs: Dict[int, dict] = {}
-    qps = []
-    for qp in hca._qps.values():
-        for cq in (qp.send_cq, qp.recv_cq):
-            if cq is not None and cq.cq_id not in cqs:
-                cqs[cq.cq_id] = {
-                    "cq_id": cq.cq_id,
-                    "completions": list(cq.store.items),
-                }
-        peer_node = None
-        if qp.peer_hca is not None:
-            for j, other in enumerate(cluster.nodes):
-                if other.hca is qp.peer_hca:
-                    peer_node = j
-                    break
-        qps.append({
-            "qp_num": qp.qp_num,
-            "state": qp.state,
-            "pd": qp.pd,
-            "send_cq_id": qp.send_cq.cq_id if qp.send_cq is not None else None,
-            "recv_cq_id": qp.recv_cq.cq_id if qp.recv_cq is not None else None,
-            "peer_node": peer_node,
-            "peer_qp_num": qp.peer_qp_num,
-            "retry_cnt": qp.retry_cnt,
-            "rnr_retry": qp.rnr_retry,
-            "ack_timeout_ns": qp.ack_timeout_ns,
-            "max_sge": qp.max_sge,
-            "max_send_wr": qp.max_send_wr,
-            "wr_in_use": qp.wr_slots.in_use,
-            "recv_queue": list(qp.recv_q.items),
-            "send_queue_len": len(qp.send_q.items),
-        })
-    return {
-        "name": node.name,
-        "counters": node.counters.snapshot(),
-        "physical": node.physical.dump_state(),
-        "hugetlbfs_acquired": node.hugetlbfs._acquired,
-        "att": node.att.dump_state(),
-        "hca": {
-            "rx_seen": dict(hca._rx_seen),
-            "rdma_landed": dict(hca.rdma_landed),
-            "rdma_exposed": dict(hca.rdma_exposed),
-            "mrs": list(hca._mrs_by_lkey.values()),
-            "cqs": sorted(cqs.values(), key=lambda c: c["cq_id"]),
-            "qps": sorted(qps, key=lambda q: q["qp_num"]),
-        },
-        "procs": [_capture_process(p) for p in node.processes],
-    }
-
-
-def capture_cluster(cluster) -> dict:
-    """Forensic dump of every layer of *cluster* into one picklable
-    payload (the hang watchdog's post-mortem).  Works at any point of a
-    run: pending events are summarised, not pickled, and
-    ``pending_work`` lists what is still in flight."""
-    kernel = cluster.kernel
-    faults = None
-    if cluster.faults is not None:
-        faults = {
-            "rng_state": cluster.faults.rng.getstate(),
-            "hugepage_acquires": cluster.faults._hugepage_acquires,
-            "counters": cluster.faults.counters.snapshot(),
-        }
-    return {
-        "kind": "cluster",
-        "pending_work": pending_work(cluster),
-        "spec": cluster.spec,
-        "n_nodes": len(cluster.nodes),
-        "fault_plan": cluster.faults.plan if cluster.faults is not None else None,
-        "kernel": {
-            "now": kernel._now,
-            "seq": kernel._seq,
-            "queue_length": len(kernel._queue),
-            "pending": [_describe_event(e) for e in sorted(kernel._queue)[:256]],
-        },
-        "faults": faults,
-        "nodes": [_capture_machine(cluster, i) for i in range(len(cluster.nodes))],
     }
 
 
@@ -429,7 +289,10 @@ class RunCheckpointer:
 # ---------------------------------------------------------------------------
 
 def post_mortem_report(kernel=None, clusters=None) -> str:
-    """Render the stalled simulation's state for a post-mortem."""
+    """Render the stalled simulation's state for a post-mortem: the
+    kernel's pending events, then per cluster its QPs, ``faults.*``
+    counters, :func:`pending_work` and the findings of
+    :func:`repro.sanitize.sweep_cluster`."""
     lines = ["=== repro hang post-mortem ==="]
     if kernel is not None:
         lines.append(
@@ -444,7 +307,9 @@ def post_mortem_report(kernel=None, clusters=None) -> str:
             )
     else:
         lines.append("kernel: none active (stall outside the event loop)")
-    for cluster in clusters or []:
+    from repro.sanitize import sweep_cluster
+
+    for index, cluster in enumerate(clusters or []):
         lines.append(f"cluster: {cluster.spec.name} x{len(cluster.nodes)}")
         for i, node in enumerate(cluster.nodes):
             hca = node.hca
@@ -464,6 +329,16 @@ def post_mortem_report(kernel=None, clusters=None) -> str:
         lines.append(f"  counters: {len(counters)} keys")
         for key, value in faulty.items():
             lines.append(f"    {key} = {value}")
+        try:
+            work = pending_work(cluster)
+            findings = sweep_cluster(cluster, label=f"cluster{index}")
+        except Exception as exc:  # racing the wedged loop: degrade, never die
+            lines.append(f"  (forensics of cluster {index} failed: {exc!r})")
+            continue
+        lines.append(f"  pending work: {len(work)}")
+        lines += [f"    {item}" for item in work]
+        lines.append(f"  sanitizer findings: {len(findings)}")
+        lines += [f"    {err.rule}: {err.args[0]}" for err in findings]
     return "\n".join(lines) + "\n"
 
 
@@ -477,8 +352,8 @@ class HangWatchdog:
     Progress is the active kernel's ``(id, seq, now)`` tuple; while a
     kernel is inside ``run()`` and that tuple stops changing for
     *timeout_s* wall seconds (a livelocked retry storm, a stuck
-    callback), the watchdog dumps a post-mortem report plus a
-    best-effort snapshot of every live cluster, then calls *on_hang*
+    callback), the watchdog writes a post-mortem report (see
+    :func:`post_mortem_report`) to *snapshot_dir*, then calls *on_hang*
     (default: exit status 2).  Host-side work between ``run()`` calls
     never counts as a hang — there is no active kernel then.
     """
@@ -500,7 +375,6 @@ class HangWatchdog:
         self.stream = stream if stream is not None else sys.stderr
         self.fired = False
         self.report_path: Optional[str] = None
-        self.snapshot_paths: List[str] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -554,14 +428,6 @@ class HangWatchdog:
                 fh.write(report)
         except OSError:
             self.report_path = None
-        for i, cluster in enumerate(clusters):
-            path = os.path.join(self.snapshot_dir, f"postmortem-cluster{i}.snap")
-            try:
-                snap = capture_cluster(cluster)
-                write_snapshot(path, snap, meta={"kind": "post-mortem"})
-                self.snapshot_paths.append(path)
-            except Exception as exc:
-                report += f"(snapshot of cluster {i} failed: {exc!r})\n"
         print(report, file=self.stream, end="")
         print(
             f"hang watchdog: no simulator progress for {self.timeout_s:.1f}s; "

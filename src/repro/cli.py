@@ -354,8 +354,8 @@ def _cmd_resume(args) -> None:
         raise _resume_error(
             f"{args.snapshot!r} is a "
             f"{payload.get('kind', 'unknown') if isinstance(payload, dict) else 'unknown'!r} "
-            "snapshot, not a run ledger (post-mortem cluster snapshots are "
-            "forensic; load them with repro.checkpoint.read_snapshot)")
+            "snapshot, not a run ledger (only run-ledger snapshots written by "
+            "--checkpoint-every/--checkpoint-dir can be resumed)")
     command = payload.get("command")
     if command not in COMMANDS:
         raise _resume_error(f"snapshot names unknown command {command!r}")

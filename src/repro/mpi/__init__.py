@@ -17,7 +17,6 @@ programs over a :class:`~repro.systems.machine.Cluster`) and
 """
 
 from repro.mpi.api import Communicator, MPIConfig, MPIWorld, RankResult
-from repro.mpi.datatypes import PackedVector, pack_sges
 from repro.mpi.profiler import CallRecord, MPIProfiler
 from repro.mpi.regcache import RegistrationCache
 
@@ -27,8 +26,6 @@ __all__ = [
     "MPIConfig",
     "MPIProfiler",
     "MPIWorld",
-    "PackedVector",
     "RankResult",
     "RegistrationCache",
-    "pack_sges",
 ]

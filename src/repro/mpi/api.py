@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
-                    Optional, Sequence, Tuple)
+                    Optional, Tuple)
 
 from repro import trace
 from repro.engine.core import Event, SimKernel
@@ -39,17 +39,14 @@ from repro.faults import MPITransportError
 from repro.ib.verbs import (
     SGE,
     CompletionQueue,
-    MemoryRegion,
     ProtectionDomain,
     QueuePair,
     Record,
     RecvWR,
-    SendWR,
     WorkCompletion,
 )
 from repro.mpi import eager as eager_mod
 from repro.mpi import rendezvous as rndv_mod
-from repro.mpi.datatypes import pack_sges
 from repro.mpi.op import Join, Op
 from repro.mpi.profiler import MPIProfiler
 from repro.mpi.regcache import RegistrationCache
@@ -72,9 +69,6 @@ class MPIConfig:
     bounce_buffers: int = 16
     intra_copy_ns_per_byte: float = 0.25
     intra_latency_ns: float = 600.0
-    #: §7 future-work feature: map non-contiguous sends onto SGE lists
-    #: instead of CPU packing
-    use_sge_pack: bool = False
     #: rendezvous data movement: "write" (the era's MVAPICH2 scheme) or
     #: "read" (receiver-pulls; one less control message)
     rndv_protocol: str = "write"
@@ -192,23 +186,6 @@ class Endpoint:
         later step), so a post that raises leaves no waiter behind.
         """
         self._send_waiters[wr_id] = callback
-
-    def expect_send_completion(self, wr_id: int) -> Event:
-        """Event that fires when the send WR *wr_id* completes locally
-        (failing with :class:`MPITransportError` on an error CQE).
-
-        Like :meth:`on_send_completion`, call it after the post returns.
-        """
-        ev = self.kernel.event()
-
-        def _settle(wc: WorkCompletion) -> None:
-            if wc.ok:
-                ev.succeed(wc)
-            else:
-                ev.fail(self.completion_error(wc))
-
-        self._send_waiters[wr_id] = _settle
-        return ev
 
     def completion_error(self, wc: WorkCompletion) -> MPITransportError:
         """The error an error CQE for a send WR raises."""
@@ -336,42 +313,6 @@ class Endpoint:
             raise ValueError(f"negative message size {size}")
         if dest == self.rank:
             raise ValueError("send to self is not supported")
-
-    def send_packed(self, dest: int, tag: int, blocks: List[Tuple[int, int]],
-                    lkey_mr: MemoryRegion, payload: Any = None) -> Generator:
-        """Send a non-contiguous block list.
-
-        With :attr:`MPIConfig.use_sge_pack` the blocks become one work
-        request's SGE list (the §7 feature); otherwise they are CPU-packed
-        into a bounce buffer and sent as one contiguous eager message.
-        *lkey_mr* is the MR covering the blocks (SGE mode only).
-        """
-        total = sum(n for _, n in blocks)
-        if self.is_local(dest):
-            yield self.start_send(dest, tag, total, None, payload)
-            return
-        if total > self.config.eager_threshold:
-            raise ValueError("packed sends are for small-message aggregation")
-        if self.config.use_sge_pack:
-            env = self.make_envelope("eager", dest, tag, total, payload=payload)
-            qp = self.qp_for(dest)
-            wr_id = self.next_wr_id()
-            wr = SendWR(wr_id=wr_id, sges=pack_sges(blocks, lkey_mr.lkey), payload=env)
-            yield from self.hca.post_send(qp, wr)
-            yield self.expect_send_completion(wr_id)
-        else:
-            # CPU pack: copy each block into a held pack buffer, release
-            # it, then eager-send the contiguous result
-            buf_addr, mr = yield self.bounce_pool.get()
-            try:
-                cursor = 0
-                for addr, nbytes in blocks:
-                    cost = self.proc.engine.copy(addr, buf_addr + cursor, nbytes)
-                    yield self.kernel.timeout(cost.ticks)
-                    cursor += nbytes
-            finally:
-                self.bounce_pool.put((buf_addr, mr))
-            yield self.start_send(dest, tag, total, None, payload)
 
     # -- point-to-point: recv -------------------------------------------------------------
     def start_recv(self, source: Optional[int] = None, tag: Optional[int] = None,
@@ -510,44 +451,6 @@ class Communicator:
         self.profiler.record("MPI_Sendrecv", self.kernel.now - t0, size)
         return results[1]
 
-    def isend(self, dest: int, tag: int, size: int,
-              addr: Optional[int] = None, payload: Any = None) -> Event:
-        """Nonblocking send: returns a request (an event); complete it
-        with :meth:`wait`."""
-        return self.endpoint.start_send(dest, tag, size, addr, payload)
-
-    def irecv(self, source: Optional[int] = None, tag: Optional[int] = None,
-              addr: Optional[int] = None) -> Event:
-        """Nonblocking receive: returns a request; :meth:`wait` yields
-        ``(payload, size, src, tag)``."""
-        return self.endpoint.start_recv(source, tag, addr)
-
-    def wait(self, request: Event) -> Generator:
-        """Complete one nonblocking request (MPI_Wait)."""
-        t0 = self.kernel.now
-        result = yield request
-        self.profiler.record("MPI_Wait", self.kernel.now - t0)
-        return result
-
-    def waitall(self, requests: Sequence[Event]) -> Generator:
-        """Complete several requests (MPI_Waitall); returns their
-        results in order."""
-        t0 = self.kernel.now
-        results = yield self.kernel.all_of(list(requests))
-        self.profiler.record("MPI_Waitall", self.kernel.now - t0)
-        return results
-
-    def send_packed(self, dest: int, tag: int,
-                    blocks: List[Tuple[int, int]], mr: MemoryRegion,
-                    payload: Any = None) -> Generator:
-        """Send a non-contiguous block list (SGE or CPU pack per config)."""
-        total = sum(n for _, n in blocks)
-        return self._timed(
-            "MPI_Send(packed)",
-            self.endpoint.send_packed(dest, tag, blocks, mr, payload),
-            total,
-        )
-
     # -- computation -----------------------------------------------------------------
     def compute_ticks(self, ticks: int) -> Generator:
         """Spend *ticks* of pure computation time."""
@@ -601,27 +504,6 @@ class Communicator:
             alltoallv(self, sizes, payloads, addrs, recv_addrs),
             sum(sizes),
         )
-
-    def gather(self, root: int, size: int, value: Any = None) -> Generator:
-        """MPI_Gather; the root returns the rank-ordered values list."""
-        from repro.mpi.collectives import gather
-
-        return self._timed("MPI_Gather", gather(self, root, size, value), size)
-
-    def scatter(self, root: int, size: int,
-                values: Optional[List[Any]] = None) -> Generator:
-        """MPI_Scatter; every rank returns its element."""
-        from repro.mpi.collectives import scatter
-
-        return self._timed("MPI_Scatter", scatter(self, root, size, values),
-                           size)
-
-    def scan(self, size: int, value: Any = None,
-             op: Callable[[Any, Any], Any] = None) -> Generator:
-        """MPI_Scan (inclusive prefix)."""
-        from repro.mpi.collectives import scan
-
-        return self._timed("MPI_Scan", scan(self, size, value, op), size)
 
     def allgather(self, size: int, value: Any = None,
                   addr: Optional[int] = None) -> Generator:

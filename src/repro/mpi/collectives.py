@@ -29,9 +29,6 @@ _REDUCE = 3 << 20
 _ALLRED = 4 << 20
 _GATHER = 5 << 20
 _A2A = 6 << 20
-_GATHERV = 7 << 20
-_SCATTER = 8 << 20
-_SCAN = 9 << 20
 _EPOCH_STRIDE = 64  # rounds per epoch
 
 
@@ -221,105 +218,3 @@ def alltoallv(comm: Communicator, sizes: List[int], payloads: Optional[List[Any]
         received[src] = results[1][0]
     return received
 
-
-def gather(comm: Communicator, root: int, size: int, value: Any = None) -> Generator:
-    """Binomial-tree gather; the root returns the rank-ordered list of
-    values, everyone else None."""
-    n, rank = comm.size, comm.rank
-    if n == 1:
-        return [value]
-    tag = _GATHERV + _epoch(comm, "gather") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
-    vrank = (rank - root) % n
-    bundle = {vrank: value}
-    mask = 1
-    while mask < n:
-        if vrank & mask == 0:
-            src_v = vrank | mask
-            if src_v < n:
-                src = (src_v + root) % n
-                other, _, _, _ = yield ep.start_recv(src, tag)
-                bundle.update(other)
-        else:
-            dest = (vrank - mask + root) % n
-            # subtree payload size grows with the bundle
-            yield ep.start_send(dest, tag, size * len(bundle), None, bundle)
-            return None
-        mask <<= 1
-    if rank != root:
-        return None
-    return [bundle[(r - root) % n] for r in range(n)]
-
-
-def scatter(comm: Communicator, root: int, size: int,
-            values: Optional[List[Any]] = None) -> Generator:
-    """Binomial-tree scatter; every rank returns its element of the
-    root's *values* list."""
-    n, rank = comm.size, comm.rank
-    if n == 1:
-        return values[0] if values else None
-    if rank == root:
-        if values is None or len(values) != n:
-            raise ValueError(f"scatter root needs {n} values")
-        bundle = {(r - root) % n: values[r] for r in range(n)}
-    else:
-        bundle = None
-    tag = _SCATTER + _epoch(comm, "scatter") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
-    vrank = (rank - root) % n
-    mask = 1
-    while mask < n:
-        if vrank & mask:
-            src = (vrank - mask + root) % n
-            bundle, _, _, _ = yield ep.start_recv(src, tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank & mask:
-            break
-        dest_v = vrank + mask
-        if dest_v < n:
-            dest = (dest_v + root) % n
-            subtree = {k: v for k, v in bundle.items() if k >= dest_v}
-            bundle = {k: v for k, v in bundle.items() if k < dest_v}
-            yield ep.start_send(dest, tag, size * max(1, len(subtree)), None,
-                                subtree)
-        mask >>= 1
-    return bundle[vrank]
-
-
-def scan(comm: Communicator, size: int, value: Any = None,
-         op: Optional[Callable[[Any, Any], Any]] = None) -> Generator:
-    """Inclusive prefix scan (MPI_Scan): rank r returns
-    op(value_0, ..., value_r)."""
-    n, rank = comm.size, comm.rank
-    if op is None:
-        op = _default_op
-    if n == 1:
-        return value
-    tag = _SCAN + _epoch(comm, "scan") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
-    result = value        # inclusive prefix so far
-    carry = value         # contribution this rank forwards upward
-    mask = 1
-    k = 0
-    while mask < n:
-        partner_up = rank + mask
-        partner_down = rank - mask
-        ops = []
-        if partner_up < n:
-            ops.append(ep.start_send(partner_up, tag + k, size, None, carry))
-        recv_req = None
-        if partner_down >= 0:
-            recv_req = ep.start_recv(partner_down, tag + k)
-            ops.append(recv_req)
-        if ops:
-            results = yield comm.kernel.all_of(ops)
-        if recv_req is not None:
-            other = results[-1][0]
-            result = op(other, result)
-            carry = op(other, carry)
-        mask <<= 1
-        k += 1
-    return result

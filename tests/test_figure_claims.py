@@ -20,6 +20,7 @@ import pytest
 
 from repro.figures import FIGURES, Harness
 from repro.ib.att import ATTConfig
+from repro.ib.registration import RegistrationCosts
 from repro.mem.physical import PAGE_2M, PAGE_4K
 from repro.systems import presets
 
@@ -224,3 +225,29 @@ def test_xeon_gain_vanishes_without_att_fetch_stalls():
     result = xeon.driver(sweep, Harness())
     assert [result.gain_pct("xeon", s) for s in sweep.sizes] == [0.0, 0.0, 0.0]
     assert not xeon.claims[0].holds(result)
+
+
+def _small_over_huge_uncached(r, sizes):
+    return [r.bw(False, False, s) / r.bw(True, False, s) for s in sizes]
+
+
+def test_fig5_small_page_deficit_vanishes_without_per_page_registration(
+        baselines, monkeypatch):
+    # Fig 5's mechanism: without lazy deregistration small pages lose
+    # because every registration pins, translates and uploads 512x more
+    # pages; with those per-page terms free the deficit closes
+    stock = presets.opteron_infinihost_pcie
+
+    def per_page_free(*args, **kwargs):
+        return replace(stock(*args, **kwargs), reg_costs=RegistrationCosts(
+            per_4k_pin_ns=0, per_2m_pin_ns=0, per_page_translate_ns=0,
+            per_entry_upload_ns=0, per_entry_dereg_ns=0))
+
+    assert _small_over_huge_uncached(baselines["fig5"], [4 * MB])[0] < 0.99
+    monkeypatch.setattr(presets, "opteron_infinihost_pcie", per_page_free)
+    fig5 = FIGURES["fig5"]
+    result = fig5.driver(fig5.cli, Harness())
+    assert not fig5.claims[2].holds(result)
+    large = [s for s in fig5.cli.sizes if s >= 64 * KB]
+    assert all(abs(ratio - 1.0) <= 0.01
+               for ratio in _small_over_huge_uncached(result, large))

@@ -96,7 +96,7 @@ PIN_EVICT = ([231062, 230889], 241815,
 PIN_RING = ([558910, 558910, 558910, 558910], 573256,
     '8d11ce3c61aa2284ebe3b14353ef070b1a1973191cdda585f8171ff5286e1e4a')
 PIN_WAITALL = ([26567, 26567], 37320,
-    '9f81e0a150c24259afbba16a386a8e7c168e704c908053db54a06241fa172ba0')
+    '39b7eb5e74204270a1e83f7b80018334a029793a83477a62ee4f38f4ab977ccb')
 PIN_COLLECTIVES = ([156335, 156335, 156335, 156335], 170681,
     '2d18bbb70415c6a67587bbacb0d8df43a58b8521002053083cae9faecc8efc0a')
 
@@ -223,13 +223,14 @@ class TestFoldMatchesOracle:
         def program(comm):
             buf = comm.proc.malloc(MB)
             other = 1 - comm.rank
-            reqs = [comm.irecv(other, tag, addr=buf + tag * 64 * KB)
+            ep = comm.endpoint
+            reqs = [ep.start_recv(other, tag, addr=buf + tag * 64 * KB)
                     for tag in range(3)]
-            reqs += [comm.isend(other, tag, size, addr=buf + 512 * KB,
-                                payload=(comm.rank, tag))
+            reqs += [ep.start_send(other, tag, size, addr=buf + 512 * KB,
+                                   payload=(comm.rank, tag))
                      for tag, size in enumerate([100, 12 * KB, 64 * KB])]
-            results = yield from comm.waitall(reqs)
-            last = yield from comm.wait(reqs[0])  # already complete
+            results = yield comm.kernel.all_of(reqs)
+            last = yield reqs[0]  # already complete
             return results[:3], last
 
         values, got, _ = _run(program)
@@ -348,10 +349,11 @@ class TestOracleSelection:
         def program(comm):
             buf = comm.proc.malloc(64 * KB)
             other = 1 - comm.rank
-            req = (comm.isend(other, 1, 64 * KB, addr=buf) if comm.rank == 0
-                   else comm.irecv(other, 1, addr=buf))
+            req = (comm.endpoint.start_send(other, 1, 64 * KB, addr=buf)
+                   if comm.rank == 0
+                   else comm.endpoint.start_recv(other, 1, addr=buf))
             kinds.append(isinstance(req, Process))
-            yield from comm.wait(req)
+            yield req
             return None
 
         _run(program, fault_plan=fault_plan)

@@ -1,4 +1,5 @@
-"""Tests for the nonblocking MPI operations (isend/irecv/wait/waitall)."""
+"""Tests for nonblocking messages: requests started with
+``Endpoint.start_send``/``start_recv`` and completed by yielding them."""
 
 from repro.mpi import MPIConfig, MPIWorld
 from repro.systems import Cluster, presets
@@ -19,11 +20,11 @@ class TestNonblocking:
         def program(comm):
             other = 1 - comm.rank
             buf = comm.proc.malloc(MB)
-            req_s = comm.isend(other, 1, 64 * KB, addr=buf,
-                               payload=f"nb-{comm.rank}")
-            req_r = comm.irecv(other, 1, addr=buf)
-            yield from comm.wait(req_s)
-            payload, size, src, tag = yield from comm.wait(req_r)
+            req_s = comm.endpoint.start_send(other, 1, 64 * KB, addr=buf,
+                                             payload=f"nb-{comm.rank}")
+            req_r = comm.endpoint.start_recv(other, 1, addr=buf)
+            yield req_s
+            payload, size, src, tag = yield req_r
             return (payload, size, src, tag)
 
         results = world.run(program)
@@ -37,11 +38,11 @@ class TestNonblocking:
             other = 1 - comm.rank
             reqs = []
             for i in range(5):
-                reqs.append(comm.isend(other, 100 + i, 2 * KB,
-                                       payload=f"m{i}-from{comm.rank}"))
+                reqs.append(comm.endpoint.start_send(
+                    other, 100 + i, 2 * KB, payload=f"m{i}-from{comm.rank}"))
             for i in range(5):
-                reqs.append(comm.irecv(other, 100 + i))
-            results = yield from comm.waitall(reqs)
+                reqs.append(comm.endpoint.start_recv(other, 100 + i))
+            results = yield comm.kernel.all_of(reqs)
             return [r[0] for r in results[5:]]
 
         results = world.run(program)
@@ -60,14 +61,14 @@ class TestNonblocking:
                 buf = comm.proc.malloc(MB)
                 t0 = comm.kernel.now
                 if overlapped:
-                    rr = comm.irecv(other, 1, addr=buf)
-                    rs = comm.isend(other, 1, 512 * KB, addr=buf)
+                    rr = comm.endpoint.start_recv(other, 1, addr=buf)
+                    rs = comm.endpoint.start_send(other, 1, 512 * KB, addr=buf)
                     yield from comm.compute_ticks(400_000)
-                    yield from comm.waitall([rr, rs])
+                    yield comm.kernel.all_of([rr, rs])
                 else:
-                    rr = comm.irecv(other, 1, addr=buf)
-                    rs = comm.isend(other, 1, 512 * KB, addr=buf)
-                    yield from comm.waitall([rr, rs])
+                    rr = comm.endpoint.start_recv(other, 1, addr=buf)
+                    rs = comm.endpoint.start_send(other, 1, 512 * KB, addr=buf)
+                    yield comm.kernel.all_of([rr, rs])
                     yield from comm.compute_ticks(400_000)
                 if comm.rank == 0:
                     out["ticks"] = comm.kernel.now - t0
@@ -77,17 +78,3 @@ class TestNonblocking:
             return out["ticks"]
 
         assert run(overlapped=True) < run(overlapped=False)
-
-    def test_wait_records_profiler_time(self):
-        world = make_world()
-
-        def program(comm):
-            other = 1 - comm.rank
-            rs = comm.isend(other, 1, 1 * KB, payload="x")
-            rr = comm.irecv(other, 1)
-            yield from comm.wait(rs)
-            yield from comm.wait(rr)
-            return ("MPI_Wait" in comm.profiler.summary())
-
-        results = world.run(program)
-        assert all(r.value for r in results)

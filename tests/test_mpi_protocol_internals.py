@@ -91,14 +91,15 @@ class TestRendezvousInternals:
             bufs = [comm.proc.malloc(MB) for _ in range(N)]
             if comm.rank == 0:
                 reqs = [
-                    comm.isend(other, 100 + i, 256 * KB, addr=bufs[i],
-                               payload=np.full(4, i))
+                    comm.endpoint.start_send(other, 100 + i, 256 * KB,
+                                             addr=bufs[i], payload=np.full(4, i))
                     for i in range(N)
                 ]
-                yield from comm.waitall(reqs)
+                yield comm.kernel.all_of(reqs)
                 return None
-            reqs = [comm.irecv(0, 100 + i, addr=bufs[i]) for i in range(N)]
-            results = yield from comm.waitall(reqs)
+            reqs = [comm.endpoint.start_recv(0, 100 + i, addr=bufs[i])
+                    for i in range(N)]
+            results = yield comm.kernel.all_of(reqs)
             return [int(r[0][0]) for r in results]
 
         results = world.run(program)
@@ -195,10 +196,10 @@ class TestDeliveryProperty:
             reqs = []
             for i, (tag, _size) in enumerate(messages):
                 rbuf = comm.proc.malloc(MB)
-                reqs.append((tag, comm.irecv(0, tag, addr=rbuf)))
+                reqs.append((tag, comm.endpoint.start_recv(0, tag, addr=rbuf)))
             got = {}
             for tag, req in reqs:
-                payload, *_ = yield from comm.wait(req)
+                payload, *_ = yield req
                 got.setdefault(tag, []).append(payload)
             return got
 

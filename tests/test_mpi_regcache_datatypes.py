@@ -1,10 +1,7 @@
-"""Tests for the registration cache and datatype/SGE mapping."""
-
-import pytest
+"""Tests for the registration cache."""
 
 from repro.faults import FaultPlan, PermanentRegistrationError
 from repro.ib.verbs import ProtectionDomain
-from repro.mpi.datatypes import PackedVector, pack_sges
 from repro.mpi.regcache import (MAX_REG_ATTEMPTS, REG_RETRY_BACKOFF_NS,
                                 RegistrationCache)
 from repro.systems import Cluster, presets
@@ -227,64 +224,3 @@ class TestRegistrationCache:
             for i in range(MAX_REG_ATTEMPTS - 1))
         assert len(cache) == 0 and not cache._pins
 
-
-class TestPackedVector:
-    def test_blocks(self):
-        v = PackedVector(base=0x1000, count=3, block_bytes=64, stride_bytes=256)
-        assert v.blocks() == [(0x1000, 64), (0x1100, 64), (0x1200, 64)]
-        assert v.total_bytes == 192
-        assert v.span_bytes == 2 * 256 + 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PackedVector(base=0, count=0, block_bytes=64, stride_bytes=256)
-        with pytest.raises(ValueError):
-            PackedVector(base=0, count=2, block_bytes=64, stride_bytes=32)
-
-    def test_pack_sges(self):
-        sges = pack_sges([(0x1000, 64), (0x2000, 32)], lkey=7)
-        assert [(s.addr, s.length, s.lkey) for s in sges] == [
-            (0x1000, 64, 7), (0x2000, 32, 7)
-        ]
-
-    def test_pack_sges_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pack_sges([], lkey=1)
-
-
-class TestSGEPackedSend:
-    """The §7 feature: non-contiguous sends through SGE lists vs CPU pack."""
-
-    def _run(self, use_sge):
-        from repro.ib.verbs import ProtectionDomain
-        from repro.mpi import MPIConfig, MPIWorld
-
-        cluster = Cluster(presets.opteron_infinihost_pcie(), 2)
-        world = MPIWorld(cluster, ppn=1, config=MPIConfig(use_sge_pack=use_sge))
-        out = {}
-
-        def program(comm):
-            if comm.rank == 0:
-                vma = comm.proc.aspace.mmap(64 * KB)
-                mr = yield acquire(comm.endpoint.regcache, vma.start, 64 * KB)
-                blocks = [(vma.start + i * 4096, 1500) for i in range(4)]
-                t0 = comm.kernel.now
-                yield from comm.send_packed(1, 5, blocks, mr, payload="packed")
-                out["ticks"] = comm.kernel.now - t0
-                return None
-            payload, size, _, _ = yield from comm.recv(0, 5)
-            return (payload, size)
-
-        results = world.run(program)
-        return results[1].value, out["ticks"]
-
-    def test_payload_identical_both_modes(self):
-        (p_sge, s_sge), _ = self._run(True)
-        (p_cpu, s_cpu), _ = self._run(False)
-        assert p_sge == p_cpu == "packed"
-        assert s_sge == s_cpu == 6000
-
-    def test_sge_mode_skips_copy(self):
-        _, t_sge = self._run(True)
-        _, t_cpu = self._run(False)
-        assert t_sge < t_cpu
