@@ -322,6 +322,12 @@ def _cmd_faults(args) -> None:
 def _cmd_perf(args) -> None:
     from repro.perf import run_perf
 
+    if (args.out and args.compare
+            and os.path.realpath(args.out) == os.path.realpath(args.compare)):
+        # the merge would rewrite the baseline the run is judged against
+        print(f"error: --out: {args.out!r} is the --compare baseline",
+              file=sys.stderr)
+        raise SystemExit(2)
     code = run_perf(quick=args.quick, out=args.out, compare=args.compare,
                     only=args.only, max_slowdown=args.max_slowdown,
                     trace_overhead=args.trace_overhead,
@@ -554,7 +560,7 @@ COMMANDS = {
     "pingpong": (_cmd_pingpong, "IMB PingPong latency view (companion)"),
     "breakdown": (_cmd_breakdown, "per-component message cost analysis"),
     "faults": (_cmd_faults, "fault-injection demo: lossy link + report"),
-    "perf": (_cmd_perf, "time fast vs reference paths, track BENCH_PR2.json"),
+    "perf": (_cmd_perf, "time fast vs reference paths, compare to a BENCH file"),
     "resume": (_cmd_resume, "resume a checkpointed run from a snapshot"),
     "trace": (_cmd_trace, "run a figure driver with tracing on"),
     "sanitize": (_cmd_sanitize, "run a figure driver under the sanitizer"),
@@ -690,9 +696,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "perf":
             p.add_argument("--quick", action="store_true",
                            help="smaller sweeps (the CI smoke configuration)")
-            p.add_argument("--out", default="BENCH_PR2.json",
-                           help="JSON results file to merge into "
-                                "(default BENCH_PR2.json)")
+            p.add_argument("--out", default="",
+                           help="JSON results file to merge into (default: "
+                                "write none; never the --compare file)")
             p.add_argument("--compare", default=None, metavar="BASELINE",
                            help="fail if fig5's speedup regresses >20%% vs "
                                 "this baseline's same-mode entry")

@@ -45,7 +45,7 @@ def preload_hugepage_library(
         proc.aspace,
         libc=proc.libc,
         config=config,
-        cost_model=proc.machine.spec.alloc_costs,
+        cost_model=proc.spec.alloc_costs,
         counters=proc.counters,
     )
     proc.allocator = lib

@@ -78,6 +78,7 @@ spans at the price of that one kernel event.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import (Any, Callable, Dict, Generator, Optional, Sequence,
@@ -105,6 +106,7 @@ from repro.ib.verbs import (
     WorkCompletion,
 )
 from repro.mem.address_space import AddressSpace
+from repro.util import WeakCall
 
 _seq = itertools.count(1)
 
@@ -213,19 +215,23 @@ class _Packet(Record):
 
 
 class Wire:
-    """A point-to-point cable between two HCAs (both directions)."""
+    """A point-to-point cable between two HCAs (both directions).
+
+    The adapters own the cable (:meth:`HCA.attach_wire`); the cable
+    points back at them weakly, so two wired adapters form no cycle.
+    """
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
-        self._ends: Dict[int, "HCA"] = {}
+        self._ends: Dict[int, "weakref.ref[HCA]"] = {}
         #: id(sender) -> the HCA at the other end, resolved at attach
-        self._far: Dict[int, "HCA"] = {}
+        self._far: Dict[int, "weakref.ref[HCA]"] = {}
 
     def attach(self, hca: "HCA") -> None:
         """Connect one HCA end."""
         if len(self._ends) >= 2 and id(hca) not in self._ends:
             raise IBVerbsError("a wire has exactly two ends")
-        self._ends[id(hca)] = hca
+        self._ends[id(hca)] = weakref.ref(hca)
         self._far = {
             key: other
             for key in self._ends
@@ -235,7 +241,8 @@ class Wire:
 
     def far_end(self, sender: "HCA") -> "HCA":
         """The HCA at the other end from *sender*."""
-        dest = self._far.get(id(sender))
+        ref = self._far.get(id(sender))
+        dest = None if ref is None else ref()
         if dest is None:
             raise IBVerbsError("wire has no far end attached")
         return dest
@@ -290,6 +297,9 @@ class HCA:
         self._rx_seen: Dict[int, str] = {}
         self._wires: Dict[int, Wire] = {}
         self._qps: Dict[int, QueuePair] = {}
+        #: qp_num -> the QP's send engine, as its send queue holds it
+        #: (see :meth:`_tx_rearm`)
+        self._tx_engines: Dict[int, WeakCall] = {}
         self._mrs_by_lkey: Dict[int, MemoryRegion] = {}
         self._mrs_by_rkey: Dict[int, MemoryRegion] = {}
         self._outstanding: Dict[int, Tuple[QueuePair, SendWR]] = {}
@@ -334,10 +344,11 @@ class HCA:
 
     @staticmethod
     def connect_pair(qp_a: QueuePair, hca_a: "HCA", qp_b: QueuePair, hca_b: "HCA") -> None:
-        """Bring two QPs to RTS pointing at each other (the HCAs must
-        already share a wire, see :func:`connect_hcas`)."""
-        qp_a.connect(hca_b, qp_b.qp_num)
-        qp_b.connect(hca_a, qp_a.qp_num)
+        """Bring two QPs to RTS pointing at each other over the wire the
+        HCAs share (see :func:`connect_hcas`)."""
+        wire = hca_a.wire_to(hca_b)
+        qp_a.connect(wire, qp_b.qp_num)
+        qp_b.connect(wire, qp_a.qp_num)
 
     # -- memory registration ----------------------------------------------------
     def register_then(
@@ -408,6 +419,7 @@ class HCA:
             if plan.ack_timeout_ns is not None:
                 qp.ack_timeout_ns = plan.ack_timeout_ns
         self._qps[qp.qp_num] = qp
+        self._tx_engines[qp.qp_num] = WeakCall(self._tx_begin, qp.qp_num)
         self._tx_rearm(qp)
         return qp
 
@@ -488,8 +500,14 @@ class HCA:
                   then: Callable[[WorkCompletion], None]) -> None:
         """Consume the next CQE: *then(wc)* runs one poll cost after a CQE
         is available (the CQ hands it over without a kernel event)."""
+        cq.store.get_then(self.poller(then))
+
+    def poller(self, then: Callable[[WorkCompletion], None]) -> Callable:
+        """The CQ getter :meth:`poll_then` parks for *then*.  A progress
+        engine that polls again after every CQE builds it once and parks
+        it itself (``cq.store.get_then(poller)``)."""
         # the CQ calls this with the CQE: call_after(poll, then, wc)
-        cq.store.get_then(partial(self.kernel.call_after, self._poll_ticks, then))
+        return partial(self.kernel.call_after, self._poll_ticks, then)
 
     # -- generator adapters for process programs (see module docstring) ---------
     def register_memory(
@@ -522,10 +540,12 @@ class HCA:
     # -- adapter send pipeline -------------------------------------------------
     def _tx_rearm(self, qp: QueuePair) -> None:
         """Arm the send engine: the send queue hands it the next posted
-        WR."""
-        qp.send_q.get_then(partial(self._tx_begin, qp))
+        WR.  The armed callback names the QP by number and holds this
+        adapter weakly, so the queue owns neither (see :class:`WeakCall`)."""
+        qp.send_q.get_then(self._tx_engines[qp.qp_num])
 
-    def _tx_begin(self, qp: QueuePair, wr: SendWR) -> None:
+    def _tx_begin(self, qp_num: int, wr: SendWR) -> None:
+        qp = self._qps[qp_num]
         tracer = trace.active()
         span = (None if tracer is None
                 else tracer.begin("ib.tx", self.name, opcode=wr.opcode,
@@ -571,7 +591,7 @@ class HCA:
         self.counters.add("hca.tx_messages")
         if opcode != "rdma_read":
             self.counters.add("hca.tx_bytes", nbytes)
-        wire = self.wire_to(qp.peer_hca)
+        wire = qp.wire
         self._deliver(wire, packet, self._launch_ticks)
         if self.faults is not None:
             self._watch(qp, packet, wire)
@@ -753,8 +773,9 @@ class HCA:
                 counters.add("faults.qp.recovery_ticks", self.kernel.now - t0)
             self._retire(qp, packet.seq)
             return
-        peer = qp.peer_hca
-        if peer is not None and packet.seq in peer._rx_inflight:
+        peer_wire = qp.wire
+        if (peer_wire is not None
+                and packet.seq in peer_wire.far_end(self)._rx_inflight):
             # delivered but waiting on a receive WR: the RNR NAK path
             counters.add("faults.qp.rnr_naks")
             rnr_waits += 1
@@ -785,9 +806,9 @@ class HCA:
         launch delay, and the delay is shorter than one watchdog period,
         so no duplicate can still arrive to need the recorded status.
         """
-        peer = qp.peer_hca
-        if peer is not None:
-            peer._rx_seen.pop(seq, None)
+        wire = qp.wire
+        if wire is not None:
+            wire.far_end(self)._rx_seen.pop(seq, None)
 
     def _abort_send(self, qp: QueuePair, packet: _Packet, status: str) -> None:
         """Give up on an outbound message: error CQE, QP drops to SQE."""

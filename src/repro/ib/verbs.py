@@ -275,7 +275,10 @@ class QueuePair:
         self.send_q = Store(kernel)
         self.recv_q = Store(kernel)
         self.state = "RESET"
-        self.peer_hca: Optional[object] = None
+        #: the cable towards the peer's adapter (a
+        #: :class:`repro.ib.hca.Wire`), not the adapter itself: the two
+        #: adapters would hold each other through their QPs
+        self.wire: Optional[object] = None
         self.peer_qp_num: Optional[int] = None
         #: transport retry budget before a send completes with
         #: "transport-retry-exceeded-error" (IB: 3 bits, 0-7)
@@ -298,7 +301,7 @@ class QueuePair:
         if new_state in ("RESET", "ERROR"):
             self.state = new_state
             if new_state == "RESET":
-                self.peer_hca = None
+                self.wire = None
                 self.peer_qp_num = None
             return
         if new_state not in QP_TRANSITIONS[self.state]:
@@ -308,10 +311,11 @@ class QueuePair:
             )
         self.state = new_state
 
-    def connect(self, peer_hca: object, peer_qp_num: int) -> None:
+    def connect(self, wire: object, peer_qp_num: int) -> None:
         """Walk a RESET QP through INIT and RTR to RTS, targeting a
-        peer QP.  Reconnecting an armed QP is an error: real verbs
-        require a reset first, and silently re-arming hid wiring bugs.
+        peer QP at the far end of *wire*.  Reconnecting an armed QP is
+        an error: real verbs require a reset first, and silently
+        re-arming hid wiring bugs.
         """
         if self.state == "RTS":
             raise IBVerbsError(
@@ -323,7 +327,7 @@ class QueuePair:
                 f"connect() needs QP {self.qp_num} in RESET, "
                 f"but it is in {self.state}"
             )
-        self.peer_hca = peer_hca
+        self.wire = wire
         self.peer_qp_num = peer_qp_num
         for state in ("INIT", "RTR", "RTS"):
             self.modify(state)

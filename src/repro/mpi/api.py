@@ -50,7 +50,8 @@ from repro.mpi import rendezvous as rndv_mod
 from repro.mpi.op import Join, Op
 from repro.mpi.profiler import MPIProfiler
 from repro.mpi.regcache import RegistrationCache
-from repro.systems.machine import Cluster, OSProcess
+from repro.systems.machine import Cluster, Machine, OSProcess
+from repro.util import WeakCall
 
 if TYPE_CHECKING:
     from repro.mem.access import AccessCost
@@ -106,18 +107,25 @@ class Envelope(Record):
 
 
 class Endpoint:
-    """One rank's transport state (see module docstring)."""
+    """One rank's transport state (see module docstring).
+
+    The world owns its endpoints, and an endpoint holds no link back to
+    the world: it keeps the placement it needs (``ppn``, ``size``) and
+    the match channels of every rank, for the intra-node transport.
+    """
 
     CTRL_BYTES = 64
 
     def __init__(self, world: "MPIWorld", rank: int, proc: OSProcess,
-                 config: MPIConfig):
-        self.world = world
+                 machine: Machine, config: MPIConfig,
+                 match_channels: List[Channel]):
         self.rank = rank
+        self.ppn = world.ppn
+        self.size = world.size
         self.proc = proc
         self.config = config
-        self.machine = proc.machine
-        self.hca = self.machine.hca
+        self.machine = machine
+        self.hca = machine.hca
         self.kernel: SimKernel = world.kernel
         #: trace tracks of this rank's sending and receiving halves
         self.tx_track = f"rank{rank}.tx"
@@ -126,7 +134,9 @@ class Endpoint:
         self.send_cq = CompletionQueue(self.kernel)
         self.recv_cq = CompletionQueue(self.kernel)
         self.qps: Dict[int, QueuePair] = {}  # peer rank -> QP
-        self.match_channel = Channel(self.kernel)
+        #: every rank's match channel, indexed by rank (shared)
+        self._match_channels = match_channels
+        self.match_channel = match_channels[rank]
         self.cts_channel = Channel(self.kernel)
         self.fin_channel = Channel(self.kernel)
         self.bounce_pool = Store(self.kernel)
@@ -139,7 +149,13 @@ class Endpoint:
             counters=proc.counters,
             owner=f"rank{rank}",
         )
+        # the address space keeps the cache: a free after the world is
+        # gone still invalidates (the cache holds the space weakly)
         proc.aspace.unmap_hooks.append(self.regcache.invalidate_range)
+        # the CQs are reachable from this endpoint: what the progress
+        # engines park there holds it weakly
+        self._recv_poll = self.hca.poller(WeakCall(self._on_recv_completion))
+        self._send_poll = self.hca.poller(WeakCall(self._on_send_completion))
         self._wr_ids = itertools.count(1)
         self._rndv_ids = itertools.count(1)
         #: send WR id -> the continuation its completion is handed to
@@ -151,7 +167,7 @@ class Endpoint:
     # -- identity helpers ------------------------------------------------------
     def node_of(self, rank: int) -> int:
         """Node index hosting *rank*."""
-        return self.world.node_of(rank)
+        return block_node_of(rank, self.ppn, self.size)
 
     def is_local(self, rank: int) -> bool:
         """True when *rank* lives on this endpoint's node."""
@@ -238,7 +254,7 @@ class Endpoint:
     # one CQE at a time), handles the entry, and only then polls again.
 
     def _recv_progress(self) -> None:
-        self.hca.poll_then(self.recv_cq, self._on_recv_completion)
+        self.recv_cq.store.get_then(self._recv_poll)
 
     def _on_recv_completion(self, wc: WorkCompletion) -> None:
         qp, sges = self._recv_slots.pop(wc.wr_id)
@@ -249,7 +265,7 @@ class Endpoint:
         self._dispatch(wc.payload)
 
     def _send_progress(self) -> None:
-        self.hca.poll_then(self.send_cq, self._on_send_completion)
+        self.send_cq.store.get_then(self._send_poll)
 
     def _on_send_completion(self, wc: WorkCompletion) -> None:
         waiter = self._send_waiters.pop(wc.wr_id, None)
@@ -289,7 +305,7 @@ class Endpoint:
 
             def _delivered() -> None:
                 env = self.make_envelope("eager", dest, tag, size, payload=payload)
-                self.world.endpoint(dest).match_channel.send(env)
+                self._match_channels[dest].send(env)
                 then()
 
             op.after(self.machine.clock.ns_to_ticks(ns), _delivered)
@@ -368,6 +384,13 @@ class Endpoint:
             rndv_mod.rdma_rendezvous_recv_then(op, env, addr, then)
 
 
+def block_node_of(rank: int, ppn: int, size: int) -> int:
+    """Block placement: ranks 0..ppn-1 on node 0, etc."""
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} out of range")
+    return rank // ppn
+
+
 def _matcher(source: Optional[int], tag: Optional[int]) -> Callable[[Envelope], bool]:
     """The match predicate of a receive posted for (*source*, *tag*)."""
     def matches(env: Envelope) -> bool:
@@ -395,10 +418,11 @@ class RankResult:
 class Communicator:
     """The per-rank MPI handle handed to rank programs."""
 
-    def __init__(self, world: "MPIWorld", endpoint: Endpoint):
-        self.world = world
+    def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
-        self.kernel = world.kernel
+        self.kernel = endpoint.kernel
+        #: number of ranks in the world
+        self.size = endpoint.size
         self.profiler = MPIProfiler(endpoint.rank)
 
     # -- identity -----------------------------------------------------------
@@ -406,11 +430,6 @@ class Communicator:
     def rank(self) -> int:
         """This rank's index."""
         return self.endpoint.rank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the world."""
-        return self.world.size
 
     @property
     def proc(self) -> OSProcess:
@@ -525,20 +544,20 @@ class MPIWorld:
         self.ppn = ppn
         self.size = ppn * len(cluster.nodes)
         self.config = config if config is not None else MPIConfig()
+        channels = [Channel(self.kernel) for _ in range(self.size)]
         self._endpoints: List[Endpoint] = []
         for rank in range(self.size):
             node = cluster.nodes[self.node_of(rank)]
             proc = node.new_process(name=f"rank{rank}")
-            self._endpoints.append(Endpoint(self, rank, proc, self.config))
+            self._endpoints.append(
+                Endpoint(self, rank, proc, node, self.config, channels))
         self._wire_qps()
-        self._comms = [Communicator(self, ep) for ep in self._endpoints]
+        self._comms = [Communicator(ep) for ep in self._endpoints]
 
     # -- placement -------------------------------------------------------------
     def node_of(self, rank: int) -> int:
         """Block placement: ranks 0..ppn-1 on node 0, etc."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range")
-        return rank // self.ppn
+        return block_node_of(rank, self.ppn, self.size)
 
     def endpoint(self, rank: int) -> Endpoint:
         """The endpoint of *rank*."""

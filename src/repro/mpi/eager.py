@@ -17,6 +17,7 @@ the half opens one ``mpi.*`` span while a tracer is active.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import trace
@@ -140,24 +141,35 @@ def copy_rendezvous_send_then(op: Op, dest: int, tag: int, size: int,
                               dest=dest, bytes=size)
     rndv = ep.next_rndv_id()
     rts = ep.make_envelope("rts", dest, tag, size, rndv=rndv)
+    send_ctrl_then(op, dest, rts, lambda: ep.cts_channel.receive_then(
+        lambda _cts: op.call(_send_chunk, op, dest, tag, size, addr, payload,
+                             rndv, then, 0, 0),
+        lambda e: e.rndv == rndv))
+
+
+# The copy rendezvous's repeating steps are module functions, not
+# closures: a closure that schedules itself holds itself through its
+# cell, a cycle that outlives the message.
+
+def _send_chunk(op: Op, dest: int, tag: int, size: int, addr: Optional[int],
+                payload: Any, rndv: int, then: Callable[[], None], i: int,
+                offset: int) -> None:
+    """Send chunk *i* of a copy rendezvous; *then()* after the last."""
+    ep = op.ep
     chunk = ep.config.eager_buf_bytes
     n_chunks = (size + chunk - 1) // chunk
-
-    def _chunk(i: int, offset: int) -> None:
-        if i == n_chunks:
-            then()
-            return
-        this = min(chunk, size - offset)
-        env = ep.make_envelope(
-            "rdat", dest, tag, this, rndv=rndv,
-            payload=payload if i == n_chunks - 1 else None,
-        )
-        src = addr + offset if addr is not None else None
-        bounce_send_then(op, dest, env, this, src,
-                         lambda: _chunk(i + 1, offset + this))
-
-    send_ctrl_then(op, dest, rts, lambda: ep.cts_channel.receive_then(
-        lambda _cts: op.call(_chunk, 0, 0), lambda e: e.rndv == rndv))
+    if i == n_chunks:
+        then()
+        return
+    this = min(chunk, size - offset)
+    env = ep.make_envelope(
+        "rdat", dest, tag, this, rndv=rndv,
+        payload=payload if i == n_chunks - 1 else None,
+    )
+    src = addr + offset if addr is not None else None
+    bounce_send_then(op, dest, env, this, src,
+                     partial(_send_chunk, op, dest, tag, size, addr, payload,
+                             rndv, then, i + 1, offset + this))
 
 
 def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
@@ -168,28 +180,37 @@ def copy_rendezvous_recv_then(op: Op, env: Envelope, addr: Optional[int],
         op.span = trace.begin("mpi.rndv.copy.recv", ep.rx_track,
                               src=env.src, bytes=env.size)
     cts = ep.make_envelope("cts", env.src, env.tag, env.size, rndv=env.rndv)
+    send_ctrl_then(op, env.src, cts,
+                   lambda: _await_chunk(op, env, addr, then, 0, None))
+
+
+def _await_chunk(op: Op, env: Envelope, addr: Optional[int],
+                 then: Callable[[Any], None], offset: int, payload: Any) -> None:
+    """Wait for the chunk at *offset* of *env*'s message; *then(payload)*
+    after the last."""
+    if offset >= env.size:
+        then(payload)
+        return
     rndv = env.rndv
+    op.ep.match_channel.receive_then(
+        lambda data: op.call(_chunk_landed, op, env, addr, then, offset,
+                             payload, data),
+        lambda e: e.kind == "rdat" and e.rndv == rndv,
+    )
 
-    def _next(offset: int, payload: Any) -> None:
-        if offset >= env.size:
-            then(payload)
-            return
-        ep.match_channel.receive_then(
-            lambda data: op.call(_landed, offset, payload, data),
-            lambda e: e.kind == "rdat" and e.rndv == rndv,
-        )
 
-    def _landed(offset: int, payload: Any, data: Envelope) -> None:
-        if data.payload is not None:
-            payload = data.payload
-        if addr is not None:
-            # copy out of the bounce into the user buffer
-            cost = ep.proc.engine.stream(addr + offset, data.size, write=True)
-            op.after(cost.ticks, _next, offset + data.size, payload)
-        else:
-            _next(offset + data.size, payload)
-
-    send_ctrl_then(op, env.src, cts, lambda: _next(0, None))
+def _chunk_landed(op: Op, env: Envelope, addr: Optional[int],
+                  then: Callable[[Any], None], offset: int, payload: Any,
+                  data: Envelope) -> None:
+    if data.payload is not None:
+        payload = data.payload
+    if addr is not None:
+        # copy out of the bounce into the user buffer
+        cost = op.ep.proc.engine.stream(addr + offset, data.size, write=True)
+        op.after(cost.ticks, _await_chunk, op, env, addr, then,
+                 offset + data.size, payload)
+    else:
+        _await_chunk(op, env, addr, then, offset + data.size, payload)
 
 
 def eager_recv_copy_out_then(op: Op, env: Envelope, addr: Optional[int],

@@ -15,6 +15,7 @@ cache entry (the classic MVAPICH malloc-hook dance).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import trace
@@ -50,7 +51,9 @@ class RegistrationCache:
         owner: Optional[str] = None,
     ):
         self.hca = hca
-        self.aspace = aspace
+        #: held weakly: the address space owns this cache, through the
+        #: unmap hook that calls :meth:`invalidate_range`
+        self._aspace = weakref.ref(aspace)
         self.pd = pd
         self.enabled = enabled
         self.capacity_bytes = capacity_bytes
@@ -64,6 +67,11 @@ class RegistrationCache:
         self._pins: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
+
+    @property
+    def aspace(self) -> AddressSpace:
+        """The address space whose registrations this cache holds."""
+        return self._aspace()
 
     # -- lookup helpers -----------------------------------------------------
     def _find(self, vaddr: int, length: int) -> Optional[MemoryRegion]:

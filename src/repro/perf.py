@@ -12,9 +12,11 @@ reference per-element loops — and records, per benchmark:
 ``identical: false`` anywhere is a hard failure — the fast paths exist
 only because they are bit-equivalent (see ``docs/performance.md``).
 
-Results are written to a JSON file (default ``BENCH_PR2.json``), keyed
-by mode (``full`` / ``quick``) so a quick CI run compares against the
-quick section of the committed baseline.  ``--compare BASELINE`` fails
+Results are printed; ``--out FILE`` also merges them into a JSON file,
+keyed by mode (``full`` / ``quick``), so a quick CI run compares
+against the quick section of the committed ``BENCH_PR2.json``.  By
+default nothing is written, and the CLI refuses an ``--out`` that
+names the ``--compare`` file.  ``--compare BASELINE`` fails
 (exit 1) when the headline ``fig5`` speedup regresses more than
 ``1 - REGRESSION_TOLERANCE`` relative to the baseline's same-mode entry
 — a *ratio* of two timings on the same machine, so the check is
@@ -347,7 +349,7 @@ def compare_results(baseline_path: str, mode: str,
     return failures
 
 
-def run_perf(quick: bool = False, out: str = "BENCH_PR2.json",
+def run_perf(quick: bool = False, out: str = "",
              compare: Optional[str] = None,
              only: Optional[List[str]] = None,
              max_slowdown: Optional[float] = None,

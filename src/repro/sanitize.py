@@ -86,6 +86,7 @@ report links into the Chrome trace timeline (see
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right, insort
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, NoReturn, Optional, Tuple
@@ -249,7 +250,9 @@ class _HeapShadow:
 
 
 class _MRShadow:
-    """Lifetime record of one registration (kept after dereg)."""
+    """Lifetime record of one registration (kept after dereg).  It holds
+    its address space weakly: the record outlives the region, and must
+    not keep the process's memory alive."""
 
     __slots__ = ("mr_id", "lkey", "rkey", "vaddr", "length", "n_entries",
                  "aspace", "registered")
@@ -261,7 +264,7 @@ class _MRShadow:
         self.vaddr = mr.vaddr
         self.length = mr.length
         self.n_entries = mr.n_entries
-        self.aspace = aspace
+        self.aspace = weakref.ref(aspace)
         self.registered = True
 
 
@@ -286,7 +289,10 @@ class Sanitizer:
         self.tlb = "tlb" in groups
         self.counter = "counter" in groups
         self.checks: Dict[str, int] = {g: 0 for g in RULE_GROUPS}
-        self._heaps: Dict[int, Tuple[Any, _HeapShadow]] = {}
+        #: address space -> its heap shadow; weakly keyed, so a shadow
+        #: goes when its address space goes
+        self._heaps: "weakref.WeakKeyDictionary[Any, _HeapShadow]" = (
+            weakref.WeakKeyDictionary())
         self._mrs: Dict[int, _MRShadow] = {}
         self._by_lkey: Dict[int, _MRShadow] = {}
         self._by_rkey: Dict[int, _MRShadow] = {}
@@ -318,12 +324,10 @@ class Sanitizer:
     # -- heap shadow --------------------------------------------------------
 
     def _heap_shadow(self, aspace: Any) -> _HeapShadow:
-        entry = self._heaps.get(id(aspace))
-        if entry is None:
-            # keyed by id() for speed; the aspace reference keeps the
-            # object alive so ids cannot be recycled under us
-            entry = self._heaps[id(aspace)] = (aspace, _HeapShadow())
-        return entry[1]
+        shadow = self._heaps.get(aspace)
+        if shadow is None:
+            shadow = self._heaps[aspace] = _HeapShadow()
+        return shadow
 
     def on_malloc(self, allocator: Any, vaddr: int, size: int) -> None:
         """Record an outermost allocation; flags ``heap.overlap``."""
@@ -389,10 +393,9 @@ class Sanitizer:
                           op: str) -> None:
         """Validate one access shape against the shadow intervals."""
         self.checks["heap"] += 1
-        entry = self._heaps.get(id(aspace))
-        if entry is None:
+        shadow = self._heaps.get(aspace)
+        if shadow is None:
             return
-        shadow = entry[1]
         starts, recs = shadow.starts, shadow.recs
         end = vaddr + nbytes
         i = bisect_right(starts, vaddr) - 1
@@ -506,7 +509,7 @@ class Sanitizer:
         """Record a registration; flags ``mr.duplicate-registration``."""
         self.checks["mr"] += 1
         for rec in self._mrs.values():
-            if (rec.registered and rec.aspace is aspace
+            if (rec.registered and rec.aspace() is aspace
                     and rec.vaddr == mr.vaddr and rec.length == mr.length):
                 self._violate(
                     "mr.duplicate-registration",
@@ -565,9 +568,12 @@ class Sanitizer:
         OS may have reused)."""
         self.checks["mr"] += 1
         rec = self._mrs.get(mr.mr_id)
-        if rec is None or rec.aspace is None:
-            return  # registered before the sanitizer was installed
-        err = _mr_pages(rec.aspace, mr.mr_id, addr, nbytes, op=op)
+        aspace = None if rec is None else rec.aspace()
+        if aspace is None:
+            # registered before the sanitizer was installed, or by a
+            # process that is gone
+            return
+        err = _mr_pages(aspace, mr.mr_id, addr, nbytes, op=op)
         if err is not None:
             self._raise(err)
 

@@ -38,6 +38,7 @@ from repro.mem.cache import CacheConfig
 from repro.mem.hugetlbfs import HugeTLBfs
 from repro.mem.physical import PhysicalMemory
 from repro.mem.tlb import TLBConfig
+from repro.util import WeakCall
 
 MB = 1024 * 1024
 
@@ -69,13 +70,19 @@ class MachineSpec:
 
 
 class OSProcess:
-    """One process (MPI rank) on a machine."""
+    """One process (MPI rank) on a machine.
+
+    The machine owns its processes; a process keeps the node's spec and
+    clock, not the machine, and works on after the machine is gone.
+    """
 
     def __init__(self, machine: "Machine", name: str = "proc"):
-        self.machine = machine
         self.name = name
         self.counters = CounterSet()
-        spec = machine.spec
+        self.spec = spec = machine.spec
+        self.clock = machine.clock
+        #: hands a forked child to the machine (see :meth:`fork`)
+        self._adopt = WeakCall(machine._adopt)
         self.aspace = AddressSpace(machine.physical, machine.hugetlbfs)
         self.engine = MemoryAccessEngine(
             self.aspace, spec.tlb, spec.cache, machine.clock, self.counters
@@ -108,23 +115,24 @@ class OSProcess:
         Allocator metadata is *not* cloned (a simulated child is a new
         program image working over inherited memory); the child must
         allocate its own buffers and may only read-or-CoW-write the
-        inherited ranges.
+        inherited ranges.  The child joins the machine's processes; once
+        the machine is gone, the child is an orphan like its parent.
         """
         child = OSProcess.__new__(OSProcess)
-        child.machine = self.machine
         child.name = name or f"{self.name}-child"
         child.counters = CounterSet()
-        spec = self.machine.spec
+        child.spec = spec = self.spec
+        child.clock = self.clock
+        child._adopt = self._adopt
         child.aspace = self.aspace.fork()
         child.engine = MemoryAccessEngine(
-            child.aspace, spec.tlb, spec.cache, self.machine.clock,
-            child.counters
+            child.aspace, spec.tlb, spec.cache, self.clock, child.counters
         )
         child.libc = LibcAllocator(
             child.aspace, cost_model=spec.alloc_costs, counters=child.counters
         )
         child.allocator = child.libc
-        self.machine._procs.append(child)
+        self._adopt(child)
         return child
 
     def destroy(self) -> None:
@@ -178,6 +186,10 @@ class Machine:
         proc = OSProcess(self, name or f"{self.name}-p{len(self._procs)}")
         self._procs.append(proc)
         return proc
+
+    def _adopt(self, proc: OSProcess) -> None:
+        """Take in a process forked on this node."""
+        self._procs.append(proc)
 
     @property
     def processes(self) -> List[OSProcess]:

@@ -1,8 +1,10 @@
 """Small shared utilities with no simulation semantics.
 
-Currently one thing lives here: :func:`atomic_write`, the single
-implementation of the temp-file + ``fsync`` + ``os.replace`` pattern
-that :mod:`repro.checkpoint` (snapshot files), :mod:`repro.trace`
+Two things live here.  :class:`WeakCall` is the one way a callback
+refers back to the object that armed it (see "Ownership" in
+``DESIGN.md``).  :func:`atomic_write` is the single implementation of
+the temp-file + ``fsync`` + ``os.replace`` pattern that
+:mod:`repro.checkpoint` (snapshot files), :mod:`repro.trace`
 (Chrome trace exports) and :mod:`repro.batch` (journal compaction,
 memoized result publication, batch reports) all rely on.  Readers of
 any of those files only ever observe a complete, fully-flushed file —
@@ -14,7 +16,36 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Union
+import weakref
+from typing import Any, Callable, Union
+
+
+class WeakCall:
+    """``method(*args, *more)`` through a weak reference to the object
+    of the bound *method*; a no-op once that object is gone.
+
+    For a callback parked where its own object can reach it (a chain
+    armed on a queue the object owns, a callback handed to something
+    it owns), which would otherwise close a reference cycle.  *args* are held
+    strongly, so they must not lead back to the parked place.
+    """
+
+    __slots__ = ("_ref", "_func", "_args")
+
+    def __init__(self, method: Callable[..., Any], *args: Any):
+        self._ref = weakref.ref(method.__self__)  # type: ignore[attr-defined]
+        self._func = method.__func__  # type: ignore[attr-defined]
+        self._args = args
+
+    def __call__(self, *more: Any) -> None:
+        obj = self._ref()
+        if obj is not None:
+            self._func(obj, *self._args, *more)
+
+    def __repr__(self) -> str:
+        # what a pending kernel step of this callback is called
+        # (:func:`repro.engine.core.item_name`): the method's name
+        return self._func.__qualname__
 
 
 def atomic_write(path: str, data: Union[bytes, str], *,

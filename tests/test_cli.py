@@ -9,6 +9,7 @@ from repro.cli import COMMANDS, _cmd_figure, main
 from repro.figures import FIGURES
 
 RUN_LEDGER_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "run_ledger"
+COMMITTED_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
 FAULTS_ARGV = ["faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"]
 
 
@@ -532,3 +533,40 @@ class TestExitCodeContract:
             main(["lint", str(mod)])
         assert exc.value.code == 1
         assert "wallclock" in capsys.readouterr().out
+
+
+class TestPerfBaseline:
+    """``repro perf`` reads the committed baseline and never rewrites it."""
+
+    PERF_ARGV = ["perf", "--quick", "--only", "fig3"]
+
+    @pytest.fixture
+    def baseline(self, tmp_path, monkeypatch):
+        copy = tmp_path / "BENCH_PR2.json"
+        shutil.copyfile(COMMITTED_BASELINE, copy)
+        monkeypatch.chdir(tmp_path)
+        return copy
+
+    def test_compare_leaves_the_baseline_byte_identical(self, baseline, capsys):
+        """The documented command, run where the baseline lives."""
+        before = baseline.read_bytes()
+        assert main(self.PERF_ARGV + ["--compare", "BENCH_PR2.json"]) == 0
+        assert baseline.read_bytes() == before
+        assert sorted(p.name for p in baseline.parent.iterdir()) == ["BENCH_PR2.json"]
+        assert "results written" not in capsys.readouterr().out
+
+    def test_out_naming_the_compare_file_is_refused(self, baseline, capsys):
+        before = baseline.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(self.PERF_ARGV + ["--out", "./BENCH_PR2.json",
+                                   "--compare", str(baseline)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert baseline.read_bytes() == before
+
+    def test_out_elsewhere_still_merges(self, baseline):
+        out = baseline.parent / "run.json"
+        assert main(self.PERF_ARGV + ["--out", str(out),
+                                      "--compare", "BENCH_PR2.json"]) == 0
+        assert '"fig3"' in out.read_text()

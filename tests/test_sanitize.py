@@ -2,6 +2,8 @@
 healthy runs, and every seeded corruption class is caught *at the
 faulting operation* with the exact rule id and faulting address/key."""
 
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,30 @@ def _mr_machine(length=MB):
     mr, _ns = machine.reg_engine.register(
         proc.aspace, ProtectionDomain.fresh(), buf, length)
     return machine, proc, buf, mr
+
+
+class TestShadowLifetime:
+    """The sanitizer's shadows go with the address space they shadow,
+    so a sanitized command does not keep every dropped process's
+    memory, and its node's physical pool, alive until it ends."""
+
+    def test_dropped_machine_frees_its_address_space(self):
+        san = sanitize.Sanitizer()
+        with sanitize.capturing(san):
+            machine, proc, buf, mr = _mr_machine()
+            san.check_dma(mr, buf, MB, "post_send")
+            proc.free(proc.malloc(64 * KB))
+            space = weakref.ref(proc.aspace)
+            pool = weakref.ref(machine.physical)
+            del machine, proc, mr
+            gc.collect()
+            assert space() is None
+            assert pool() is None
+            # the sanitizer carries on with the next machine
+            machine, proc = make_machine()
+            proc.free(proc.malloc(64 * KB))
+        assert san.checks["heap"] == 4
+        assert san.checks["mr"] >= 2
 
 
 class TestRuleParsing:

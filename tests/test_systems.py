@@ -1,5 +1,6 @@
 """Tests for machines, presets and clusters."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -78,6 +79,54 @@ class TestMachine:
         proc.malloc(64 * 1024)
         proc.destroy()
         assert machine.physical.free_small_frames == before
+
+
+class TestOrphanProcess:
+    """A process outlives its machine.  The machine owns its processes
+    and a process keeps no link back to it, so a caller that keeps only
+    the process (``machine.new_process()`` returned from a helper) holds
+    a process that still works, and costs exactly what it cost while
+    its machine was alive."""
+
+    @staticmethod
+    def _process():
+        return Machine(SimKernel(), presets.opteron_infinihost_pcie()).new_process()
+
+    @staticmethod
+    def _exercise(proc):
+        from repro.core import preload_hugepage_library
+
+        small = proc.malloc(100 * 1024)
+        stream = proc.engine.stream(small, 100 * 1024, write=True).ticks
+        proc.free(small)
+        preload_hugepage_library(proc)
+        big = proc.malloc(4 * MB)
+        huge = proc.engine.stream(big, 4 * MB).ticks
+        proc.free(big)
+        return stream, huge, proc.counters.snapshot()
+
+    def test_orphan_costs_what_a_wired_process_costs(self):
+        machine = Machine(SimKernel(), presets.opteron_infinihost_pcie())
+        wired = self._exercise(machine.new_process())
+        orphan = self._process()
+        gc.collect()
+        assert self._exercise(orphan) == wired
+
+    def test_orphan_fork_works_and_stays_an_orphan(self):
+        """``fork()`` of an orphan works: the child gets a CoW copy of
+        the parent's memory and its own machinery, and, with no machine
+        left to join, is an orphan too."""
+        parent = self._process()
+        gc.collect()
+        buf = parent.malloc(64 * 1024)
+        child = parent.fork("child")
+        assert child.name == "child"
+        assert child.aspace is not parent.aspace
+        assert child.engine.stream(buf, 64 * 1024).ticks > 0
+        assert child.counters is not parent.counters
+        fresh = child.malloc(4096)
+        child.free(fresh)
+        parent.free(buf)
 
 
 class TestCluster:
