@@ -98,45 +98,6 @@ def percent_change(before: float, after: float) -> float:
     return (before - after) / before * 100.0
 
 
-def batch_report(rows: Sequence[Mapping[str, Any]]) -> str:
-    """Render the batch runner's degradation report.
-
-    *rows* come from :meth:`repro.batch.supervisor.BatchSupervisor.
-    report_rows`: one mapping per job with ``job``, ``command``,
-    ``attempts``, ``retries``, ``crashes``, ``timeouts``, ``outcome``
-    and ``cached`` keys.  Modeled on :func:`degradation_report`: the
-    per-job table shows what was *attempted*, what was *recovered*
-    (retries after crashes/timeouts) and what was *aborted* (permanent
-    failures), with a WARNING line when any job failed for good.
-    """
-    table = Table(["job", "command", "attempts", "retries", "crashes",
-                   "timeouts", "outcome"],
-                  title="batch report")
-    for row in rows:
-        table.add_row([row["job"], row["command"], row["attempts"],
-                       row["retries"], row["crashes"], row["timeouts"],
-                       row["outcome"]])
-    done = sum(1 for r in rows if str(r["outcome"]).startswith("done"))
-    cached = sum(1 for r in rows if r.get("cached"))
-    failed = sum(1 for r in rows if str(r["outcome"]).startswith("failed"))
-    retries = sum(int(r["retries"]) for r in rows)
-    crashes = sum(int(r["crashes"]) for r in rows)
-    timeouts = sum(int(r["timeouts"]) for r in rows)
-    lines = [table.render()]
-    lines.append(
-        f"batch: {len(rows)} job(s): {done} done ({cached} from the memo "
-        f"cache), {failed} failed; {retries} retries, {crashes} worker "
-        f"crash(es), {timeouts} timeout(s)"
-    )
-    if failed:
-        lines.append(
-            f"WARNING: {failed} job(s) failed permanently (retry budget "
-            "exhausted); completed jobs kept their results — re-run with "
-            "--resume to retry only the failures"
-        )
-    return "\n".join(lines)
-
-
 #: how each fault counter is classified in the degradation report
 _INJECTED_PREFIXES = ("faults.link.dropped", "faults.link.corrupted",
                       "faults.reg.", "faults.mem.")

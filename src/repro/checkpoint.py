@@ -30,7 +30,7 @@ import pickle
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine import core as engine_core
 from repro.util import atomic_write
@@ -165,22 +165,6 @@ def _describe_event(entry) -> dict:
 # run-level checkpointing: the unit ledger behind --checkpoint-every
 # ---------------------------------------------------------------------------
 
-#: process-wide snapshot observer, or None.  :mod:`repro.batch` workers
-#: install one so the supervisor-facing side effects (chaos injection,
-#: progress markers) run exactly at snapshot boundaries.
-_snapshot_hook: Optional[Callable[[str], None]] = None
-
-
-def set_snapshot_hook(hook: Optional[Callable[[str], None]]) -> None:
-    """Install *hook* to be called with the path of every run-ledger
-    snapshot :class:`RunCheckpointer` writes (None disables).  The hook
-    runs after the snapshot is durably on disk, so a hook that kills
-    the process (the batch runner's chaos mode does exactly that)
-    leaves a resumable snapshot behind."""
-    global _snapshot_hook
-    _snapshot_hook = hook
-
-
 class RunCheckpointer:
     """Unit ledger for resumable CLI runs.
 
@@ -279,8 +263,6 @@ class RunCheckpointer:
         write_snapshot(os.path.join(directory, "latest.snap"), payload, meta=meta)
         self.last_snapshot_path = path
         self._log(f"checkpoint: wrote {path} ({len(self.units)} units)")
-        if _snapshot_hook is not None:
-            _snapshot_hook(path)
         return path
 
 

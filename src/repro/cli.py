@@ -15,7 +15,6 @@
     python -m repro faults               # fault-injection demo + report
     python -m repro perf [--quick]       # fast-vs-reference perf harness
     python -m repro trace fig5 --trace-out t.json   # traced figure run
-    python -m repro batch specs.json     # crash-tolerant batch runner
 
 Each command prints the same rows/series the paper reports.  ``fig3``
 to ``fig6``, ``xeon``, ``registration``, ``tlb`` and ``abinit`` run the
@@ -56,17 +55,11 @@ shorthand.  A violation aborts the run with exit code 3 and a one-line
 report naming the rule and the faulting address/key — see
 ``docs/static_analysis.md``.
 
-``repro batch <specfile>`` runs a JSON list of experiment specs on a
-supervised worker-process pool with a crash-safe job journal, per-job
-timeouts, retry with exponential backoff, resume-from-snapshot crash
-recovery, sha256-keyed result memoization and a seeded ``--chaos``
-mode — see ``docs/batch_runner.md``.
-
-Exit codes are a contract across every subcommand: 0 = clean run, 2 =
-bad spec / failed preflight (bad flags, unreadable or corrupt
-snapshot/specfile, unwritable output path), 3 = sanitizer violation;
-the batch runner adds 1 = jobs failed permanently and 130 =
-interrupted.
+Exit codes are a contract across every subcommand: 0 = clean run, 1 =
+the run finished with a failed outcome (a faulted run aborted or
+corrupted its payload, or ``lint`` found something), 2 = bad spec /
+failed preflight (bad flags, unreadable or corrupt snapshot,
+unwritable output path), 3 = sanitizer violation.
 """
 
 from __future__ import annotations
@@ -81,6 +74,9 @@ from typing import List, Optional
 
 KB = 1024
 MB = 1024 * 1024
+
+#: the fault plan ``faults`` runs under when no ``--fault-plan`` is given
+DEFAULT_FAULT_PLAN = "link_loss=0.01"
 
 
 def _ensure_dir(path: str, flag: str) -> None:
@@ -386,41 +382,6 @@ def _cmd_resume(args) -> None:
     _dispatch(sub_args)
 
 
-def _cmd_batch(args) -> None:
-    """Run a specfile of experiment jobs under the crash-tolerant batch
-    runner (``repro batch specs.json``) — see ``docs/batch_runner.md``."""
-    from repro.batch import (BatchError, BatchSupervisor, SpecError,
-                             load_specfile, parse_chaos)
-
-    try:
-        specs = load_specfile(args.specfile)
-    except SpecError as exc:
-        print(f"error: batch: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = parse_chaos(args.chaos, seed=args.chaos_seed)
-        except ValueError as exc:
-            print(f"error: --chaos: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    _ensure_dir(args.out_dir, "--out-dir")
-    trace_out = getattr(args, "batch_trace_out", None)
-    if trace_out:
-        _ensure_parent_dir(trace_out, "--trace-out")
-    try:
-        supervisor = BatchSupervisor(
-            specs, args.out_dir, workers=args.jobs, timeout=args.timeout,
-            retries=args.retries, backoff=args.backoff, chaos=chaos,
-            resume=args.resume, trace_out=trace_out)
-        code = supervisor.run()
-    except BatchError as exc:
-        print(f"error: batch: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    if code:
-        raise SystemExit(code)
-
-
 def _cmd_lint(args) -> None:
     """Run the determinism lint (``repro lint``): the per-line detlint
     rules plus the simlint whole-program passes, against ``src/repro``
@@ -454,7 +415,7 @@ def _cmd_trace(args) -> None:
     the same kernel events, as the untraced one."""
     args.command = "fig6" if args.target == "nas" else args.target
     if args.command == "faults" and args.fault_plan is None:
-        args.fault_plan = "link_loss=0.01"
+        args.fault_plan = DEFAULT_FAULT_PLAN
     _dispatch(args)
 
 
@@ -465,7 +426,7 @@ def _cmd_sanitize(args) -> None:
     if getattr(args, "sanitize", None) is None:
         args.sanitize = "all"
     if args.command == "faults" and getattr(args, "fault_plan", None) is None:
-        args.fault_plan = "link_loss=0.01"
+        args.fault_plan = DEFAULT_FAULT_PLAN
     _dispatch(args)
 
 
@@ -564,7 +525,6 @@ COMMANDS = {
     "resume": (_cmd_resume, "resume a checkpointed run from a snapshot"),
     "trace": (_cmd_trace, "run a figure driver with tracing on"),
     "sanitize": (_cmd_sanitize, "run a figure driver under the sanitizer"),
-    "batch": (_cmd_batch, "crash-tolerant batch runner for a JSON specfile"),
     "lint": (_cmd_lint, "determinism lint: detlint rules + simlint passes"),
 }
 
@@ -615,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=["text", "json"], default="text",
                            help="finding output format (default: text)")
         if name in ("fig5", "pingpong", "faults", "trace", "sanitize"):
-            default_plan = "link_loss=0.01" if name == "faults" else None
+            default_plan = DEFAULT_FAULT_PLAN if name == "faults" else None
             p.add_argument("--fault-plan", dest="fault_plan",
                            default=default_plan, metavar="SPEC",
                            help="fault plan: inline key=value,... spec or a "
@@ -656,43 +616,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("snapshot",
                            help="snapshot file written by --checkpoint-every "
                                 "(e.g. checkpoints/latest.snap)")
-        if name == "batch":
-            p.add_argument("specfile",
-                           help="JSON specfile: a list of {id, command, "
-                                "args, timeout} job objects (see "
-                                "docs/batch_runner.md)")
-            p.add_argument("--out-dir", dest="out_dir", default="batch_out",
-                           metavar="DIR",
-                           help="batch work directory: job journal, per-job "
-                                "dirs, memoized results (default batch_out)")
-            p.add_argument("--jobs", type=int, default=2, metavar="N",
-                           help="worker pool size (default 2)")
-            p.add_argument("--timeout", type=float, default=None,
-                           metavar="SECONDS",
-                           help="per-job wall-clock budget; an overdue "
-                                "worker is SIGKILLed and the job retried "
-                                "(specs may override per job)")
-            p.add_argument("--retries", type=int, default=2, metavar="N",
-                           help="retry budget per job after a crash/"
-                                "timeout/failure (default 2)")
-            p.add_argument("--backoff", type=float, default=0.25,
-                           metavar="SECONDS",
-                           help="base retry delay; doubles per attempt "
-                                "(default 0.25)")
-            p.add_argument("--chaos", default=None, metavar="SPEC",
-                           help="seeded fault injection for the runner "
-                                "itself: kill-worker:p=P and/or stall:p=P "
-                                "(comma-separated)")
-            p.add_argument("--chaos-seed", dest="chaos_seed", type=int,
-                           default=0, help="chaos decision seed")
-            p.add_argument("--resume", action="store_true",
-                           help="continue an interrupted batch from its "
-                                "journal; completed jobs are served from "
-                                "the memo cache")
-            p.add_argument("--trace-out", dest="batch_trace_out",
-                           default=None, metavar="FILE",
-                           help="trace every job and merge the per-job "
-                                "timelines into one Chrome trace file")
         if name == "perf":
             p.add_argument("--quick", action="store_true",
                            help="smaller sweeps (the CI smoke configuration)")

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.util import atomic_write
 
@@ -388,62 +388,3 @@ class Tracer:
     def write(self, path: str) -> None:
         """Atomically write the Chrome trace JSON to *path*."""
         atomic_write(path, self.dumps() + "\n", prefix=".trace-")
-
-
-def merge_chrome_traces(
-    traces: Sequence[Tuple[str, Dict[str, Any]]],
-) -> Dict[str, Any]:
-    """Merge per-job Chrome trace documents into one batch timeline.
-
-    *traces* is a sequence of ``(label, document)`` pairs, where each
-    document is a :meth:`Tracer.to_chrome`-shaped object (e.g. a
-    per-job ``trace.json`` the batch runner's workers wrote).  Each
-    job's processes are re-numbered into one shared pid space and
-    prefixed with the job label (``jobid/fig5:curve``), so the merged
-    file loads as one timeline with one process group per job unit.
-    ``otherData`` is recombined: counter totals sum across jobs and
-    the phase tables merge row-wise — the merged deltas still sum
-    exactly to the merged totals.
-
-    Merging is deterministic in the order of *traces*: byte-identical
-    inputs in the same order produce a byte-identical merged document
-    (serialize with ``json.dumps(..., sort_keys=True)`` as
-    :meth:`Tracer.dumps` does).
-    """
-    events: List[Dict[str, Any]] = []
-    totals: Dict[str, int] = {}
-    phases: Dict[str, Dict[str, int]] = {}
-    next_pid = 1
-    for label, doc in traces:
-        pid_map: Dict[int, int] = {}
-        for ev in doc.get("traceEvents", []):
-            rec = dict(ev)
-            old_pid = rec.get("pid", 0)
-            pid = pid_map.get(old_pid)
-            if pid is None:
-                pid = pid_map[old_pid] = next_pid
-                next_pid += 1
-            rec["pid"] = pid
-            if rec.get("ph") == "M" and rec.get("name") == "process_name":
-                rec["args"] = dict(rec.get("args", {}))
-                rec["args"]["name"] = f"{label}/{rec['args'].get('name', '')}"
-            events.append(rec)
-        other = doc.get("otherData", {})
-        for key, value in other.get("counter_totals", {}).items():
-            totals[key] = totals.get(key, 0) + value
-        for phase, row in other.get("phase_table", {}).items():
-            into = phases.setdefault(phase, {})
-            for key, value in row.items():
-                into[key] = into.get(key, 0) + value
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "clock": "simulated ticks",
-            "merged_jobs": [label for label, _doc in traces],
-            "phase_table": {name: dict(sorted(row.items()))
-                            for name, row in sorted(phases.items())},
-            "counter_totals": dict(sorted(totals.items())),
-        },
-    }
-

@@ -4,10 +4,9 @@ Two things live here.  :class:`WeakCall` is the one way a callback
 refers back to the object that armed it (see "Ownership" in
 ``DESIGN.md``).  :func:`atomic_write` is the single implementation of
 the temp-file + ``fsync`` + ``os.replace`` pattern that
-:mod:`repro.checkpoint` (snapshot files), :mod:`repro.trace`
-(Chrome trace exports) and :mod:`repro.batch` (journal compaction,
-memoized result publication, batch reports) all rely on.  Readers of
-any of those files only ever observe a complete, fully-flushed file —
+:mod:`repro.checkpoint` (snapshot files) and :mod:`repro.trace`
+(Chrome trace exports) rely on.  Readers of either kind of file only
+ever observe a complete, fully-flushed file —
 a crash mid-write leaves the previous contents (or no file) behind,
 never a truncated one.
 """

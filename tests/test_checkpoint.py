@@ -8,8 +8,12 @@ results exactly.
 
 import io
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +33,11 @@ from repro.faults import FaultPlan
 from repro.systems import Cluster, presets
 from repro.workloads.imb import SendRecvBenchmark
 from repro.workloads.nas import KERNELS
+from repro.util import atomic_write
 from repro.workloads.nas.common import run_nas
 
 KB = 1024
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,30 @@ class TestSnapshotFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read snapshot"):
             read_snapshot(str(tmp_path / "absent.snap"))
+
+
+class TestAtomicWrite:
+    def test_writes_bytes_and_text(self, tmp_path):
+        p = tmp_path / "a.bin"
+        atomic_write(str(p), b"\x00\x01")
+        assert p.read_bytes() == b"\x00\x01"
+        atomic_write(str(p), "text\n")
+        assert p.read_text() == "text\n"
+
+    def test_creates_parent_dirs(self, tmp_path):
+        p = tmp_path / "deep" / "er" / "f.txt"
+        atomic_write(str(p), "x")
+        assert p.read_text() == "x"
+
+    def test_no_temp_litter_on_success(self, tmp_path):
+        atomic_write(str(tmp_path / "f.txt"), "x", prefix=".tmp-")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_replaces_existing_content_atomically(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("old")
+        atomic_write(str(p), "new")
+        assert p.read_text() == "new"
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +290,61 @@ class TestCheckpointResumeProperty:
     def test_nas_ep_resume_bit_identical(self, every, faulted):
         plan = FaultPlan(seed=5, link_loss=0.01) if faulted else None
         _checkpoint_resume_equals_uninterrupted("nas", _nas_units, plan, every)
+
+
+# ---------------------------------------------------------------------------
+# a real process killed mid-run resumes to the uninterrupted output
+# ---------------------------------------------------------------------------
+
+FAULTS_ARGV = ["faults", "--fault-plan", "link_loss=0.02", "--fault-seed", "7"]
+
+#: runs ``repro faults`` checkpointed after every unit, SIGKILLing itself
+#: right after the first ``latest.snap`` is durably on disk
+_KILL_AFTER_FIRST_SNAPSHOT = '''
+import os, signal, sys
+from repro import checkpoint
+from repro.cli import main
+
+write_snapshot = checkpoint.write_snapshot
+
+def write_then_die(path, *args, **kwargs):
+    manifest = write_snapshot(path, *args, **kwargs)
+    if os.path.basename(path) == "latest.snap":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return manifest
+
+checkpoint.write_snapshot = write_then_die
+sys.exit(main(sys.argv[1:]))
+'''
+
+
+def _python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestKilledRunResume:
+    def test_sigkilled_run_resumes_byte_identical(self, tmp_path):
+        ckdir = tmp_path / "ck"
+        killed = _python(["-c", _KILL_AFTER_FIRST_SNAPSHOT, *FAULTS_ARGV,
+                          "--checkpoint-every", "0",
+                          "--checkpoint-dir", str(ckdir)], tmp_path)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        manifest, payload = read_snapshot(str(ckdir / "latest.snap"))
+        assert manifest["meta"]["units"] == ["faults:baseline"]
+        assert sorted(payload["units"]) == ["faults:baseline"]
+
+        resumed = _python(["-m", "repro", "resume",
+                           str(ckdir / "latest.snap")], tmp_path)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "unit 'faults:baseline' restored from snapshot" in \
+            resumed.stderr
+        uninterrupted = _python(["-m", "repro", *FAULTS_ARGV], tmp_path)
+        assert uninterrupted.returncode == 0, uninterrupted.stderr
+        assert resumed.stdout == uninterrupted.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -388,13 +388,6 @@ def _clean_resume(tmp_path):
     return ["resume", str(ckdir / "latest.snap")]
 
 
-def _clean_batch(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text('[{"command": "fig4"}]')
-    return ["batch", str(spec), "--out-dir", str(tmp_path / "out"),
-            "--jobs", "1"]
-
-
 def _bad_fig5(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -427,12 +420,6 @@ def _bad_resume(tmp_path):
     return ["resume", str(snap)]
 
 
-def _bad_batch(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text('[{"command": "no-such-driver"}]')
-    return ["batch", str(spec), "--out-dir", str(tmp_path / "out")]
-
-
 def _clean_lint(tmp_path):
     mod = tmp_path / "spotless.py"
     mod.write_text("def double(ticks):\n    return ticks * 2\n")
@@ -450,7 +437,6 @@ _CONTRACT = [
     ("faults", _clean_faults, _bad_faults),
     ("sanitize", _clean_sanitize, _bad_sanitize),
     ("resume", _clean_resume, _bad_resume),
-    ("batch", _clean_batch, _bad_batch),
     ("lint", _clean_lint, _bad_lint),
 ]
 

@@ -17,9 +17,8 @@ caused exactly that:
 ``wallclock-sleep``
     Wall-clock waits and process signalling (``time.sleep``,
     ``os.kill``, ``signal.alarm``) — real-time delays and signals have
-    no place in a simulated timeline.  The one legitimate home is
-    process supervision (``repro.batch``), which marks each site with
-    ``# detlint: ignore[wallclock-sleep]``.
+    no place in a simulated timeline.  No module of ``repro`` sleeps or
+    signals, so nothing may suppress it.
 ``socket-io``
     Network socket construction (``asyncio.start_server``,
     ``socket.socket``, ...) — the simulator models its own wire; real
@@ -207,8 +206,7 @@ class _Linter(ast.NodeVisitor):
                 self._flag(node, "wallclock-sleep",
                            f"{dotted}() waits on (or signals) the host in "
                            f"real time; simulated delays belong on the tick "
-                           f"clock — only process supervision (repro.batch) "
-                           f"may suppress this")
+                           f"clock — nothing may suppress this")
             elif dotted in _SOCKET_IO:
                 self._flag(node, "socket-io",
                            f"{dotted}() opens a real network socket; the "

@@ -1,8 +1,8 @@
 """Pass ``host-taint``: host-only values must not reach sim-context calls.
 
-The determinism contract allows host code (the batch supervisor, the
-perf harness, the CLI) to read wall clocks and the environment — for
-supervision, deadlines and logging — but none of those values may ever
+The determinism contract allows host code (the perf harness, the hang
+watchdog, the CLI) to read wall clocks and the environment — for
+measurement, deadlines and logging — but none of those values may ever
 *parameterise the simulation*: a simulated cluster seeded from
 ``time.monotonic()`` replays differently on resume, which is exactly
 the class of bug no per-line rule can see once the value travels
